@@ -14,6 +14,7 @@ the move traces instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -86,8 +87,11 @@ def run_analysis(path, options=None) -> AnalysisReport:
     """Run the staged pipeline over one file and collect the report.
 
     options: budget (int, default from HOCAT_BUDGET or 8) and stages (a
-    subset of STAGES to emit; everything is still computed in dependency
-    order, unselected stages read "skipped").
+    subset of STAGES to emit; unselected stages read "skipped").
+    validate, axioms, splits and whitehead always run, since later
+    stages build on them; homotopy, forks, saturation and deformation
+    run only when selected.  The validate timing includes loading the
+    file.
     """
     opts = dict(options or {})
     budget = opts.get("budget")
@@ -100,11 +104,6 @@ def run_analysis(path, options=None) -> AnalysisReport:
         if unknown:
             raise FormatError(f"unknown stage {unknown[0]!r}; stages are {', '.join(STAGES)}")
 
-    raw = load_file(path)
-    cat = validate_category(raw)
-    members = resolve_weqs(cat, raw.weak_equivalences)
-    mn, on = cat.mor_name, cat.obj_name
-
     data: dict = {}
     timings: dict = {}
 
@@ -114,7 +113,18 @@ def run_analysis(path, options=None) -> AnalysisReport:
     def done(stage):
         timings[stage] = (time.perf_counter() - timings[stage]) * 1000.0
 
+    def wanted(stage):
+        if selected is None or stage in selected:
+            return True
+        for key in _STAGE_KEYS[stage]:
+            data[key] = "skipped"
+        return False
+
     timed("validate")
+    raw = load_file(path)
+    cat = validate_category(raw)
+    members = resolve_weqs(cat, raw.weak_equivalences)
+    mn, on = cat.mor_name, cat.obj_name
     data["validate"] = {
         "objects": len(cat.objects),
         "morphisms": len(cat.morphisms),
@@ -157,13 +167,14 @@ def run_analysis(path, options=None) -> AnalysisReport:
         data["splits"] = {"generated": False, "missing": mn(sg.missing)}
     done("splits")
 
-    timed("homotopy")
-    hcong = homotopy_congruence(cat, members)
-    data["homotopy"] = {
-        "classes": len(hcong.classes),
-        "nonsingleton_classes": [_names(cat, cls) for cls in hcong.nonsingleton_classes()],
-    }
-    done("homotopy")
+    if wanted("homotopy"):
+        timed("homotopy")
+        hcong = homotopy_congruence(cat, members)
+        data["homotopy"] = {
+            "classes": len(hcong.classes),
+            "nonsingleton_classes": [_names(cat, cls) for cls in hcong.nonsingleton_classes()],
+        }
+        done("homotopy")
 
     timed("whitehead")
     wres = certify_whitehead(cat, members, family=family, splitgen=sg)
@@ -193,44 +204,47 @@ def run_analysis(path, options=None) -> AnalysisReport:
         data["quotient"] = "skipped"
     done("whitehead")
 
-    timed("forks")
-    forks = {}
-    for side in ("left", "right"):
-        fc = check_fork_condition(cat, members, side)
-        cf = check_common_fork(cat, members, side)
-        tr_ok, _ = check_rc_transitive(cat, members, side)
-        forks[side] = {
-            "fork_condition": fc.ok,
-            "fork_counterexample": _names(cat, fc.counterexample) if fc.counterexample else None,
-            "common_fork": cf.ok,
-            "rc_transitive": tr_ok,
-        }
-    data["forks"] = forks
-    done("forks")
+    if wanted("forks"):
+        timed("forks")
+        forks = {}
+        for side in ("left", "right"):
+            fc = check_fork_condition(cat, members, side)
+            cf = check_common_fork(cat, members, side)
+            tr_ok, _ = check_rc_transitive(cat, members, side)
+            forks[side] = {
+                "fork_condition": fc.ok,
+                "fork_counterexample": _names(cat, fc.counterexample) if fc.counterexample else None,
+                "common_fork": cf.ok,
+                "rc_transitive": tr_ok,
+            }
+        data["forks"] = forks
+        done("forks")
 
-    timed("saturation")
-    if wres.certified:
-        sat = check_saturation(cat, members, wres.certificate)
-        data["saturation"] = {
-            "saturated": sat.saturated,
-            "violations": _names(cat, sat.violations),
-            "predicted": sat.predicted,
-            "weak_invertibility": sat.weak_invertibility,
-            "split_generated": sat.split_generated,
-            "fork_left": sat.fork_left,
-            "fork_right": sat.fork_right,
-        }
-    else:
-        data["saturation"] = "skipped"
-    done("saturation")
+    if wanted("saturation"):
+        timed("saturation")
+        if wres.certified:
+            sat = check_saturation(cat, members, wres.certificate)
+            data["saturation"] = {
+                "saturated": sat.saturated,
+                "violations": _names(cat, sat.violations),
+                "predicted": sat.predicted,
+                "weak_invertibility": sat.weak_invertibility,
+                "split_generated": sat.split_generated,
+                "fork_left": sat.fork_left,
+                "fork_right": sat.fork_right,
+            }
+        else:
+            data["saturation"] = "skipped"
+        done("saturation")
 
-    timed("deformation")
-    if raw.deformation is None:
-        data["deformation"] = "absent"
-        data["ho_cr"] = "absent"
-    else:
-        _deformation_stage(cat, members, raw, wres, budget, data)
-    done("deformation")
+    if wanted("deformation"):
+        timed("deformation")
+        if raw.deformation is None:
+            data["deformation"] = "absent"
+            data["ho_cr"] = "absent"
+        else:
+            _deformation_stage(cat, members, raw, wres, budget, data)
+        done("deformation")
 
     return _finish(path, budget, data, timings, selected)
 
@@ -309,13 +323,19 @@ def render_report(report: AnalysisReport, format: str = "text") -> str:
     for key in order:
         if key not in report.data:
             continue
-        value = report.data[key]
-        stage = next(s for s, keys in _STAGE_KEYS.items() if key in keys)
         suffix = ""
-        if key == stage and stage in report.timings:
-            suffix = f"  [{report.timings[stage]:.1f} ms]"
-        lines.append(f"{key}: {_render_value(value)}{suffix}")
+        if key in report.timings:
+            suffix = f"  [{report.timings[key]:.1f} ms]"
+        lines.append(_key_line(key, report.data[key], suffix))
     return "\n".join(lines) + "\n"
+
+
+def _key_line(key, value, suffix="") -> str:
+    """``key: value`` with ``suffix`` ending the key's own line."""
+    rendered = _render_value(value)
+    if "\n" in rendered:
+        return f"{key}:{suffix}{rendered}"
+    return f"{key}: {rendered}{suffix}"
 
 
 def _render_value(value, indent=2) -> str:
@@ -405,7 +425,7 @@ def _emit(doc: dict, fmt: str) -> None:
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         for k, v in doc.items():
-            sys.stdout.write(f"{k}: {_render_value(v)}\n")
+            sys.stdout.write(_key_line(k, v) + "\n")
 
 
 def _cmd_analyze(args) -> int:
@@ -465,6 +485,7 @@ def _cmd_deform(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hocat",

@@ -128,9 +128,9 @@ class HomotopyWitness:
 
 
 def _left_weq_forks(cat: FinCat, members: frozenset[int], va: int, vb: int):
-    """All left forks of weak equivalences at vertex ``va``, with the
-    ordered pairs of hom(va, vb) arrows each one mediates."""
-    out = []
+    """Yield every left fork of weak equivalences at vertex ``va``, in
+    enumeration order, with the ordered pairs of hom(va, vb) arrows it
+    mediates."""
     for apex in range(len(cat.objects)):
         legs_pool = cat.hom(va, apex)
         if not legs_pool:
@@ -147,9 +147,33 @@ def _left_weq_forks(cat: FinCat, members: frozenset[int], va: int, vb: int):
                     fork = Fork("left", va, apex, (l0, l1), sigma, base)
                     supported = frozenset(
                         (cat.table[h][l0], cat.table[h][l1]) for h in mediators)
-                    out.append((fork, supported))
+                    yield fork, supported
                     break  # further collapses mediate the same pairs
-    return out
+
+
+def _fork_index(cat: FinCat, members: frozenset[int], va: int, vb: int):
+    """The left weq forks at ``va``, indexed by the pairs they mediate.
+
+    Returns (forks, mediated): ``mediated`` maps each ordered pair
+    (f, g) of hom(va, vb) arrows to the positions in ``forks`` of the
+    forks mediating it, ascending, so the first is the earliest fork in
+    enumeration order.  Pairs no fork mediates are absent.
+    """
+    forks = []
+    mediated: dict[tuple[int, int], list[int]] = {}
+    for i, (fork, supported) in enumerate(_left_weq_forks(cat, members, va, vb)):
+        forks.append(fork)
+        for pair in supported:
+            mediated.setdefault(pair, []).append(i)
+    return forks, mediated
+
+
+def _bits(positions) -> int:
+    """The integer with exactly the given bit positions set."""
+    buf = bytearray((max(positions) >> 3) + 1 if positions else 0)
+    for i in positions:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
 
 def _ordered_relation(cat: FinCat, rel: Precongruence, va: int, vb: int):
@@ -213,25 +237,30 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     a witness for (f, g) converts into one for (g, f) by swapping legs,
     and degenerate pairs always have the identity fork, so this is the
     full ordered statement.
+
+    The forks of each hom pair are enumerated once, on first use, into
+    an index from ordered pair to mediating forks.  A pair's witness
+    uses the earliest fork mediating (f, g) or (g, f), the unswapped
+    pair on a tie, with its lowest-index mediator.
     """
     work, members, rel = _fork_env(cat, weqs, side)
+    indices = {}
     witnesses = {}
     for f, g in sorted(rel.distinct_pairs):
         va, vb = work.dom(f), work.cod(f)
-        found = None
-        for fork, supported in _left_weq_forks(work, members, va, vb):
-            if (f, g) in supported:
-                found = HomotopyWitness("left", f, g, fork,
-                                        _mediator_for(work, fork, f, g, vb))
-                break
-            if (g, f) in supported:
-                swapped = Fork("left", fork.vertex, fork.apex,
-                               (fork.legs[1], fork.legs[0]), fork.collapse, fork.base)
-                found = HomotopyWitness("left", f, g, swapped,
-                                        _mediator_for(work, swapped, f, g, vb))
-                break
-        if found is None:
+        if (va, vb) not in indices:
+            indices[(va, vb)] = _fork_index(work, members, va, vb)
+        forks, mediated = indices[(va, vb)]
+        straight, crossed = mediated.get((f, g)), mediated.get((g, f))
+        if straight is None and crossed is None:
             return ForkConditionResult(side, False, (f, g), witnesses)
+        if straight is not None and (crossed is None or straight[0] <= crossed[0]):
+            fork = forks[straight[0]]
+        else:
+            fork = forks[crossed[0]]
+            fork = Fork("left", fork.vertex, fork.apex,
+                        (fork.legs[1], fork.legs[0]), fork.collapse, fork.base)
+        found = HomotopyWitness("left", f, g, fork, _mediator_for(work, fork, f, g, vb))
         witnesses[(f, g)] = _translate_witness(found, side)
     return ForkConditionResult(side, True, None, witnesses)
 
@@ -242,18 +271,23 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     Ordered pairs, diagonal included: that is the strength the
     transitivity argument consumes, which chains one pair against a
     degenerate one on the dual side.
+
+    Each hom pair's forks are indexed once by the pairs they mediate;
+    two pairs share a fork iff the bitmasks of their fork positions
+    meet.
     """
     work, members, rel = _fork_env(cat, weqs, side)
     for va, vb in work.hom_pairs():
         pairs = _ordered_relation(work, rel, va, vb)
         if not pairs:
             continue
-        forks = _left_weq_forks(work, members, va, vb)
-        supports = [supported for _, supported in forks]
+        _, mediated = _fork_index(work, members, va, vb)
+        masks = [_bits(mediated.get(p, ())) for p in pairs]
         for i, p1 in enumerate(pairs):
-            for p2 in pairs[i:]:
-                if not any(p1 in s and p2 in s for s in supports):
-                    return CommonForkResult(side, False, (p1, p2))
+            m1 = masks[i]
+            for j in range(i, len(pairs)):
+                if not m1 & masks[j]:
+                    return CommonForkResult(side, False, (p1, pairs[j]))
     return CommonForkResult(side, True, None)
 
 

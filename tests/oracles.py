@@ -169,3 +169,110 @@ def raw_reachable(cat, members, z, depth):
         if not frontier:
             break
     return seen
+
+
+def _sided(cat, side):
+    """dom, cod, hom and ``after(x, y)`` read on one side.
+
+    The right side is the left side of the opposite category, so there
+    ``after(x, y)`` is y∘x in ``cat``.  Non-composable pairs give -1.
+    """
+    if side == "left":
+        return cat.dom, cat.cod, cat.hom, lambda x, y: cat.table[x][y]
+    return (cat.cod, cat.dom, lambda a, b: cat.hom(b, a),
+            lambda x, y: cat.table[y][x])
+
+
+def brute_one_sided_relation(cat, members, side):
+    """Closed one-sided relation: pairs equalized by a member on ``side``,
+    closed under composition on both sides; distinct pairs (f < g)."""
+    dom, cod, _hom, after = _sided(cat, side)
+    base = set()
+    for f, g in cat.parallel_pairs():
+        for w in members:
+            if dom(w) == cod(f) and after(w, f) == after(w, g):
+                base.add((f, g))
+    return brute_close_composition(cat, base)
+
+
+def _brute_forks(cat, members, side):
+    """Every fork of weak equivalences on ``side``, one entry per member
+    collapse: (vertex, apex, legs, collapse, base)."""
+    dom, _cod, hom, after = _sided(cat, side)
+    nobj = len(cat.objects)
+    out = []
+    for va in range(nobj):
+        for apex in range(nobj):
+            for l0 in hom(va, apex):
+                for l1 in hom(va, apex):
+                    for sigma in sorted(members):
+                        if dom(sigma) != apex:
+                            continue
+                        base = after(sigma, l0)
+                        if base == after(sigma, l1) and base in members:
+                            out.append((va, apex, (l0, l1), sigma, base))
+    return out
+
+
+def _mediated(cat, side, fork):
+    """Ordered pairs (h after leg0, h after leg1) over every mediator h."""
+    dom, _cod, _hom, after = _sided(cat, side)
+    _va, apex, (l0, l1), _sigma, _base = fork
+    return {(after(h, l0), after(h, l1))
+            for h in range(len(cat.morphisms)) if dom(h) == apex}
+
+
+def brute_fork_condition(cat, members, side):
+    """(ok, first related pair f < g that no weq fork and mediator realize).
+
+    Every ordered leg pair is enumerated, so (f, g) is realized exactly
+    when (g, f) is.
+    """
+    members = frozenset(members)
+    realized = set()
+    for fork in _brute_forks(cat, members, side):
+        realized |= _mediated(cat, side, fork)
+    missing = sorted(p for p in brute_one_sided_relation(cat, members, side)
+                     if p not in realized)
+    return (not missing, missing[0] if missing else None)
+
+
+def brute_common_fork(cat, members, side):
+    """(ok, first two ordered related pairs no single weq fork mediates).
+
+    Pairs range over each hom-set on ``side`` (objects in order, arrows
+    ascending, diagonal included); the counterexample is the first
+    (p1, p2) with p2 not before p1 in that order.
+    """
+    members = frozenset(members)
+    _dom, _cod, hom, _after = _sided(cat, side)
+    rel = brute_one_sided_relation(cat, members, side)
+    shared = set()
+    for fork in _brute_forks(cat, members, side):
+        mediated = _mediated(cat, side, fork)
+        shared |= {(p1, p2) for p1 in mediated for p2 in mediated}
+    nobj = len(cat.objects)
+    for va in range(nobj):
+        for vb in range(nobj):
+            arrows = hom(va, vb)
+            pairs = [(f, g) for f in arrows for g in arrows
+                     if f == g or (min(f, g), max(f, g)) in rel]
+            for i, p1 in enumerate(pairs):
+                for p2 in pairs[i:]:
+                    if (p1, p2) not in shared:
+                        return False, (p1, p2)
+    return True, None
+
+
+def replays_homotopy(cat, members, side, witness):
+    """Does ``witness`` satisfy the fork and mediator equations on ``side``?"""
+    dom, cod, _hom, after = _sided(cat, side)
+    fork = witness.fork
+    l0, l1 = fork.legs
+    return (witness.side == fork.side == side
+            and dom(l0) == dom(l1) == fork.vertex
+            and cod(l0) == cod(l1) == fork.apex == dom(fork.collapse)
+            and fork.collapse in members and fork.base in members
+            and after(fork.collapse, l0) == after(fork.collapse, l1) == fork.base
+            and after(witness.mediator, l0) == witness.f
+            and after(witness.mediator, l1) == witness.g)

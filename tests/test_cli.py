@@ -1,10 +1,13 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
+from hocat import cli
 from hocat.fixtures import NAMES, path
 
 
@@ -154,3 +157,47 @@ def test_deform_subcommand_reports_routes():
 
     plain = run_cli("deform", fx("f_retr"), "--format", "json")
     assert json.loads(plain.stdout)["deformation"] == "absent"
+
+
+def test_quotient_skips_fork_work(monkeypatch, capsys):
+    """Only selected stages are computed: quotient never reaches forks."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("fork work for an unselected stage")
+
+    monkeypatch.setattr(cli, "check_fork_condition", refuse)
+    monkeypatch.setattr(cli, "check_saturation", refuse)
+    assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["quotient"]["morphisms"] == 4
+    assert cli.main(["analyze", fx("f_retr"), "--format", "json",
+                     "--stages", "validate,homotopy"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["forks"] == doc["saturation"] == "skipped"
+
+
+def test_text_report_timings(monkeypatch):
+    """The validate timing covers loading; each timing ends its key's line."""
+    real_load = cli.load_file
+
+    def slow_load(path):
+        time.sleep(0.05)
+        return real_load(path)
+
+    monkeypatch.setattr(cli, "load_file", slow_load)
+    report = cli.run_analysis(fx("f_retr"), {"budget": 8})
+    assert report.timings["validate"] >= 50.0
+    lines = cli.render_report(report, "text").splitlines()
+    for stage in report.timings:
+        line = next(ln for ln in lines if ln.startswith(stage + ":"))
+        assert re.fullmatch(rf"{stage}:(  | .*  )\[\d+\.\d ms\]", line), line
+    assert sum("ms]" in ln for ln in lines) == len(report.timings)
+    assert not any(ln.endswith(" ") for ln in lines)
+    assert "validate:  [" in "\n".join(lines)
+
+
+def test_parser_is_built_once_and_rejects_bad_arguments(capsys):
+    assert cli._build_parser() is cli._build_parser()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["analyze", fx("f_retr"), "--format", "yaml"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err

@@ -23,7 +23,13 @@ from hocat import (
 from hocat.errors import ValidationError
 from hocat.fixtures import category
 
-from oracles import brute_close_composition
+from oracles import (
+    brute_close_composition,
+    brute_common_fork,
+    brute_fork_condition,
+    brute_one_sided_relation,
+    replays_homotopy,
+)
 
 
 def test_one_sided_relations_on_retract():
@@ -213,3 +219,25 @@ def test_certify_requires_axioms():
     cat, _members, _r = category("f_iso")
     with pytest.raises(ValidationError):
         certify_whitehead(cat, ["u"])  # two-of-three fails for {u}
+
+
+def test_fork_checks_match_brute_force(mixed_corpus, split_corpus):
+    """Both fork checks agree with the definitions, failures included,
+    and every witness they return replays."""
+    fork_failures = common_failures = 0
+    for cat, members, _doc in mixed_corpus + split_corpus:
+        for side in ("left", "right"):
+            res = check_fork_condition(cat, members, side)
+            assert (res.ok, res.counterexample) == brute_fork_condition(cat, members, side)
+            rel = brute_one_sided_relation(cat, members, side)
+            if res.ok:
+                assert set(res.witnesses) == rel
+            for (f, g), wit in res.witnesses.items():
+                assert (wit.f, wit.g) == (f, g) and (f, g) in rel
+                assert replays_homotopy(cat, members, side, wit)
+            common = check_common_fork(cat, members, side)
+            assert (common.ok, common.counterexample) == \
+                brute_common_fork(cat, members, side)
+            fork_failures += not res.ok
+            common_failures += not common.ok
+    assert fork_failures >= 1 and common_failures >= 1
