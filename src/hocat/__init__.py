@@ -17,9 +17,9 @@ from .deformation import (ConjugationReport, Deformation, DeformationChain, HoCr
                           validate_deformation)
 from .errors import FormatError, HocatError, MoveError, ValidationError
 from .fincat import (CatFunctor, FinCat, Mor, RawCategory, Subcategory,
-                     find_isomorphism, hom_set, load_file, load_spec, opposite,
+                     find_isomorphism, load_file, load_spec, opposite,
                      resolve_weqs, subcategory, validate_category)
-from .homotopy import (Fork, HomotopyWitness, LRComparison, SaturationReport,
+from .homotopy import (Analysis, Fork, HomotopyWitness, LRComparison, SaturationReport,
                        WhiteheadCertificate, WhiteheadResult, certify_whitehead,
                        check_common_fork, check_fork_condition, check_lr_coincide,
                        check_rc_transitive, check_saturation, homotopy_congruence,
@@ -27,7 +27,7 @@ from .homotopy import (Fork, HomotopyWitness, LRComparison, SaturationReport,
 from .weq import (AxiomReport, SplitCertificate, SplitGenResult, WeqFamily,
                   check_split_generated, check_weq_axioms, find_splits)
 from .zigzag import (BWD, FWD, EquivResult, Explorer, Move, MoveTrace, Zigzag,
-                     apply_move, bounded_equiv, ho_hom, invert_trace, make_zigzag,
+                     apply_move, bounded_equiv, connect, ho_hom, invert_trace, make_zigzag,
                      nonfullness_witness, reduce_backward_splits, replay,
                      zigzag_from_json, zigzag_to_json)
 

@@ -1,10 +1,13 @@
 """File-driven front end: load a category document, analyze, report.
 
-The analyze pipeline runs validate, axioms, splits, homotopy, whitehead,
-forks, saturation, and deformation in that order; a failed axiom check
-skips everything downstream rather than aborting, because analysis
-verdicts are not process errors.  Only unreadable or malformed input
-(exit 2) and law violations (exit 3) abort.
+The analyze pipeline reports validate, axioms, splits, homotopy,
+whitehead, forks, saturation, and deformation in that order, from one
+:class:`~hocat.homotopy.Analysis` session: each subcommand computes only
+what its selected stages depend on, and unselected stages read
+"skipped".  A failed axiom check skips everything downstream rather
+than aborting, because analysis verdicts are not process errors.  Only
+unreadable or malformed input (exit 2, a negative budget included) and
+law violations (exit 3) abort.
 
 JSON reports are byte-stable for identical input and options: keys are
 sorted and timings stay out.  The text format carries the timings and
@@ -21,43 +24,30 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .congruence import quotient
 from .deformation import (build_ho_cr, check_conjugation, check_inverts_w,
                           compose_chain, validate_deformation)
 from .errors import FormatError, MoveError, ValidationError
 from .fincat import FinCat, load_file, resolve_weqs, subcategory, validate_category
-from .homotopy import (certify_whitehead, check_common_fork, check_fork_condition,
-                       check_rc_transitive, check_saturation, homotopy_congruence)
-from .weq import check_split_generated, check_weq_axioms
-from .zigzag import (BWD, FWD, Zigzag, bounded_equiv, make_zigzag, trace_to_json,
-                     zigzag_from_json, zigzag_to_json)
+from .homotopy import Analysis, certify_whitehead
+from .zigzag import bounded_equiv, connect, trace_to_json, zigzag_from_json, zigzag_to_json
 
 __all__ = ["AnalysisReport", "run_analysis", "render_report", "main", "STAGES"]
 
-STAGES = ("validate", "axioms", "splits", "homotopy", "whitehead",
-          "forks", "saturation", "deformation")
 
-# report keys produced by each stage, in emission order
-_STAGE_KEYS = {
-    "validate": ("validate",),
-    "axioms": ("axioms",),
-    "splits": ("splits",),
-    "homotopy": ("homotopy",),
-    "whitehead": ("whitehead", "whitehead_detail", "quotient"),
-    "forks": ("forks",),
-    "saturation": ("saturation",),
-    "deformation": ("deformation", "ho_cr"),
-}
+def budget_of(value=None) -> int:
+    """The zigzag move budget: ``value``, else HOCAT_BUDGET, else 8.
 
-
-def default_budget() -> int:
-    raw = os.environ.get("HOCAT_BUDGET")
-    if raw is None:
-        return 8
-    try:
-        return int(raw)
-    except ValueError:
-        raise FormatError(f"HOCAT_BUDGET must be an integer, got {raw!r}") from None
+    Anything but a nonnegative integer is malformed input.
+    """
+    if value is None:
+        raw = os.environ.get("HOCAT_BUDGET", "8")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise FormatError(f"HOCAT_BUDGET must be an integer, got {raw!r}") from None
+    if value < 0:
+        raise FormatError(f"budget must be nonnegative, got {value}")
+    return value
 
 
 @dataclass
@@ -84,172 +74,140 @@ def _hom_listing(cat: FinCat) -> dict:
 
 
 def run_analysis(path, options=None) -> AnalysisReport:
-    """Run the staged pipeline over one file and collect the report.
+    """Analyze one file and collect the report.
 
     options: budget (int, default from HOCAT_BUDGET or 8) and stages (a
-    subset of STAGES to emit; unselected stages read "skipped").
-    validate, axioms, splits and whitehead always run, since later
-    stages build on them; homotopy, forks, saturation and deformation
-    run only when selected.  The validate timing includes loading the
-    file.
+    subset of STAGES to report; unselected stages read "skipped").  One
+    :class:`Analysis` session serves every selected stage, so each
+    intermediate is computed once and only when a selected stage needs
+    it.  When the family axioms fail, the stages after them read
+    "skipped".  The validate timing includes loading the file.
     """
     opts = dict(options or {})
-    budget = opts.get("budget")
-    if budget is None:
-        budget = default_budget()
+    budget = budget_of(opts.get("budget"))
     selected = opts.get("stages")
-    if selected is not None:
-        selected = tuple(selected)
-        unknown = [s for s in selected if s not in STAGES]
-        if unknown:
-            raise FormatError(f"unknown stage {unknown[0]!r}; stages are {', '.join(STAGES)}")
+    selected = STAGES if selected is None else tuple(selected)
+    unknown = [s for s in selected if s not in STAGES]
+    if unknown:
+        raise FormatError(f"unknown stage {unknown[0]!r}; stages are {', '.join(STAGES)}")
 
     data: dict = {}
     timings: dict = {}
-
-    def timed(stage):
-        timings[stage] = time.perf_counter()
-
-    def done(stage):
-        timings[stage] = (time.perf_counter() - timings[stage]) * 1000.0
-
-    def wanted(stage):
-        if selected is None or stage in selected:
-            return True
-        for key in _STAGE_KEYS[stage]:
-            data[key] = "skipped"
-        return False
-
-    timed("validate")
+    start = time.perf_counter()
     raw = load_file(path)
-    cat = validate_category(raw)
-    members = resolve_weqs(cat, raw.weak_equivalences)
-    mn, on = cat.mor_name, cat.obj_name
-    data["validate"] = {
+    session = Analysis(validate_category(raw), raw.weak_equivalences)
+    for stage, (keys, report) in _STAGES.items():
+        if stage not in selected:
+            data.update(dict.fromkeys(keys, "skipped"))
+        elif stage not in ("validate", "axioms") and not session.family.report.axioms_ok:
+            absent = stage == "deformation" and not raw.deformation
+            data.update(dict.fromkeys(keys, "absent" if absent else "skipped"))
+        else:
+            data.update(report(session, raw, budget))
+            timings[stage] = (time.perf_counter() - start) * 1000.0
+        start = time.perf_counter()
+    return AnalysisReport(path=str(path), budget=budget, data=data, timings=timings)
+
+
+def _validate_report(session, raw, budget):
+    cat = session.cat
+    return {"validate": {
         "objects": len(cat.objects),
         "morphisms": len(cat.morphisms),
-        "weak_equivalences": _names(cat, sorted(members)),
-    }
-    done("validate")
+        "weak_equivalences": _names(cat, sorted(session.members)),
+    }}
 
-    timed("axioms")
-    family = check_weq_axioms(cat, raw.weak_equivalences)
-    rep = family.report
-    data["axioms"] = {
+
+def _axioms_report(session, raw, budget):
+    cat, rep = session.cat, session.family.report
+    return {"axioms": {
         "ok": rep.axioms_ok,
         "two_of_three": rep.two_of_three_ok,
         "two_of_three_witness": _names(cat, rep.two_of_three_witness) if rep.two_of_three_witness else None,
         "weak_invertibility": rep.weak_invertibility_ok,
         "weak_invertibility_witness": _names(cat, rep.weak_invertibility_witness) if rep.weak_invertibility_witness else None,
         "inserted_identities": _names(cat, rep.inserted_identities),
-    }
-    done("axioms")
+    }}
 
-    if not rep.axioms_ok:
-        for stage in ("splits", "homotopy", "whitehead", "forks", "saturation"):
-            for key in _STAGE_KEYS[stage]:
-                data[key] = "skipped"
-        data["deformation"] = "skipped" if raw.deformation else "absent"
-        data["ho_cr"] = data["deformation"]
-        return _finish(path, budget, data, timings, selected)
 
-    timed("splits")
-    sg = check_split_generated(family)
-    if sg.generated:
-        cert = sg.certificate
-        data["splits"] = {
-            "generated": True,
-            "splits": [[mn(m), mn(inv), kind] for m, inv, kind in cert.split_weqs],
-            "decompositions": {mn(m): _names(cat, parts)
-                               for m, parts in sorted(cert.decompositions.items())},
-        }
-    else:
-        data["splits"] = {"generated": False, "missing": mn(sg.missing)}
-    done("splits")
+def _splits_report(session, raw, budget):
+    cat, mn, sg = session.cat, session.cat.mor_name, session.splitgen
+    if not sg.generated:
+        return {"splits": {"generated": False, "missing": mn(sg.missing)}}
+    cert = sg.certificate
+    return {"splits": {
+        "generated": True,
+        "splits": [[mn(m), mn(inv), kind] for m, inv, kind in cert.split_weqs],
+        "decompositions": {mn(m): _names(cat, parts)
+                           for m, parts in sorted(cert.decompositions.items())},
+    }}
 
-    if wanted("homotopy"):
-        timed("homotopy")
-        hcong = homotopy_congruence(cat, members)
-        data["homotopy"] = {
-            "classes": len(hcong.classes),
-            "nonsingleton_classes": [_names(cat, cls) for cls in hcong.nonsingleton_classes()],
-        }
-        done("homotopy")
 
-    timed("whitehead")
-    wres = certify_whitehead(cat, members, family=family, splitgen=sg)
-    data["whitehead"] = wres.status
+def _homotopy_report(session, raw, budget):
+    cat, cong = session.cat, session.congruence
+    return {"homotopy": {
+        "classes": len(cong.classes),
+        "nonsingleton_classes": [_names(cat, cls) for cls in cong.nonsingleton_classes()],
+    }}
+
+
+def _whitehead_report(session, raw, budget):
+    cat, mn, wres = session.cat, session.cat.mor_name, session.whitehead
     if wres.certified:
-        data["whitehead_detail"] = {
-            "inverses": {mn(w): mn(g) for w, g in sorted(wres.certificate.inverse_table.items())},
-        }
-        q = quotient(cat, wres.congruence)
-        data["quotient"] = {
-            "objects": len(q.quotient.objects),
-            "morphisms": len(q.quotient.morphisms),
-            "homs": _hom_listing(q.quotient),
-        }
-    elif wres.status == "failed":
-        w = wres.witness
-        data["whitehead_detail"] = {
-            "witness": {
-                "source": on(w.source),
-                "target": on(w.target),
-                "zigzag": zigzag_to_json(cat, w.zigzag),
+        q = session.quotient.quotient
+        return {
+            "whitehead": wres.status,
+            "whitehead_detail": {"inverses": {
+                mn(w): mn(g) for w, g in sorted(wres.certificate.inverse_table.items())}},
+            "quotient": {
+                "objects": len(q.objects),
+                "morphisms": len(q.morphisms),
+                "homs": _hom_listing(q),
             },
         }
-        data["quotient"] = "skipped"
-    else:
-        data["whitehead_detail"] = {}
-        data["quotient"] = "skipped"
-    done("whitehead")
-
-    if wanted("forks"):
-        timed("forks")
-        forks = {}
-        for side in ("left", "right"):
-            fc = check_fork_condition(cat, members, side)
-            cf = check_common_fork(cat, members, side)
-            tr_ok, _ = check_rc_transitive(cat, members, side)
-            forks[side] = {
-                "fork_condition": fc.ok,
-                "fork_counterexample": _names(cat, fc.counterexample) if fc.counterexample else None,
-                "common_fork": cf.ok,
-                "rc_transitive": tr_ok,
-            }
-        data["forks"] = forks
-        done("forks")
-
-    if wanted("saturation"):
-        timed("saturation")
-        if wres.certified:
-            sat = check_saturation(cat, members, wres.certificate)
-            data["saturation"] = {
-                "saturated": sat.saturated,
-                "violations": _names(cat, sat.violations),
-                "predicted": sat.predicted,
-                "weak_invertibility": sat.weak_invertibility,
-                "split_generated": sat.split_generated,
-                "fork_left": sat.fork_left,
-                "fork_right": sat.fork_right,
-            }
-        else:
-            data["saturation"] = "skipped"
-        done("saturation")
-
-    if wanted("deformation"):
-        timed("deformation")
-        if raw.deformation is None:
-            data["deformation"] = "absent"
-            data["ho_cr"] = "absent"
-        else:
-            _deformation_stage(cat, members, raw, wres, budget, data)
-        done("deformation")
-
-    return _finish(path, budget, data, timings, selected)
+    detail = {}
+    if wres.status == "failed":
+        w = wres.witness
+        detail = {"witness": {
+            "source": cat.obj_name(w.source),
+            "target": cat.obj_name(w.target),
+            "zigzag": zigzag_to_json(cat, w.zigzag),
+        }}
+    return {"whitehead": wres.status, "whitehead_detail": detail, "quotient": "skipped"}
 
 
-def _deformation_stage(cat, members, raw, wres, budget, data):
+def _forks_report(session, raw, budget):
+    cat, forks = session.cat, {}
+    for side in ("left", "right"):
+        fc = session.fork_condition(side)
+        forks[side] = {
+            "fork_condition": fc.ok,
+            "fork_counterexample": _names(cat, fc.counterexample) if fc.counterexample else None,
+            "common_fork": session.common_fork(side).ok,
+            "rc_transitive": session.rc_transitive(side)[0],
+        }
+    return {"forks": forks}
+
+
+def _saturation_report(session, raw, budget):
+    if not session.whitehead.certified:
+        return {"saturation": "skipped"}
+    sat = session.saturation
+    return {"saturation": {
+        "saturated": sat.saturated,
+        "violations": _names(session.cat, sat.violations),
+        "predicted": sat.predicted,
+        "weak_invertibility": sat.weak_invertibility,
+        "split_generated": sat.split_generated,
+        "fork_left": sat.fork_left,
+        "fork_right": sat.fork_right,
+    }}
+
+
+def _deformation_report(session, raw, budget):
+    if raw.deformation is None:
+        return {"deformation": "absent", "ho_cr": "absent"}
+    cat, members = session.cat, session.members
     mn, on = cat.mor_name, cat.obj_name
     ambient = subcategory(cat, range(len(cat.objects)))
     links = []
@@ -268,14 +226,15 @@ def _deformation_stage(cat, members, raw, wres, budget, data):
     sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
     c0_res = certify_whitehead(sub.cat, sub_members)
     cert0 = c0_res.certificate if c0_res.certified else None
+    wres = session.whitehead
     ambient_cert = wres.certificate if wres.certified else None
 
-    data["deformation"] = {
+    data = {"deformation": {
         "links": [{"direction": d.direction, "functorial": d.functorial} for d in links],
         "functorial": chain.functorial,
         "target_objects": [on(x) for x in sub.objects],
         "c0_whitehead": c0_res.status,
-    }
+    }}
 
     if (chain.functorial and cert0 is not None) or ambient_cert is not None:
         hocr = build_ho_cr(cat, members, chain, cert0=cert0, ambient_cert=ambient_cert)
@@ -298,16 +257,22 @@ def _deformation_stage(cat, members, raw, wres, budget, data):
             "status": "unavailable",
             "reason": "requires functorial chain or ambient certificate",
         }
+    return data
 
 
-def _finish(path, budget, data, timings, selected) -> AnalysisReport:
-    if selected is not None:
-        keep = {key for stage in selected for key in _STAGE_KEYS[stage]}
-        for stage in STAGES:
-            for key in _STAGE_KEYS[stage]:
-                if key in data and key not in keep:
-                    data[key] = "skipped"
-    return AnalysisReport(path=str(path), budget=budget, data=data, timings=timings)
+# Each stage's report keys, in emission order, and the function that
+# reads them from the session.
+_STAGES = {
+    "validate": (("validate",), _validate_report),
+    "axioms": (("axioms",), _axioms_report),
+    "splits": (("splits",), _splits_report),
+    "homotopy": (("homotopy",), _homotopy_report),
+    "whitehead": (("whitehead", "whitehead_detail", "quotient"), _whitehead_report),
+    "forks": (("forks",), _forks_report),
+    "saturation": (("saturation",), _saturation_report),
+    "deformation": (("deformation", "ho_cr"), _deformation_report),
+}
+STAGES = tuple(_STAGES)
 
 
 def render_report(report: AnalysisReport, format: str = "text") -> str:
@@ -319,7 +284,7 @@ def render_report(report: AnalysisReport, format: str = "text") -> str:
         raise FormatError(f"unknown format {format!r}; use text or json")
 
     lines = [f"input: {report.path}", f"budget: {report.budget}"]
-    order = [key for stage in STAGES for key in _STAGE_KEYS[stage]]
+    order = [key for keys, _ in _STAGES.values() for key in keys]
     for key in order:
         if key not in report.data:
             continue
@@ -377,12 +342,6 @@ def _render_value(value, indent=2) -> str:
     return str(value)
 
 
-def _load_category(path):
-    raw = load_file(path)
-    cat = validate_category(raw)
-    return cat, resolve_weqs(cat, raw.weak_equivalences), raw
-
-
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -393,31 +352,6 @@ def _read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as e:
         raise FormatError(f"{path}: not valid JSON: {e}") from None
-
-
-def _find_zigzag(cat: FinCat, members, src: int, dst: int) -> Zigzag | None:
-    """Breadth-first connection through arrows and backward members."""
-    parent = {src: None}
-    queue = [src]
-    while queue:
-        nxt = []
-        for at in queue:
-            if at == dst:
-                steps = []
-                while parent[at] is not None:
-                    at, step = parent[at]
-                    steps.append(step)
-                return make_zigzag(cat, members, src, reversed(steps))
-            for m in cat.outgoing[at]:
-                if cat.cod(m) not in parent:
-                    parent[cat.cod(m)] = (at, (m, FWD))
-                    nxt.append(cat.cod(m))
-            for m in cat.incoming[at]:
-                if m in members and cat.dom(m) not in parent:
-                    parent[cat.dom(m)] = (at, (m, BWD))
-                    nxt.append(cat.dom(m))
-        queue = nxt
-    return None
 
 
 def _emit(doc: dict, fmt: str) -> None:
@@ -438,10 +372,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    report = run_analysis(args.file, {
-        "budget": args.budget,
-        "stages": ("validate", "axioms", "splits", "homotopy", "whitehead"),
-    })
+    report = run_analysis(args.file, {"budget": args.budget, "stages": ("whitehead",)})
     doc = {"input": report.path,
            "whitehead": report.data["whitehead"],
            "quotient": report.data["quotient"]}
@@ -450,13 +381,13 @@ def _cmd_quotient(args) -> int:
 
 
 def _cmd_zigzag(args) -> int:
-    cat, members, _ = _load_category(args.file)
-    budget = args.budget if args.budget is not None else default_budget()
-
+    raw = load_file(args.file)
+    cat = validate_category(raw)
+    members = resolve_weqs(cat, raw.weak_equivalences)
     if args.equiv:
         z1 = zigzag_from_json(cat, members, _read_json(args.equiv[0]))
         z2 = zigzag_from_json(cat, members, _read_json(args.equiv[1]))
-        res = bounded_equiv(cat, members, z1, z2, budget)
+        res = bounded_equiv(cat, members, z1, z2, args.budget)
         doc = {"status": res.status,
                "trace": trace_to_json(cat, res.trace) if res.trace is not None else None}
         _emit(doc, args.format)
@@ -464,7 +395,7 @@ def _cmd_zigzag(args) -> int:
 
     if args.src is None or args.dst is None:
         raise FormatError("zigzag needs --from and --to (or --equiv with two files)")
-    z = _find_zigzag(cat, members, cat.obj(args.src), cat.obj(args.dst))
+    z = connect(cat, members, args.src, args.dst)
     if z is None:
         _emit({"status": "unreachable"}, args.format)
     else:
@@ -473,10 +404,8 @@ def _cmd_zigzag(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    report = run_analysis(args.file, {
-        "budget": args.budget,
-        "stages": ("validate", "axioms", "whitehead", "deformation"),
-    })
+    report = run_analysis(args.file, {"budget": args.budget,
+                                      "stages": ("whitehead", "deformation")})
     doc = {"input": report.path,
            "whitehead": report.data["whitehead"],
            "deformation": report.data["deformation"],
@@ -526,6 +455,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        args.budget = budget_of(args.budget)
         return args.func(args)
     except FormatError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -305,16 +305,11 @@ def is_congruence(rel: Precongruence):
     for f in range(len(base.morphisms)):
         if (f, f) not in pairs:
             return False, ("reflexivity", f)
-    # Adjacency per morphism for the transitivity scan.
-    adj: dict[int, set[int]] = {}
-    for f, g in pairs:
-        adj.setdefault(f, set()).add(g)
-        adj.setdefault(g, set()).add(f)
-    for f in sorted(adj):
-        for g in sorted(adj[f]):
-            for h in sorted(adj[g]):
-                if h != f and (min(f, h), max(f, h)) not in pairs:
-                    return False, ("transitivity", (f, g, h))
+    # Every arrow is related to itself by now, so degenerate pairs
+    # cannot break transitivity.
+    triple = intransitive_triple(rel.distinct_pairs)
+    if triple is not None:
+        return False, ("transitivity", triple)
     for f, g in sorted(pairs):
         if f == g:
             continue
@@ -326,3 +321,21 @@ def is_congruence(rel: Precongruence):
                 if vfu != vgu and (min(vfu, vgu), max(vfu, vgu)) not in pairs:
                     return False, ("composition", (f, g, u, v))
     return True, None
+
+
+def intransitive_triple(pairs) -> tuple[int, int, int] | None:
+    """First (f, g, h) in index order with f~g and g~h but not f~h.
+
+    ``pairs`` are the distinct unordered pairs of a reflexive,
+    symmetric relation; None means the relation is transitive.
+    """
+    adj: dict[int, set[int]] = {}
+    for f, g in pairs:
+        adj.setdefault(f, set()).add(g)
+        adj.setdefault(g, set()).add(f)
+    for f in sorted(adj):
+        for g in sorted(adj[f]):
+            for h in sorted(adj[g]):
+                if h != f and h not in adj[f]:
+                    return f, g, h
+    return None

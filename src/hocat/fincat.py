@@ -388,28 +388,6 @@ def resolve_weqs(cat: FinCat, names: Iterable) -> frozenset[int]:
     return frozenset(members)
 
 
-def hom_set(cat: FinCat, a, b) -> frozenset[int]:
-    """The set of arrows from a to b."""
-    return frozenset(cat.hom(a, b))
-
-
-def compose_path(cat: FinCat, path: Sequence, at=None) -> int:
-    """Fold a path of arrows (first-applied first) into one composite.
-
-    The empty path needs ``at`` to pick the object whose identity it
-    denotes.
-    """
-    idxs = [cat.mor(p) for p in path]
-    if not idxs:
-        if at is None:
-            raise ValidationError("empty path: supply the object via at=")
-        return cat.identity[cat.obj(at)]
-    acc = idxs[0]
-    for nxt in idxs[1:]:
-        acc = cat.compose(nxt, acc)
-    return acc
-
-
 def opposite(cat: FinCat, weqs: Iterable[int] = ()) -> tuple[FinCat, frozenset[int]]:
     """The opposite category, arrows keeping their indices and names.
 
@@ -485,12 +463,6 @@ class Subcategory:
 
     def to_sub_mor(self, parent_mor: int) -> int:
         return self.morphisms.index(parent_mor)
-
-    @property
-    def is_full(self) -> bool:
-        want = {m for x in self.objects for y in self.objects
-                for m in self.parent.hom(x, y)}
-        return want == set(self.morphisms)
 
 
 def subcategory(cat: FinCat, objects: Iterable, morphisms: Iterable | None = None) -> Subcategory:

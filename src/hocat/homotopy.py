@@ -19,19 +19,26 @@ common composite, the base, also a weak equivalence) plus a mediator
 sending the legs to f and g.  The fork checks below quantify over
 ordered related pairs, including degenerate ones, because that is what
 the transitivity and saturation consequences need.
+
+An :class:`Analysis` session computes each of these once for one
+category and family, on first use, and shares it between the stages
+that build on it; the public functions below each read one stage from a
+fresh session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .congruence import Congruence, Precongruence, least_congruence, quotient, sigma_of
+from .congruence import (Congruence, Precongruence, QuotientResult, intransitive_triple,
+                         least_congruence, quotient, sigma_of)
 from .errors import ValidationError
-from .fincat import FinCat, opposite
+from .fincat import FinCat, opposite, resolve_weqs
 from .weq import SplitGenResult, WeqFamily, check_split_generated, check_weq_axioms
 
 __all__ = [
-    "Fork", "HomotopyWitness", "WhiteheadCertificate", "WhiteheadResult",
+    "Analysis", "Fork", "HomotopyWitness", "WhiteheadCertificate", "WhiteheadResult",
     "LRComparison", "SaturationReport",
     "r_left", "r_right", "r_left_comp", "r_right_comp",
     "homotopy_congruence", "certify_whitehead", "check_lr_coincide",
@@ -62,36 +69,38 @@ def r_right(cat: FinCat, weqs) -> Precongruence:
     Computed as the left relation of the opposite category and pulled
     back; arrow indices agree, so the pullback is the identity.
     """
-    op, w2 = opposite(cat, weqs)
-    return Precongruence(cat, r_left(op, w2).pairs)
+    return Analysis(cat, weqs).right
 
 
-def r_left_comp(cat: FinCat, weqs) -> Precongruence:
-    """Composition closure of :func:`r_left`.
+def _left_closure(work: FinCat, pairs) -> Precongruence:
+    """Composition closure of a left relation on ``work``.
 
     The left relation is already stable under pre-composition (the same
     equalizing member works), so post-composing with every mediator
     h: B -> B' alone reaches the full two-sided closure.
     """
-    base = r_left(cat, weqs)
-    out = set(base.pairs)
-    for f, g in base.pairs:
-        for h in cat.outgoing[cat.cod(f)]:
-            hf, hg = cat.table[h][f], cat.table[h][g]
+    out = set(pairs)
+    for f, g in pairs:
+        for h in work.outgoing[work.cod(f)]:
+            hf, hg = work.table[h][f], work.table[h][g]
             if hf != hg:
                 out.add((min(hf, hg), max(hf, hg)))
-    return Precongruence(cat, out)
+    return Precongruence(work, out)
+
+
+def r_left_comp(cat: FinCat, weqs) -> Precongruence:
+    """Composition closure of :func:`r_left`."""
+    return Analysis(cat, weqs).closed("left")[1]
 
 
 def r_right_comp(cat: FinCat, weqs) -> Precongruence:
     """Dual closure: pre-compose the right relation with every mediator."""
-    op, w2 = opposite(cat, weqs)
-    return Precongruence(cat, r_left_comp(op, w2).pairs)
+    return Precongruence(cat, Analysis(cat, weqs).closed("right")[1].pairs)
 
 
 def homotopy_congruence(cat: FinCat, weqs) -> Congruence:
     """Least congruence containing both one-sided relations."""
-    return least_congruence(r_left(cat, weqs).union(r_right(cat, weqs)))
+    return Analysis(cat, weqs).congruence
 
 
 @dataclass(frozen=True)
@@ -210,16 +219,6 @@ class CommonForkResult:
     counterexample: tuple[tuple[int, int], tuple[int, int]] | None
 
 
-def _fork_env(cat: FinCat, weqs, side: str):
-    if side == "left":
-        members = frozenset(cat.mor(w) for w in weqs)
-        return cat, members, r_left_comp(cat, weqs)
-    if side == "right":
-        op, members = opposite(cat, weqs)
-        return op, members, r_left_comp(op, members)
-    raise ValidationError(f"side must be left or right, not {side!r}")
-
-
 def _translate_witness(witness: HomotopyWitness, side: str) -> HomotopyWitness:
     if side == "left":
         return witness
@@ -243,7 +242,11 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     uses the earliest fork mediating (f, g) or (g, f), the unswapped
     pair on a tie, with its lowest-index mediator.
     """
-    work, members, rel = _fork_env(cat, weqs, side)
+    return Analysis(cat, weqs).fork_condition(side)
+
+
+def _fork_condition(work: FinCat, rel: Precongruence, members: frozenset[int],
+                    side: str) -> ForkConditionResult:
     indices = {}
     witnesses = {}
     for f, g in sorted(rel.distinct_pairs):
@@ -276,7 +279,11 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     two pairs share a fork iff the bitmasks of their fork positions
     meet.
     """
-    work, members, rel = _fork_env(cat, weqs, side)
+    return Analysis(cat, weqs).common_fork(side)
+
+
+def _common_fork(work: FinCat, rel: Precongruence, members: frozenset[int],
+                 side: str) -> CommonForkResult:
     for va, vb in work.hom_pairs():
         pairs = _ordered_relation(work, rel, va, vb)
         if not pairs:
@@ -298,17 +305,12 @@ def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
     chains of distinct arrows can break transitivity.  Returns
     (ok, counterexample triple or None).
     """
-    work, _, rel = _fork_env(cat, weqs, side)
-    adj: dict[int, set[int]] = {}
-    for f, g in rel.distinct_pairs:
-        adj.setdefault(f, set()).add(g)
-        adj.setdefault(g, set()).add(f)
-    for f in sorted(adj):
-        for g in sorted(adj[f]):
-            for h in sorted(adj[g]):
-                if h != f and h not in adj[f]:
-                    return False, (f, g, h)
-    return True, None
+    return Analysis(cat, weqs).rc_transitive(side)
+
+
+def _rc_transitive(work: FinCat, rel: Precongruence, members: frozenset[int], side: str):
+    triple = intransitive_triple(rel.distinct_pairs)
+    return triple is None, triple
 
 
 @dataclass(frozen=True)
@@ -350,40 +352,14 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     split-generated family would contradict the certified case, so that
     combination raises; a formally-connected-but-empty hom-set downgrades
     the verdict to failed, and absent any witness it stays inconclusive.
+    ``family`` and ``splitgen``, when given, are used as they are.
     """
-    if family is None:
-        family = check_weq_axioms(cat, weqs)
-    if not family.report.axioms_ok:
-        raise ValidationError("family axioms must hold before certification")
-    members = family.members
-
-    left = r_left(cat, members)
-    right = r_right(cat, members)
-    cong = least_congruence(left.union(right))
-    invertible = sigma_of(cat, cong)
-
-    if members <= invertible:
-        inverse_table = {}
-        for w in sorted(members):
-            x, y = cat.dom(w), cat.cod(w)
-            idx, idy = cat.identity[x], cat.identity[y]
-            for g in cat.hom(y, x):
-                if cong.related(cat.table[g][w], idx) and cong.related(cat.table[w][g], idy):
-                    inverse_table[w] = g
-                    break
-        cert = WhiteheadCertificate(cong, inverse_table, (left, right))
-        return WhiteheadResult("certified", cong, cert, None, family, splitgen)
-
-    if splitgen is None:
-        splitgen = check_split_generated(family)
-    if splitgen.generated:
-        raise RuntimeError(
-            "internal inconsistency: split-generated family failed certification")
-
-    from .zigzag import nonfullness_witness  # deferred: zigzag imports this module
-    witness = nonfullness_witness(cat, members)
-    status = "failed" if witness is not None else "inconclusive"
-    return WhiteheadResult(status, cong, None, witness, family, splitgen)
+    session = Analysis(cat, weqs if family is None else family.members)
+    if family is not None:
+        session.family = family
+    if splitgen is not None:
+        session.splitgen = splitgen
+    return session.whitehead
 
 
 @dataclass(frozen=True)
@@ -402,14 +378,13 @@ def check_lr_coincide(cat: FinCat, weqs) -> LRComparison:
     only promised there); otherwise reports the three congruences and,
     on a mismatch, the first differing pair and where it differs.
     """
-    family = check_weq_axioms(cat, weqs)
-    if not family.report.axioms_ok:
-        raise ValidationError("family axioms must hold")
-    if not check_split_generated(family).generated:
+    session = Analysis(cat, weqs)
+    session.axioms_hold("family axioms must hold")
+    if not session.splitgen.generated:
         raise ValidationError("left/right comparison needs a split-generated family")
-    lc = least_congruence(r_left(cat, family.members))
-    rc = least_congruence(r_right(cat, family.members))
-    both = homotopy_congruence(cat, family.members)
+    lc = least_congruence(session.left)
+    rc = least_congruence(session.right)
+    both = session.congruence
     ok = lc == rc == both
     differing = None
     if not ok:
@@ -445,40 +420,149 @@ class SaturationReport:
 
 
 def check_saturation(cat: FinCat, weqs, cert: WhiteheadCertificate) -> SaturationReport:
-    family = check_weq_axioms(cat, weqs)
-    if not family.report.axioms_ok:
-        raise ValidationError("family axioms must hold")
-    members = family.members
-    q = quotient(cat, cert.congruence)
-    qcat = q.quotient
+    session = Analysis(cat, weqs)
+    session.congruence = cert.congruence
+    return session.saturation
 
-    violations = []
-    for f in range(len(cat.morphisms)):
-        if f in members:
-            continue
-        cls = cert.congruence.class_of[f]
-        x, y = qcat.dom(cls), qcat.cod(cls)
-        for g in qcat.hom(y, x):
-            if (qcat.table[g][cls] == qcat.identity[x]
-                    and qcat.table[cls][g] == qcat.identity[y]):
-                violations.append(f)
-                break
 
-    weak_inv = family.report.weak_invertibility_ok
-    split_ok = check_split_generated(family).generated
-    fork_l = check_fork_condition(cat, members, "left").ok
-    fork_r = check_fork_condition(cat, members, "right").ok
-    predicted = weak_inv and split_ok and fork_l and fork_r
-    if predicted and violations:
-        raise RuntimeError(
-            "internal inconsistency: saturation predicted but violated by "
-            + cat.mor_name(violations[0]))
-    return SaturationReport(
-        saturated=not violations,
-        violations=tuple(violations),
-        predicted=predicted,
-        weak_invertibility=weak_inv,
-        split_generated=split_ok,
-        fork_left=fork_l,
-        fork_right=fork_r,
-    )
+class Analysis:
+    """One analysis of ``cat`` with the weak equivalences ``weqs``.
+
+    Each stage is computed on first use and then kept, so the stages
+    that build on one another share one family check, one opposite
+    category, one homotopy congruence, one quotient and one fork check
+    per side.  A stage assigned before its first use (``session.family
+    = ...``) is taken as given.  ``weqs`` may name arrows or index them;
+    identities are implicit, as in documents.
+    """
+
+    def __init__(self, cat: FinCat, weqs):
+        self.cat = cat
+        self.weqs = tuple(weqs)
+        self.members = resolve_weqs(cat, self.weqs)
+        self._sides: dict = {}  # per-side stages, by (function, side)
+
+    @cached_property
+    def family(self) -> WeqFamily:
+        return check_weq_axioms(self.cat, self.weqs)
+
+    def axioms_hold(self, message: str) -> WeqFamily:
+        """The family, raising ``message`` unless its axioms hold."""
+        if not self.family.report.axioms_ok:
+            raise ValidationError(message)
+        return self.family
+
+    @cached_property
+    def splitgen(self) -> SplitGenResult:
+        return check_split_generated(self.family)
+
+    @cached_property
+    def op(self) -> FinCat:
+        return opposite(self.cat)[0]
+
+    @cached_property
+    def left(self) -> Precongruence:
+        return r_left(self.cat, self.members)
+
+    @cached_property
+    def right(self) -> Precongruence:
+        return Precongruence(self.cat, r_left(self.op, self.members).pairs)
+
+    @cached_property
+    def congruence(self) -> Congruence:
+        return least_congruence(self.left.union(self.right))
+
+    @cached_property
+    def quotient(self) -> QuotientResult:
+        return quotient(self.cat, self.congruence)
+
+    def closed(self, side: str) -> tuple[FinCat, Precongruence]:
+        """The category a side's forks live in (``cat`` on the left, its
+        opposite on the right) and the closed one-sided relation there."""
+        if side == "left":
+            work, base = self.cat, self.left
+        elif side == "right":
+            work, base = self.op, self.right
+        else:
+            raise ValidationError(f"side must be left or right, not {side!r}")
+        key = (_left_closure, side)
+        if key not in self._sides:
+            self._sides[key] = _left_closure(work, base.pairs)
+        return work, self._sides[key]
+
+    def fork_condition(self, side: str = "left") -> ForkConditionResult:
+        return self._per_side(_fork_condition, side)
+
+    def common_fork(self, side: str = "left") -> CommonForkResult:
+        return self._per_side(_common_fork, side)
+
+    def rc_transitive(self, side: str = "left") -> tuple[bool, tuple[int, int, int] | None]:
+        return self._per_side(_rc_transitive, side)
+
+    def _per_side(self, check, side: str):
+        if (check, side) not in self._sides:
+            self._sides[check, side] = check(*self.closed(side), self.members, side)
+        return self._sides[check, side]
+
+    @cached_property
+    def whitehead(self) -> WhiteheadResult:
+        family = self.axioms_hold("family axioms must hold before certification")
+        cat, members, cong = self.cat, self.members, self.congruence
+        if members <= sigma_of(cat, cong):
+            inverse_table = {}
+            for w in sorted(members):
+                x, y = cat.dom(w), cat.cod(w)
+                idx, idy = cat.identity[x], cat.identity[y]
+                for g in cat.hom(y, x):
+                    if (cong.related(cat.table[g][w], idx)
+                            and cong.related(cat.table[w][g], idy)):
+                        inverse_table[w] = g
+                        break
+            cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
+            # Certification needs no split generation: report it only if known.
+            return WhiteheadResult("certified", cong, cert, None, family,
+                                   vars(self).get("splitgen"))
+
+        if self.splitgen.generated:
+            raise RuntimeError(
+                "internal inconsistency: split-generated family failed certification")
+
+        from .zigzag import nonfullness_witness  # deferred: zigzag imports this module
+        witness = nonfullness_witness(cat, members)
+        status = "failed" if witness is not None else "inconclusive"
+        return WhiteheadResult(status, cong, None, witness, family, self.splitgen)
+
+    @cached_property
+    def saturation(self) -> SaturationReport:
+        family = self.axioms_hold("family axioms must hold")
+        qcat = self.quotient.quotient
+        violations = []
+        for f in range(len(self.cat.morphisms)):
+            if f in self.members:
+                continue
+            cls = self.congruence.class_of[f]
+            x, y = qcat.dom(cls), qcat.cod(cls)
+            for g in qcat.hom(y, x):
+                if (qcat.table[g][cls] == qcat.identity[x]
+                        and qcat.table[cls][g] == qcat.identity[y]):
+                    violations.append(f)
+                    break
+
+        weak_inv = family.report.weak_invertibility_ok
+        split_ok = self.splitgen.generated
+        fork_l = self.fork_condition("left").ok
+        fork_r = self.fork_condition("right").ok
+        predicted = weak_inv and split_ok and fork_l and fork_r
+        if predicted and violations:
+            raise RuntimeError(
+                "internal inconsistency: saturation predicted but violated by "
+                + self.cat.mor_name(violations[0]))
+        return SaturationReport(
+            saturated=not violations,
+            violations=tuple(violations),
+            predicted=predicted,
+            weak_invertibility=weak_inv,
+            split_generated=split_ok,
+            fork_left=fork_l,
+            fork_right=fork_r,
+        )

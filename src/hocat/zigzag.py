@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 from .congruence import quotient
 from .errors import FormatError, MoveError, ValidationError
-from .fincat import FinCat
+from .fincat import FinCat, resolve_weqs
 
 __all__ = [
     "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
     "NonfullnessWitness", "Explorer",
     "make_zigzag", "apply_move", "replay", "bounded_equiv",
-    "reduce_backward_splits", "ho_hom", "nonfullness_witness",
+    "reduce_backward_splits", "ho_hom", "connect", "nonfullness_witness",
     "zigzag_to_json", "zigzag_from_json",
 ]
 
@@ -52,10 +52,6 @@ def _dir(d) -> int:
     raise FormatError(f"direction must be fwd or bwd, not {d!r}")
 
 
-def _wset(cat: FinCat, weqs) -> frozenset[int]:
-    return frozenset(cat.mor(w) for w in weqs) | cat.identity_set
-
-
 @dataclass(frozen=True)
 class Zigzag:
     """An immutable zigzag word.
@@ -75,7 +71,7 @@ class Zigzag:
 
 def make_zigzag(cat: FinCat, weqs, start, steps) -> Zigzag:
     """Validate endpoint chaining and backward membership in W."""
-    members = _wset(cat, weqs)
+    members = resolve_weqs(cat, weqs)
     at = cat.obj(start)
     source = at
     norm = []
@@ -131,7 +127,7 @@ def apply_move(cat: FinCat, weqs, z: Zigzag, move: str, position: int,
     Composing two backward steps requires the composite to be a weak
     equivalence again, otherwise the output would not be a zigzag.
     """
-    members = _wset(cat, weqs)
+    members = resolve_weqs(cat, weqs)
     steps = z.steps
     n = len(steps)
     if direction not in ("apply", "unapply"):
@@ -558,21 +554,6 @@ class _Engine:
         return moves
 
 
-def _to_state(z: Zigzag):
-    return (z.source, tuple(m * 2 + d for m, d in z.steps))
-
-
-def _to_zigzag(cat: FinCat, state) -> Zigzag:
-    start, steps = state
-    at = start
-    out = []
-    for e in steps:
-        m, d = e >> 1, e & 1
-        out.append((m, d))
-        at = cat.cod(m) if d == FWD else cat.dom(m)
-    return Zigzag(start, at, tuple(out))
-
-
 @dataclass(frozen=True)
 class EquivResult:
     status: str                     # "equivalent" or "unknown"
@@ -599,7 +580,7 @@ class Explorer:
 
     def __init__(self, cat: FinCat, weqs, budget: int = 8):
         self.cat = cat
-        self.members = _wset(cat, weqs)
+        self.members = resolve_weqs(cat, weqs)
         self.budget = int(budget)
         if self.budget < 0:
             raise ValidationError("budget must be nonnegative")
@@ -776,7 +757,7 @@ def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionRes
     retraction (insert the identity, split it as r∘s, cancel), and dually
     for retractions.  Composing the remaining forward run finishes.
     """
-    members = _wset(cat, weqs)
+    members = resolve_weqs(cat, weqs)
     partner = {}
     for m, inv, kind in splits.split_weqs:
         if m not in partner:
@@ -873,36 +854,43 @@ class NonfullnessWitness:
     zigzag: Zigzag
 
 
+def _paths(cat: FinCat, members: frozenset[int], x: int) -> dict:
+    """Breadth-first search from ``x`` over forward arrows, then
+    backward members: maps each object reached to the steps of the
+    first shortest zigzag found to it."""
+    paths = {x: ()}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for at in frontier:
+            for m in cat.outgoing[at]:
+                if cat.cod(m) not in paths:
+                    paths[cat.cod(m)] = paths[at] + ((m, FWD),)
+                    nxt.append(cat.cod(m))
+            for m in cat.incoming[at]:
+                if m in members and cat.dom(m) not in paths:
+                    paths[cat.dom(m)] = paths[at] + ((m, BWD),)
+                    nxt.append(cat.dom(m))
+        frontier = nxt
+    return paths
+
+
+def connect(cat: FinCat, weqs, source, target) -> Zigzag | None:
+    """A shortest zigzag from ``source`` to ``target``, or None."""
+    x, y = cat.obj(source), cat.obj(target)
+    steps = _paths(cat, resolve_weqs(cat, weqs), x).get(y)
+    return None if steps is None else Zigzag(x, y, steps)
+
+
 def nonfullness_witness(cat: FinCat, weqs) -> NonfullnessWitness | None:
     """First (source, target) pair, in index order, proving non-fullness."""
-    members = _wset(cat, weqs)
+    members = resolve_weqs(cat, weqs)
     nobj = len(cat.objects)
     for x in range(nobj):
-        # BFS over forward arrows and backward members.
-        parents: dict[int, tuple[int, int, int]] = {x: None}
-        frontier = [x]
-        while frontier:
-            nxt = []
-            for at in frontier:
-                for m in cat.outgoing[at]:
-                    if cat.cod(m) not in parents:
-                        parents[cat.cod(m)] = (at, m, FWD)
-                        nxt.append(cat.cod(m))
-                for m in cat.incoming[at]:
-                    if m in members and cat.dom(m) not in parents:
-                        parents[cat.dom(m)] = (at, m, BWD)
-                        nxt.append(cat.dom(m))
-            frontier = nxt
+        paths = _paths(cat, members, x)
         for y in range(nobj):
-            if y in parents and not cat.hom(x, y):
-                steps = []
-                at = y
-                while parents[at] is not None:
-                    prev, m, d = parents[at]
-                    steps.append((m, d))
-                    at = prev
-                steps.reverse()
-                return NonfullnessWitness(x, y, Zigzag(x, y, tuple(steps)))
+            if y in paths and not cat.hom(x, y):
+                return NonfullnessWitness(x, y, Zigzag(x, y, paths[y]))
     return None
 
 

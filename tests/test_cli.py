@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from hocat import cli
+from hocat import cli, homotopy
 from hocat.fixtures import NAMES, path
 
 
@@ -121,6 +122,14 @@ def test_zigzag_connect_and_unreachable():
     assert json.loads(back.stdout)["status"] == "unreachable"
     bare = run_cli("zigzag", fx("f_span"))
     assert bare.returncode == 2
+    same = run_cli("zigzag", fx("f_span"), "--from", "c", "--to", "c",
+                   "--format", "json")
+    assert json.loads(same.stdout)["zigzag"]["steps"] == []
+    # x1 reaches x0 only backward along the weak equivalence theta: x0 -> x1
+    inverse = run_cli("zigzag", fx("f_def"), "--from", "x1", "--to", "x0",
+                      "--format", "json")
+    assert json.loads(inverse.stdout)["zigzag"] == {
+        "source": "x1", "target": "x0", "steps": [["theta", "bwd"]]}
 
 
 def test_zigzag_equiv_flow(tmp_path):
@@ -159,13 +168,75 @@ def test_deform_subcommand_reports_routes():
     assert json.loads(plain.stdout)["deformation"] == "absent"
 
 
+def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
+    monkeypatch.delenv("HOCAT_BUDGET", raising=False)
+    assert cli.main(["analyze", fx("f_retr"), "--budget", "-1"]) == 2
+    assert "budget must be nonnegative" in capsys.readouterr().err
+    zz = tmp_path / "one.zz"
+    zz.write_text(json.dumps({"start": "b", "steps": [["e", "fwd"]]}))
+    assert cli.main(["zigzag", fx("f_retr"), "--equiv", str(zz), str(zz),
+                     "--budget", "-2"]) == 2
+    monkeypatch.setenv("HOCAT_BUDGET", "-3")
+    for argv in (["analyze", fx("f_retr")], ["quotient", fx("f_retr")],
+                 ["zigzag", fx("f_retr"), "--from", "a", "--to", "b"]):
+        assert cli.main(argv) == 2
+        assert "budget must be nonnegative, got -3" in capsys.readouterr().err
+
+
+def test_analyze_computes_each_intermediate_once(monkeypatch):
+    """Per category, one analyze checks the family, builds the opposite,
+    the congruence and the quotient at most once, and runs each side's
+    fork condition at most once."""
+    calls = collections.Counter()
+    keep = []  # keeps every counted category alive, so ids stay unique
+
+    def counted(name, subject):
+        real = getattr(homotopy, name)
+
+        def wrapper(*args):
+            keep.append(subject(*args))
+            calls[name, id(keep[-1]), args[-1] if name == "_fork_condition" else None] += 1
+            return real(*args)
+        monkeypatch.setattr(homotopy, name, wrapper)
+
+    counted("check_weq_axioms", lambda cat, weqs: cat)
+    counted("check_split_generated", lambda family: family.base)
+    counted("opposite", lambda cat: cat)
+    counted("least_congruence", lambda rel: rel.base)
+    counted("quotient", lambda cat, cong: cat)
+    counted("_fork_condition", lambda work, rel, members, side: work)
+    for name in NAMES:
+        calls.clear()
+        cli.run_analysis(fx(name))
+        assert calls and max(calls.values()) == 1, (name, calls)
+        assert sum(k[0] == "_fork_condition" for k in calls) == 2, name
+
+
+def test_single_stage_matches_full_report(tmp_path):
+    # f_iso with u alone as a member fails two out of three.
+    doc = json.loads(path("f_iso").read_text())
+    doc["weak_equivalences"] = ["u"]
+    failing = tmp_path / "axioms_fail.json"
+    failing.write_text(json.dumps(doc))
+    for file in [fx(name) for name in NAMES] + [str(failing)]:
+        full = cli.run_analysis(file).data
+        for stage in cli.STAGES:
+            part = cli.run_analysis(file, {"stages": [stage]}).data
+            assert part.keys() == full.keys()
+            for key, value in full.items():
+                want = value if key in cli._STAGES[stage][0] else "skipped"
+                assert part[key] == want, (file, stage, key)
+    assert full["axioms"]["ok"] is False and full["ho_cr"] == "absent"
+
+
 def test_quotient_skips_fork_work(monkeypatch, capsys):
     """Only selected stages are computed: quotient never reaches forks."""
     def refuse(*_args, **_kwargs):
         raise AssertionError("fork work for an unselected stage")
 
-    monkeypatch.setattr(cli, "check_fork_condition", refuse)
-    monkeypatch.setattr(cli, "check_saturation", refuse)
+    for name in ("_fork_condition", "_common_fork", "intransitive_triple"):
+        monkeypatch.setattr(homotopy, name, refuse)
+    monkeypatch.setattr(homotopy.Analysis, "saturation", property(refuse))
     assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["quotient"]["morphisms"] == 4
     assert cli.main(["analyze", fx("f_retr"), "--format", "json",

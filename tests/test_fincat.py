@@ -6,7 +6,6 @@ import pytest
 from hocat import (
     CatFunctor,
     find_isomorphism,
-    hom_set,
     load_file,
     load_spec,
     opposite,
@@ -146,12 +145,6 @@ def test_hom_and_parallel_pairs_consistent():
         for f, g in cat.parallel_pairs():
             assert f < g
             assert cat.dom(f) == cat.dom(g) and cat.cod(f) == cat.cod(g)
-
-
-def test_hom_set_resolves_names():
-    cat, _members, _raw = category("f_retr")
-    assert hom_set(cat, "b", "b") == {cat.mor("id:b"), cat.mor("e")}
-    assert hom_set(cat, "a", "b") == {cat.mor("s")}
 
 
 def test_composition_closed_on_corpus():
