@@ -16,6 +16,7 @@ congruence stores a partition instead, where reflexivity is implicit.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable
 
 from .errors import ValidationError
@@ -103,23 +104,28 @@ class Congruence:
         self._check_closure()
 
     def _check_closure(self):
-        base = self.base
+        # Closure against the representative suffices: transitivity carries
+        # it to every pair in the class.  The two sides can be checked
+        # apart, because the classes partition each hom-set: from
+        # m∘u ~ rep∘u, post-composing within the class of rep∘u gives
+        # v∘m∘u ~ v∘rep∘u.
+        base, class_of, table = self.base, self.class_of, self.base.table
         for cls in self.classes:
-            if len(cls) == 1:
-                continue
             rep = cls[0]
             d, c = base.dom(rep), base.cod(rep)
             for m in cls[1:]:
-                # Closure against the representative suffices: transitivity
-                # carries it to every pair in the class.
                 for u in base.incoming[d]:
-                    ru, mu = base.table[rep][u], base.table[m][u]
-                    for v in base.outgoing[c]:
-                        if self.class_of[base.table[v][ru]] != self.class_of[base.table[v][mu]]:
-                            raise ValidationError(
-                                "relation is not closed under composition: "
-                                f"({base.mor_name(rep)!r}, {base.mor_name(m)!r}) composed with "
-                                f"u={base.mor_name(u)!r}, v={base.mor_name(v)!r}")
+                    if class_of[table[rep][u]] != class_of[table[m][u]]:
+                        self._not_closed(rep, m, u, base.identity[c])
+                for v in base.outgoing[c]:
+                    if class_of[table[v][rep]] != class_of[table[v][m]]:
+                        self._not_closed(rep, m, base.identity[d], v)
+
+    def _not_closed(self, rep, m, u, v):
+        name = self.base.mor_name
+        raise ValidationError(
+            "relation is not closed under composition: "
+            f"({name(rep)!r}, {name(m)!r}) composed with u={name(u)!r}, v={name(v)!r}")
 
     def related(self, f, g) -> bool:
         return self.class_of[self.base.mor(f)] == self.class_of[self.base.mor(g)]
@@ -141,6 +147,11 @@ class Congruence:
 
     def contains(self, rel: Precongruence) -> bool:
         return all(self.class_of[f] == self.class_of[g] for f, g in rel.pairs)
+
+    @cached_property
+    def quotient(self) -> "QuotientResult":
+        """The quotient category, built on first use and then kept."""
+        return QuotientResult(self)
 
     @staticmethod
     def discrete(base: FinCat) -> "Congruence":
@@ -251,11 +262,12 @@ def quotient(cat: FinCat, congruence: Congruence) -> QuotientResult:
     Composition of classes is independent of representatives exactly
     because the congruence is closed; the Congruence constructor has
     already certified that, and CatFunctor validation of the projection
-    re-checks the resulting table exhaustively.
+    re-checks the resulting table exhaustively.  The result is the
+    congruence's own :attr:`Congruence.quotient`, built once.
     """
     if congruence.base != cat:
         raise ValidationError("congruence was built over a different category")
-    return QuotientResult(congruence)
+    return congruence.quotient
 
 
 def kernel_congruence(functor: CatFunctor) -> Congruence:
@@ -271,23 +283,18 @@ def kernel_congruence(functor: CatFunctor) -> Congruence:
 def sigma_of(cat: FinCat, rel) -> frozenset[int]:
     """Arrows invertible up to the congruence generated by ``rel``.
 
-    f: X -> Y qualifies when some g: Y -> X has g∘f related to id_X and
-    f∘g related to id_Y.  ``rel`` may be a Precongruence (its least
-    congruence is taken) or an already certified Congruence.  Honest
-    isomorphisms always qualify, whatever the relation.
+    f qualifies when its class has an inverse in the quotient, that is,
+    when some g: Y -> X has g∘f related to id_X and f∘g related to id_Y.
+    ``rel`` may be a Precongruence (its least congruence is taken) or an
+    already certified Congruence.  Honest isomorphisms always qualify,
+    whatever the relation.
     """
     cong = rel if isinstance(rel, Congruence) else least_congruence(rel)
     if cong.base != cat:
         raise ValidationError("relation was built over a different category")
-    out = []
-    for f in range(len(cat.morphisms)):
-        x, y = cat.dom(f), cat.cod(f)
-        idx, idy = cat.identity[x], cat.identity[y]
-        for g in cat.hom(y, x):
-            if cong.related(cat.table[g][f], idx) and cong.related(cat.table[f][g], idy):
-                out.append(f)
-                break
-    return frozenset(out)
+    qcat = cong.quotient.quotient
+    invertible = [qcat.inverse(c) is not None for c in range(len(cong.classes))]
+    return frozenset(f for f, c in enumerate(cong.class_of) if invertible[c])
 
 
 def is_congruence(rel: Precongruence):

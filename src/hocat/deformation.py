@@ -390,12 +390,8 @@ def check_inverts_w(hocr: HoCr, weqs) -> InversionReport:
     """Scan every member for a two-sided inverse of its image class."""
     cat = hocr.chain.cat
     members = resolve_weqs(cat, weqs)
-    hq = hocr.category
     for w in sorted(members):
-        g = hocr.gamma.on_morphisms[w]
-        x, y = hq.dom(g), hq.cod(g)
-        if not any(hq.table[h][g] == hq.identity[x] and hq.table[g][h] == hq.identity[y]
-                   for h in hq.hom(y, x)):
+        if hocr.category.inverse(hocr.gamma.on_morphisms[w]) is None:
             return InversionReport(ok=False, witness=w)
     return InversionReport(ok=True, witness=None)
 
@@ -418,26 +414,16 @@ class ConjugationReport:
     psi: CatFunctor | None
 
 
-def _class_inverse(qcat, cls, x, y):
-    """Two-sided inverse of a quotient arrow cls: x -> y, or None."""
-    for h in qcat.hom(y, x):
-        if qcat.table[h][cls] == qcat.identity[x] and qcat.table[cls][h] == qcat.identity[y]:
-            return h
-    return None
-
-
-def _theta_class(cat, qcat, cong: Congruence, z: Zigzag):
+def _theta_class(qcat, cong: Congruence, z: Zigzag):
     """Class of a theta zigzag in the homotopy quotient, or None."""
     cur = qcat.identity[z.source]
     for m, dr in z.steps:
         cls = cong.class_of[m]
-        if dr == FWD:
-            cur = qcat.table[cls][cur]
-        else:
-            inv = _class_inverse(qcat, cls, cat.dom(m), cat.cod(m))
-            if inv is None:
+        if dr != FWD:
+            cls = qcat.inverse(cls)
+            if cls is None:
                 return None
-            cur = qcat.table[inv][cur]
+        cur = qcat.table[cls][cur]
     return cur
 
 
@@ -459,17 +445,15 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
     """
     if cert is not None:
         cong = cert.congruence
-        q = quotient(cat, cong)
-        qcat = q.quotient
+        qcat = quotient(cat, cong).quotient
 
-        for cls_id, members in enumerate(cong.classes):
-            images = {hocr.gamma.on_morphisms[m] for m in members}
-            if len(images) > 1:
-                a, b = sorted(members)[:2]
-                return ConjugationReport(
-                    status="failed", route="functor-pair",
-                    witness=("gamma not constant on a homotopy class", a, b),
-                    unknown_pairs=(), phi=None, psi=None)
+        def failed(*witness, phi=None, psi=None):
+            return ConjugationReport(status="failed", route="functor-pair", witness=witness,
+                                     unknown_pairs=(), phi=phi, psi=psi)
+
+        for members in cong.classes:
+            if len({hocr.gamma.on_morphisms[m] for m in members}) > 1:
+                return failed("gamma not constant on a homotopy class", *members[:2])
 
         phi_mors = tuple(hocr.gamma.on_morphisms[members[0]]
                          for members in cong.classes)
@@ -478,26 +462,15 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
                              on_objects=tuple(range(len(cat.objects))),
                              on_morphisms=phi_mors)
         except ValidationError as exc:
-            return ConjugationReport(
-                status="failed", route="functor-pair",
-                witness=("phi is not a functor", str(exc)),
-                unknown_pairs=(), phi=None, psi=None)
+            return failed("phi is not a functor", str(exc))
 
         theta_cls = {}
         theta_inv = {}
         for x in range(len(cat.objects)):
-            t = _theta_class(cat, qcat, cong, chain.thetas[x])
-            if t is None:
-                return ConjugationReport(
-                    status="failed", route="functor-pair",
-                    witness=("theta class is not invertible", x),
-                    unknown_pairs=(), phi=None, psi=None)
-            inv = _class_inverse(qcat, t, chain.on_objects[x], x)
+            t = _theta_class(qcat, cong, chain.thetas[x])
+            inv = None if t is None else qcat.inverse(t)
             if inv is None:
-                return ConjugationReport(
-                    status="failed", route="functor-pair",
-                    witness=("theta class is not invertible", x),
-                    unknown_pairs=(), phi=None, psi=None)
+                return failed("theta class is not invertible", x)
             theta_cls[x], theta_inv[x] = t, inv
 
         hq = hocr.category
@@ -512,23 +485,14 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
                              on_objects=tuple(range(len(cat.objects))),
                              on_morphisms=tuple(psi_mors))
         except ValidationError as exc:
-            return ConjugationReport(
-                status="failed", route="functor-pair",
-                witness=("psi is not a functor", str(exc)),
-                unknown_pairs=(), phi=None, psi=None)
+            return failed("psi is not a functor", str(exc))
 
         for i in range(len(hq.morphisms)):
             if phi.on_morphisms[psi.on_morphisms[i]] != i:
-                return ConjugationReport(
-                    status="failed", route="functor-pair",
-                    witness=("phi . psi misses the identity", i),
-                    unknown_pairs=(), phi=phi, psi=psi)
+                return failed("phi . psi misses the identity", i, phi=phi, psi=psi)
         for i in range(len(qcat.morphisms)):
             if psi.on_morphisms[phi.on_morphisms[i]] != i:
-                return ConjugationReport(
-                    status="failed", route="functor-pair",
-                    witness=("psi . phi misses the identity", i),
-                    unknown_pairs=(), phi=phi, psi=psi)
+                return failed("psi . phi misses the identity", i, phi=phi, psi=psi)
         return ConjugationReport(status="verified", route="functor-pair",
                                  witness=None, unknown_pairs=(), phi=phi, psi=psi)
 

@@ -130,6 +130,16 @@ class FinCat:
         """Arrows from a to b, ascending by index."""
         return self._hom.get((self.obj(a), self.obj(b)), ())
 
+    def inverse(self, f) -> int | None:
+        """The lowest-index two-sided inverse of ``f``, or None."""
+        f = self.mor(f)
+        x, y = self.morphisms[f].dom, self.morphisms[f].cod
+        idx, idy = self.identity[x], self.identity[y]
+        for g in self._hom.get((y, x), ()):
+            if self.table[g][f] == idx and self.table[f][g] == idy:
+                return g
+        return None
+
     def hom_pairs(self) -> tuple[tuple[int, int], ...]:
         """Ordered object pairs with at least one arrow."""
         return tuple(sorted(self._hom))
@@ -186,6 +196,17 @@ def _require(cond: bool, msg: str):
         raise FormatError(msg)
 
 
+def known_name(value, pool, what: str) -> str:
+    """``value`` when it is a name (a string) in ``pool``.
+
+    Anything else, a number or a list included, is malformed input; the
+    message is ``what`` followed by the value.
+    """
+    if not (isinstance(value, str) and value in pool):
+        raise FormatError(f"{what} {value!r}")
+    return value
+
+
 def load_spec(document) -> RawCategory:
     """Parse a category document into raw, structurally checked data.
 
@@ -227,8 +248,8 @@ def load_spec(document) -> RawCategory:
         _require(isinstance(name, str) and name, "morphism name must be a nonempty string")
         _require(name not in names_seen, f"duplicate morphism name {name!r}")
         names_seen.add(name)
-        _require(dom in obj_set, f"morphism {name!r}: unknown dom {dom!r}")
-        _require(cod in obj_set, f"morphism {name!r}: unknown cod {cod!r}")
+        known_name(dom, obj_set, f"morphism {name!r}: unknown dom")
+        known_name(cod, obj_set, f"morphism {name!r}: unknown cod")
         if name.startswith(ID_PREFIX):
             # A declared identity must sit where synthesis would put it.
             _require(name == id_name(dom) and dom == cod,
@@ -246,14 +267,13 @@ def load_spec(document) -> RawCategory:
         _require(set(entry) == {"after", "before", "equals"},
                  f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
         for k in ("after", "before", "equals"):
-            _require(entry[k] in mor_names,
-                     f"composition entry references unknown morphism {entry[k]!r}")
+            known_name(entry[k], mor_names, "composition entry references unknown morphism")
         comp_entries.append((entry["after"], entry["before"], entry["equals"]))
 
     weqs = document.get("weak_equivalences", [])
     _require(isinstance(weqs, list), "weak_equivalences: list required")
     for w in weqs:
-        _require(w in mor_names, f"weak_equivalences references unknown morphism {w!r}")
+        known_name(w, mor_names, "weak_equivalences references unknown morphism")
     _require(len(set(weqs)) == len(weqs), "duplicate weak equivalence name")
 
     subcat = document.get("subcategory")
@@ -263,11 +283,11 @@ def load_spec(document) -> RawCategory:
         _require(isinstance(subcat.get("objects"), list) and subcat["objects"],
                  "subcategory.objects: nonempty list required")
         for o in subcat["objects"]:
-            _require(o in obj_set, f"subcategory references unknown object {o!r}")
+            known_name(o, obj_set, "subcategory references unknown object")
         if "morphisms" in subcat:
             _require(isinstance(subcat["morphisms"], list), "subcategory.morphisms: list required")
             for m in subcat["morphisms"]:
-                _require(m in mor_names, f"subcategory references unknown morphism {m!r}")
+                known_name(m, mor_names, "subcategory references unknown morphism")
 
     deformation = document.get("deformation")
     if deformation is not None:
@@ -285,22 +305,22 @@ def load_spec(document) -> RawCategory:
             for field_name in ("on_objects", "theta"):
                 m = block[field_name]
                 _require(isinstance(m, dict), f"deformation.{field_name}: object map required")
+                pool = obj_set if field_name == "on_objects" else mor_names
                 for k, v in m.items():
-                    _require(k in obj_set, f"deformation.{field_name}: unknown object {k!r}")
-                    ok = v in obj_set if field_name == "on_objects" else v in mor_names
-                    _require(ok, f"deformation.{field_name}: unknown reference {v!r}")
+                    known_name(k, obj_set, f"deformation.{field_name}: unknown object")
+                    known_name(v, pool, f"deformation.{field_name}: unknown reference")
             _require(isinstance(block["on_morphisms"], dict), "deformation.on_morphisms: object map required")
             for k, v in block["on_morphisms"].items():
-                _require(k in mor_names, f"deformation.on_morphisms: unknown morphism {k!r}")
-                _require(v in mor_names, f"deformation.on_morphisms: unknown morphism {v!r}")
+                known_name(k, mor_names, "deformation.on_morphisms: unknown morphism")
+                known_name(v, mor_names, "deformation.on_morphisms: unknown morphism")
             target = block.get("target")
             if target is not None:
                 _require(isinstance(target, dict) and set(target) <= {"objects", "morphisms"},
                          "deformation.target: object with fields objects/morphisms")
                 for o in target.get("objects", []):
-                    _require(o in obj_set, f"deformation.target: unknown object {o!r}")
+                    known_name(o, obj_set, "deformation.target: unknown object")
                 for m in target.get("morphisms", []):
-                    _require(m in mor_names, f"deformation.target: unknown morphism {m!r}")
+                    known_name(m, mor_names, "deformation.target: unknown morphism")
         deformation = tuple(deformation)
 
     return RawCategory(

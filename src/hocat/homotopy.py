@@ -31,8 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .congruence import (Congruence, Precongruence, QuotientResult, intransitive_triple,
-                         least_congruence, quotient, sigma_of)
+from .congruence import Congruence, Precongruence, intransitive_triple, least_congruence, sigma_of
 from .errors import ValidationError
 from .fincat import FinCat, opposite, resolve_weqs
 from .weq import SplitGenResult, WeqFamily, check_split_generated, check_weq_axioms
@@ -430,10 +429,11 @@ class Analysis:
 
     Each stage is computed on first use and then kept, so the stages
     that build on one another share one family check, one opposite
-    category, one homotopy congruence, one quotient and one fork check
-    per side.  A stage assigned before its first use (``session.family
-    = ...``) is taken as given.  ``weqs`` may name arrows or index them;
-    identities are implicit, as in documents.
+    category, one homotopy congruence (which keeps its quotient), one
+    set of invertible arrows and one fork check per side.  A stage
+    assigned before its first use (``session.family = ...``) is taken as
+    given.  ``weqs`` may name arrows or index them; identities are
+    implicit, as in documents.
     """
 
     def __init__(self, cat: FinCat, weqs):
@@ -473,8 +473,9 @@ class Analysis:
         return least_congruence(self.left.union(self.right))
 
     @cached_property
-    def quotient(self) -> QuotientResult:
-        return quotient(self.cat, self.congruence)
+    def sigma(self) -> frozenset[int]:
+        """The arrows invertible in the homotopy quotient."""
+        return sigma_of(self.cat, self.congruence)
 
     def closed(self, side: str) -> tuple[FinCat, Precongruence]:
         """The category a side's forks live in (``cat`` on the left, its
@@ -508,16 +509,12 @@ class Analysis:
     def whitehead(self) -> WhiteheadResult:
         family = self.axioms_hold("family axioms must hold before certification")
         cat, members, cong = self.cat, self.members, self.congruence
-        if members <= sigma_of(cat, cong):
-            inverse_table = {}
-            for w in sorted(members):
-                x, y = cat.dom(w), cat.cod(w)
-                idx, idy = cat.identity[x], cat.identity[y]
-                for g in cat.hom(y, x):
-                    if (cong.related(cat.table[g][w], idx)
-                            and cong.related(cat.table[w][g], idy)):
-                        inverse_table[w] = g
-                        break
+        if members <= self.sigma:
+            # An inverse class is unique, so its lowest member is the
+            # lowest-index homotopy inverse.
+            q = cong.quotient.quotient
+            inverse_table = {w: cong.classes[q.inverse(cong.class_of[w])][0]
+                             for w in sorted(members)}
             cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
             # Certification needs no split generation: report it only if known.
             return WhiteheadResult("certified", cong, cert, None, family,
@@ -535,19 +532,7 @@ class Analysis:
     @cached_property
     def saturation(self) -> SaturationReport:
         family = self.axioms_hold("family axioms must hold")
-        qcat = self.quotient.quotient
-        violations = []
-        for f in range(len(self.cat.morphisms)):
-            if f in self.members:
-                continue
-            cls = self.congruence.class_of[f]
-            x, y = qcat.dom(cls), qcat.cod(cls)
-            for g in qcat.hom(y, x):
-                if (qcat.table[g][cls] == qcat.identity[x]
-                        and qcat.table[cls][g] == qcat.identity[y]):
-                    violations.append(f)
-                    break
-
+        violations = sorted(self.sigma - self.members)
         weak_inv = family.report.weak_invertibility_ok
         split_ok = self.splitgen.generated
         fork_l = self.fork_condition("left").ok

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .congruence import quotient
 from .errors import FormatError, MoveError, ValidationError
-from .fincat import FinCat, resolve_weqs
+from .fincat import FinCat, known_name, resolve_weqs
 
 __all__ = [
     "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
@@ -36,6 +36,7 @@ __all__ = [
 
 FWD, BWD = 0, 1
 DIR_NAMES = ("fwd", "bwd")
+DIR_WORDS = DIR_NAMES + ("forward", "backward")
 
 OMIT = "omit-identity"
 COMPOSE = "compose-same-direction"
@@ -906,7 +907,10 @@ def zigzag_to_json(cat: FinCat, z: Zigzag) -> dict:
 
 
 def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
-    """Read a zigzag from a mapping or JSON text: {"start", "steps"}."""
+    """Read a zigzag from a mapping or JSON text: {"start", "steps"}.
+
+    Objects, arrows and directions are given by name only.
+    """
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -914,15 +918,19 @@ def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
             raise FormatError(f"not valid JSON: {e}") from None
     if not isinstance(document, dict) or "start" not in document:
         raise FormatError('zigzag document needs "start" and "steps"')
+    start = known_name(document["start"], cat.objects, "zigzag start: unknown object")
     steps = document.get("steps", [])
     if not isinstance(steps, list):
         raise FormatError("zigzag steps: list required")
+    names = {m.name for m in cat.morphisms}
     parsed = []
     for entry in steps:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise FormatError("zigzag step must be [morphism, direction]")
-        parsed.append((entry[0], entry[1]))
-    return make_zigzag(cat, weqs, document["start"], parsed)
+        parsed.append((known_name(entry[0], names, "zigzag step: unknown morphism"),
+                       known_name(entry[1], DIR_WORDS, "zigzag step: direction must be "
+                                  "fwd or bwd, not")))
+    return make_zigzag(cat, weqs, start, parsed)
 
 
 def move_to_json(cat: FinCat, mv: Move) -> dict:

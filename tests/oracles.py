@@ -78,17 +78,22 @@ def _partitions(items):
         yield part + [[head]]
 
 
+def hom_partitions(cat):
+    """Every partition of the arrows into blocks of parallel arrows."""
+    nm = len(cat.morphisms)
+    sig = [(cat.dom(m), cat.cod(m)) for m in range(nm)]
+    for part in _partitions(list(range(nm))):
+        if not any(sig[a] != sig[b] for block in part for a in block for b in block):
+            yield part
+
+
 def all_congruences(cat):
     """Every congruence on ``cat``, as frozensets of frozenset classes.
 
     Exponential; callers keep instances at eight morphisms or fewer.
     """
-    nm = len(cat.morphisms)
-    sig = [(cat.dom(m), cat.cod(m)) for m in range(nm)]
     out = []
-    for part in _partitions(list(range(nm))):
-        if any(sig[a] != sig[b] for block in part for a in block for b in block):
-            continue
+    for part in hom_partitions(cat):
         rep = {}
         for i, block in enumerate(part):
             for m in block:

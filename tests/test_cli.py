@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from hocat import cli, homotopy
+from hocat import cli, congruence, homotopy
 from hocat.fixtures import NAMES, path
 
 
@@ -149,6 +149,34 @@ def test_zigzag_equiv_flow(tmp_path):
     assert sdoc["trace"] is None
 
 
+@pytest.mark.parametrize("mangle, zigzag", [
+    (lambda d: d.update(weak_equivalences=[["s"]]), None),
+    (lambda d: d["morphisms"][0].update(dom=["a"]), None),
+    (lambda d: d.update(subcategory={"objects": [["a"]]}), None),
+    (lambda d: d["composition"][0].update(after={}), None),
+    (None, {"start": [], "steps": []}),
+    (None, {"start": 1.5, "steps": []}),
+    (None, {"start": "b", "steps": [[4, "fwd"]]}),
+    (None, {"start": "b", "steps": [["e", 0]]}),
+], ids=["weq-list", "dom-list", "subcategory-object-list", "after-dict",
+        "start-list", "start-float", "step-index", "direction-index"])
+def test_non_name_references_are_malformed(tmp_path, capsys, mangle, zigzag):
+    """Documents refer to objects and arrows by name: anything else exits 2."""
+    doc = json.loads(path("f_retr").read_text())
+    if mangle is not None:
+        mangle(doc)
+    file = tmp_path / "category.json"
+    file.write_text(json.dumps(doc))
+    argv = ["analyze", str(file)]
+    if zigzag is not None:
+        zz = tmp_path / "z.json"
+        zz.write_text(json.dumps(zigzag))
+        argv = ["zigzag", str(file), "--equiv", str(zz), str(zz)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_deform_subcommand_reports_routes():
     proc = run_cli("deform", fx("f_def"), "--format", "json")
     doc = json.loads(proc.stdout)
@@ -186,25 +214,26 @@ def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
 def test_analyze_computes_each_intermediate_once(monkeypatch):
     """Per category, one analyze checks the family, builds the opposite,
     the congruence and the quotient at most once, and runs each side's
-    fork condition at most once."""
+    fork condition at most once.  Quotients are counted where they are
+    built, whoever asks for them."""
     calls = collections.Counter()
     keep = []  # keeps every counted category alive, so ids stay unique
 
-    def counted(name, subject):
-        real = getattr(homotopy, name)
+    def counted(owner, name, subject):
+        real = getattr(owner, name)
 
         def wrapper(*args):
             keep.append(subject(*args))
             calls[name, id(keep[-1]), args[-1] if name == "_fork_condition" else None] += 1
             return real(*args)
-        monkeypatch.setattr(homotopy, name, wrapper)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counted("check_weq_axioms", lambda cat, weqs: cat)
-    counted("check_split_generated", lambda family: family.base)
-    counted("opposite", lambda cat: cat)
-    counted("least_congruence", lambda rel: rel.base)
-    counted("quotient", lambda cat, cong: cat)
-    counted("_fork_condition", lambda work, rel, members, side: work)
+    counted(homotopy, "check_weq_axioms", lambda cat, weqs: cat)
+    counted(homotopy, "check_split_generated", lambda family: family.base)
+    counted(homotopy, "opposite", lambda cat: cat)
+    counted(homotopy, "least_congruence", lambda rel: rel.base)
+    counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
+    counted(homotopy, "_fork_condition", lambda work, rel, members, side: work)
     for name in NAMES:
         calls.clear()
         cli.run_analysis(fx(name))

@@ -12,12 +12,14 @@ from hocat import (
 )
 from hocat.congruence import Congruence, Precongruence
 from hocat.errors import ValidationError
+from hocat.fincat import opposite
 from hocat.fixtures import category
 from hocat.homotopy import r_left
 
 from gencat import sample_precongruence
 from oracles import (
     all_congruences,
+    hom_partitions,
     brute_close_composition,
     brute_least_congruence,
     brute_sigma,
@@ -149,6 +151,32 @@ def test_is_congruence_spots_composition_gap():
     assert closed.related("a", "b")
     ok2, _ = is_congruence(Precongruence(cat, closed.as_pairs() | refl))
     assert ok2
+
+
+def test_congruence_accepts_exactly_the_congruences(tiny_corpus):
+    """The constructor's closure check agrees with brute enumeration on
+    every partition of each hom-set."""
+    for cat, _members, _doc in tiny_corpus:
+        lattice = set(all_congruences(cat))
+        for part in hom_partitions(cat):
+            try:
+                Congruence(cat, part)
+                accepted = True
+            except ValidationError:
+                accepted = False
+            assert accepted == (frozenset(map(frozenset, part)) in lattice), part
+
+
+def test_congruence_rejects_each_side_alone():
+    """p ~ q breaks closure under post-composition only in two_track_cat,
+    under pre-composition only in its opposite."""
+    cat = two_track_cat()
+    op = opposite(cat)[0]
+    rest = [(m,) for m in range(3)] + [("u",), ("a",), ("b",)]
+    for base, u, v in ((cat, "id:x", "u"), (op, "u", "id:x")):
+        with pytest.raises(ValidationError) as exc:
+            Congruence(base, [("p", "q")] + rest)
+        assert str(exc.value).endswith(f"('p', 'q') composed with u={u!r}, v={v!r}")
 
 
 def test_is_congruence_spots_transitivity_gap():

@@ -156,6 +156,21 @@ def test_composition_closed_on_corpus():
             assert cat.dom(c) == cat.dom(f) and cat.cod(c) == cat.cod(g)
 
 
+def test_inverse_is_the_lowest_two_sided_inverse():
+    cat, _m, _r = category("f_iso")
+    assert cat.inverse("u") == cat.mor("v") and cat.inverse("id:a") == cat.mor("id:a")
+    retr, _m2, _r2 = category("f_retr")
+    assert retr.inverse("s") is None and retr.inverse("r") is None  # split only
+    rng = random.Random(12)
+    for _ in range(25):
+        cat, _doc = gen_category(rng)
+        for f in range(len(cat.morphisms)):
+            x, y = cat.dom(f), cat.cod(f)
+            both = [g for g in range(len(cat.morphisms))
+                    if cat.table[g][f] == cat.identity[x] and cat.table[f][g] == cat.identity[y]]
+            assert cat.inverse(f) == min(both, default=None)
+
+
 def test_opposite_swaps_and_involutes():
     cat, members, _raw = category("f_retr")
     op, w2 = opposite(cat, members)
