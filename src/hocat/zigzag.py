@@ -927,9 +927,9 @@ def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
     for entry in steps:
         if not isinstance(entry, (list, tuple)) or len(entry) != 2:
             raise FormatError("zigzag step must be [morphism, direction]")
-        parsed.append((known_name(entry[0], names, "zigzag step: unknown morphism"),
-                       known_name(entry[1], DIR_WORDS, "zigzag step: direction must be "
-                                  "fwd or bwd, not")))
+        name, direction = entry
+        parsed.append((known_name(name, names, "zigzag step: unknown morphism"),
+                       known_name(direction, DIR_WORDS, "zigzag step: unknown direction")))
     return make_zigzag(cat, weqs, start, parsed)
 
 

@@ -19,10 +19,10 @@ from hocat.homotopy import r_left
 from gencat import sample_precongruence
 from oracles import (
     all_congruences,
-    hom_partitions,
     brute_close_composition,
     brute_least_congruence,
     brute_sigma,
+    hom_partitions,
 )
 
 
