@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from .deformation import (build_ho_cr, check_conjugation, check_inverts_w,
                           compose_chain, validate_deformation)
 from .errors import FormatError, MoveError, ValidationError
-from .fincat import FinCat, load_file, resolve_weqs, subcategory, validate_category
+from .fincat import (FinCat, load_file, read_json, resolve_weqs, subcategory,
+                     validate_category)
 from .homotopy import Analysis, certify_whitehead
 from .zigzag import bounded_equiv, connect, trace_to_json, zigzag_from_json, zigzag_to_json
 
@@ -342,18 +343,6 @@ def _render_value(value, indent=2) -> str:
     return str(value)
 
 
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        raise FormatError(f"cannot read {path}: {e}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON: {e}") from None
-
-
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -385,8 +374,8 @@ def _cmd_zigzag(args) -> int:
     cat = validate_category(raw)
     members = resolve_weqs(cat, raw.weak_equivalences)
     if args.equiv:
-        z1 = zigzag_from_json(cat, members, _read_json(args.equiv[0]))
-        z2 = zigzag_from_json(cat, members, _read_json(args.equiv[1]))
+        z1 = zigzag_from_json(cat, members, read_json(args.equiv[0]))
+        z2 = zigzag_from_json(cat, members, read_json(args.equiv[1]))
         res = bounded_equiv(cat, members, z1, z2, args.budget)
         doc = {"status": res.status,
                "trace": trace_to_json(cat, res.trace) if res.trace is not None else None}

@@ -5,9 +5,9 @@ table over the composable pairs.  Arrows are dense integer indices
 internally; textual names appear only at the boundary (input documents,
 reports, error messages).
 
-Composition convention: ``compose(g, f)`` is "f first, then g", i.e. the
-usual g∘f, defined when ``cod(f) == dom(g)``.  Input documents use the
-same convention through ``{"after": g, "before": f, "equals": h}``
+Composition convention: ``table[g][f]`` is "f first, then g", i.e. the
+usual g∘f, and is -1 unless ``cod(f) == dom(g)``.  Input documents use
+the same convention through ``{"after": g, "before": f, "equals": h}``
 entries.  Identity arrows carry the reserved name ``id:<object>`` and are
 synthesized when a document omits them; they always occupy the lowest
 indices, in object order.
@@ -116,15 +116,6 @@ class FinCat:
 
     def composable(self, g, f) -> bool:
         return self.cod(f) == self.dom(g)
-
-    def compose(self, g, f) -> int:
-        """g∘f (f first).  Raises if the pair is not composable."""
-        gi, fi = self.mor(g), self.mor(f)
-        h = self.table[gi][fi]
-        if h < 0:
-            raise ValidationError(
-                f"{self.mor_name(gi)} does not compose after {self.mor_name(fi)}")
-        return h
 
     def hom(self, a, b) -> tuple[int, ...]:
         """Arrows from a to b, ascending by index."""
@@ -276,18 +267,21 @@ def load_spec(document) -> RawCategory:
         known_name(w, mor_names, "weak_equivalences references unknown morphism")
     _require(len(set(weqs)) == len(weqs), "duplicate weak equivalence name")
 
+    def check_subcategory(sub, where: str):
+        _require(isinstance(sub, dict) and set(sub) <= {"objects", "morphisms"},
+                 f"{where}: object with fields objects/morphisms")
+        _require(isinstance(sub.get("objects"), list) and sub["objects"],
+                 f"{where}.objects: nonempty list required")
+        for o in sub["objects"]:
+            known_name(o, obj_set, f"{where} references unknown object")
+        if "morphisms" in sub:
+            _require(isinstance(sub["morphisms"], list), f"{where}.morphisms: list required")
+            for m in sub["morphisms"]:
+                known_name(m, mor_names, f"{where} references unknown morphism")
+
     subcat = document.get("subcategory")
     if subcat is not None:
-        _require(isinstance(subcat, dict) and set(subcat) <= {"objects", "morphisms"},
-                 "subcategory: object with fields objects/morphisms")
-        _require(isinstance(subcat.get("objects"), list) and subcat["objects"],
-                 "subcategory.objects: nonempty list required")
-        for o in subcat["objects"]:
-            known_name(o, obj_set, "subcategory references unknown object")
-        if "morphisms" in subcat:
-            _require(isinstance(subcat["morphisms"], list), "subcategory.morphisms: list required")
-            for m in subcat["morphisms"]:
-                known_name(m, mor_names, "subcategory references unknown morphism")
+        check_subcategory(subcat, "subcategory")
 
     deformation = document.get("deformation")
     if deformation is not None:
@@ -313,14 +307,8 @@ def load_spec(document) -> RawCategory:
             for k, v in block["on_morphisms"].items():
                 known_name(k, mor_names, "deformation.on_morphisms: unknown morphism")
                 known_name(v, mor_names, "deformation.on_morphisms: unknown morphism")
-            target = block.get("target")
-            if target is not None:
-                _require(isinstance(target, dict) and set(target) <= {"objects", "morphisms"},
-                         "deformation.target: object with fields objects/morphisms")
-                for o in target.get("objects", []):
-                    known_name(o, obj_set, "deformation.target: unknown object")
-                for m in target.get("morphisms", []):
-                    known_name(m, mor_names, "deformation.target: unknown morphism")
+            if block.get("target") is not None:
+                check_subcategory(block["target"], "deformation.target")
         deformation = tuple(deformation)
 
     return RawCategory(
@@ -333,14 +321,26 @@ def load_spec(document) -> RawCategory:
     )
 
 
-def load_file(path) -> RawCategory:
-    """Read and parse a category document from ``path``."""
+def read_json(path):
+    """The JSON document in the file at ``path``.
+
+    A file that cannot be read, is not UTF-8 or is not JSON is malformed
+    input; the message names the path.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from None
-    raw = load_spec(text)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{path}: not valid JSON: {e}") from None
+
+
+def load_file(path) -> RawCategory:
+    """Read and parse a category document from ``path``."""
+    raw = load_spec(read_json(path))
     return RawCategory(**{**raw.__dict__, "source": str(path)})
 
 
@@ -454,12 +454,6 @@ class CatFunctor:
                 raise ValidationError(
                     "functor breaks composition on "
                     f"({source.mor_name(g)!r}, {source.mor_name(f)!r})")
-
-    def apply_obj(self, x) -> int:
-        return self.on_objects[self.source.obj(x)]
-
-    def apply(self, f) -> int:
-        return self.on_morphisms[self.source.mor(f)]
 
     def __repr__(self):
         return f"CatFunctor({self.source!r} -> {self.target!r})"

@@ -12,7 +12,10 @@ per-side raw-move budget.  An "equivalent" verdict always carries a
 The search itself walks reduced zigzags (alternating directions, no
 identity steps) connected by short macro rewrites, each accounted at
 its exact raw-move cost, so budgets stay honest while the state space
-stays small.  ``Explorer`` amortizes the same walk over every
+stays small.  Each macro is turned back into its raw moves once, by
+the engine's ``emit``, which also returns the reduced zigzag those
+moves reach; the trace is the two sides' emitted moves joined at the
+meeting edge.  ``Explorer`` amortizes the same walk over every
 single-arrow zigzag of a category at once, which is what the bulk
 oracle comparisons need.
 """
@@ -208,32 +211,29 @@ def apply_move(cat: FinCat, weqs, z: Zigzag, move: str, position: int,
     return Zigzag(z.source, z.target, out)
 
 
+def _apply_all(cat: FinCat, weqs, z: Zigzag, moves) -> Zigzag:
+    for mv in moves:
+        z = apply_move(cat, weqs, z, mv.kind, mv.position, mv.direction, mv.payload)
+    return z
+
+
 def replay(cat: FinCat, weqs, trace: MoveTrace) -> Zigzag:
     """Apply a trace from its start; raises MoveError if it does not replay."""
-    z = trace.start
-    for mv in trace.moves:
-        z = apply_move(cat, weqs, z, mv.kind, mv.position, mv.direction, mv.payload)
+    z = _apply_all(cat, weqs, trace.start, trace.moves)
     if z != trace.end:
         raise MoveError("trace does not reach its recorded end zigzag")
     return z
 
 
-def _invert(cat: FinCat, weqs, before: Zigzag, mv: Move) -> Move:
-    if mv.kind == OMIT:
-        if mv.direction == "apply":
-            return Move(OMIT, "unapply", mv.position, before.steps[mv.position])
-        return Move(OMIT, "apply", mv.position)
+def _invert(before: Zigzag, mv: Move) -> Move:
+    """The move undoing ``mv``, which was applied to ``before``."""
+    if mv.direction == "unapply":
+        return Move(mv.kind, "apply", mv.position)
+    step = before.steps[mv.position]
     if mv.kind == COMPOSE:
-        if mv.direction == "apply":
-            a, b = before.steps[mv.position][0], before.steps[mv.position + 1][0]
-            return Move(COMPOSE, "unapply", mv.position, (a, b))
-        return Move(COMPOSE, "apply", mv.position)
-    if mv.kind == CANCEL:
-        if mv.direction == "apply":
-            w, d = before.steps[mv.position]
-            return Move(CANCEL, "unapply", mv.position, (w, d))
-        return Move(CANCEL, "apply", mv.position)
-    raise MoveError(f"unknown move {mv.kind!r}")
+        return Move(COMPOSE, "unapply", mv.position,
+                    (step[0], before.steps[mv.position + 1][0]))
+    return Move(mv.kind, "unapply", mv.position, step)
 
 
 def invert_trace(cat: FinCat, weqs, trace: MoveTrace) -> MoveTrace:
@@ -241,11 +241,29 @@ def invert_trace(cat: FinCat, weqs, trace: MoveTrace) -> MoveTrace:
     inverted = []
     z = trace.start
     for mv in trace.moves:
-        inverted.append(_invert(cat, weqs, z, mv))
-        z = apply_move(cat, weqs, z, mv.kind, mv.position, mv.direction, mv.payload)
+        # Applying first validates the move before _invert reads its steps.
+        after = apply_move(cat, weqs, z, mv.kind, mv.position, mv.direction, mv.payload)
+        inverted.append(_invert(z, mv))
+        z = after
     if z != trace.end:
         raise MoveError("trace does not replay; cannot invert")
     return MoveTrace(trace.end, trace.start, tuple(reversed(inverted)))
+
+
+def _turn(cat: FinCat, w: int, b: int, var: int, i: int) -> list[Move]:
+    """Raw moves turning the backward step ``w`` at ``i`` into forward ``b``.
+
+    ``var`` 0: b∘w is the identity on dom(w); ``var`` 1: w∘b is the
+    identity on cod(w).  Insert that identity beside w, split it as the
+    pair (w, b) or (b, w), and cancel w against itself.
+    """
+    if var == 0:
+        return [Move(OMIT, "unapply", i + 1, (cat.identity[cat.dom(w)], FWD)),
+                Move(COMPOSE, "unapply", i + 1, (w, b)),
+                Move(CANCEL, "apply", i)]
+    return [Move(OMIT, "unapply", i, (cat.identity[cat.cod(w)], FWD)),
+            Move(COMPOSE, "unapply", i, (b, w)),
+            Move(CANCEL, "apply", i + 1)]
 
 
 # -- reduced-state search engine ----------------------------------------
@@ -255,7 +273,20 @@ def invert_trace(cat: FinCat, weqs, trace: MoveTrace) -> MoveTrace:
 # backward pair whose composite left W, which only happens when the
 # family breaks axiom ii).  Macro successors bundle a few raw moves and
 # are charged their exact raw-move count, so a path cost in the engine
-# is a legal move count in the presentation.
+# is a legal move count in the presentation.  ``emit`` turns one macro
+# back into those raw moves and returns the reduced zigzag they reach.
+
+
+def _memo(method):
+    """Cache ``method`` on its arguments in the engine's own ``_cache``,
+    which lives exactly as long as that engine and its search."""
+    def cached(self, *args):
+        key = (method, *args)
+        got = self._cache.get(key)
+        if got is None:
+            got = self._cache[key] = method(self, *args)
+        return got
+    return cached
 
 
 class _Engine:
@@ -273,97 +304,60 @@ class _Engine:
         self.w_by_cod = tuple(
             tuple(w for w in sorted(members) if self.cod[w] == x and w not in self.ids)
             for x in range(nobj))
-        self._ldiv: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._rdiv: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._inv: dict[int, tuple] = {}
-        self._winv: dict[int, tuple] = {}
-        self._wfact: dict[int, tuple] = {}
-        self._fact: dict[int, tuple] = {}
+        self._cache: dict = {}
 
     # b with b after g = m
+    @_memo
     def ldiv(self, m: int, g: int) -> tuple[int, ...]:
-        key = (m, g)
-        got = self._ldiv.get(key)
-        if got is None:
-            got = tuple(b for b in self.cat.hom(self.cod[g], self.cod[m])
-                        if self.table[b][g] == m)
-            self._ldiv[key] = got
-        return got
+        return tuple(b for b in self.cat.hom(self.cod[g], self.cod[m])
+                     if self.table[b][g] == m)
 
     # a with g after a = m
+    @_memo
     def rdiv(self, m: int, g: int) -> tuple[int, ...]:
-        key = (m, g)
-        got = self._rdiv.get(key)
-        if got is None:
-            got = tuple(a for a in self.cat.hom(self.dom[m], self.dom[g])
-                        if self.table[g][a] == m)
-            self._rdiv[key] = got
-        return got
+        return tuple(a for a in self.cat.hom(self.dom[m], self.dom[g])
+                     if self.table[g][a] == m)
 
     # one-sided inverses of w: (left: b∘w = id_dom, right: w∘b = id_cod)
+    @_memo
     def inv(self, w: int):
-        got = self._inv.get(w)
-        if got is None:
-            idd = self.cat.identity[self.dom[w]]
-            idc = self.cat.identity[self.cod[w]]
-            pool = self.cat.hom(self.cod[w], self.dom[w])
-            got = (tuple(b for b in pool if self.table[b][w] == idd),
-                   tuple(b for b in pool if self.table[w][b] == idc))
-            self._inv[w] = got
-        return got
+        idd = self.cat.identity[self.dom[w]]
+        idc = self.cat.identity[self.cod[w]]
+        pool = self.cat.hom(self.cod[w], self.dom[w])
+        return (tuple(b for b in pool if self.table[b][w] == idd),
+                tuple(b for b in pool if self.table[w][b] == idc))
 
-    # members w one-sided-inverting a forward step b
+    # members w one-sided-inverting a forward step b: (b∘w = id, w∘b = id)
+    @_memo
     def winv(self, b: int):
-        got = self._winv.get(b)
-        if got is None:
-            idc = self.cat.identity[self.cod[b]]
-            idd = self.cat.identity[self.dom[b]]
-            pool = [w for w in self.cat.hom(self.cod[b], self.dom[b]) if w in self.members]
-            got = (tuple(w for w in pool if self.table[b][w] == idc),
-                   tuple(w for w in pool if self.table[w][b] == idd))
-            self._winv[b] = got
-        return got
-
-    # member-pair factorizations of member w, identity halves excluded
-    def wfact(self, w: int):
-        got = self._wfact.get(w)
-        if got is None:
-            out = []
-            for b in self.cat.outgoing[self.dom[w]]:
-                if b in self.members and b not in self.ids:
-                    for a in self.ldiv(w, b):
-                        if a in self.members and a not in self.ids:
-                            out.append((a, b))
-            got = tuple(out)
-            self._wfact[w] = got
-        return got
+        left, right = self.inv(b)
+        return (tuple(w for w in right if w in self.members),
+                tuple(w for w in left if w in self.members))
 
     # nontrivial factorizations m = q after p
+    @_memo
     def fact(self, m: int):
-        got = self._fact.get(m)
-        if got is None:
-            out = []
-            for p in self.cat.outgoing[self.dom[m]]:
-                if p in self.ids:
-                    continue
-                for q in self.ldiv(m, p):
-                    if q not in self.ids:
-                        out.append((p, q))
-            got = tuple(out)
-            self._fact[m] = got
-        return got
+        return tuple((p, q) for p in self.cat.outgoing[self.dom[m]] if p not in self.ids
+                     for q in self.ldiv(m, p) if q not in self.ids)
+
+    # member-pair factorizations w = a after b, as (a, b)
+    @_memo
+    def wfact(self, w: int):
+        return tuple((q, p) for p, q in self.fact(w)
+                     if p in self.members and q in self.members)
 
     # -- reduction -------------------------------------------------------
 
     def reduce_plan(self, steps: tuple[int, ...]):
-        """Leftmost-first plan of omit/compose actions to a reduced word."""
+        """Leftmost-first plan of (move kind, position) applications to a
+        reduced word."""
         plan = []
         work = list(steps)
         i = 0
         while i < len(work):
             m, d = work[i] >> 1, work[i] & 1
             if m in self.ids:
-                plan.append(("omit", i))
+                plan.append((OMIT, i))
                 del work[i]
                 i = 0
                 continue
@@ -371,7 +365,7 @@ class _Engine:
                 a, b = m, work[i + 1] >> 1
                 c = self.table[b][a] if d == FWD else self.table[a][b]
                 if d == FWD or c in self.members:
-                    plan.append(("compose", i, a, b))
+                    plan.append((COMPOSE, i))
                     work[i] = c * 2 + d
                     del work[i + 1]
                     i = 0
@@ -382,6 +376,12 @@ class _Engine:
     def seed(self, start: int, steps: tuple[int, ...]):
         reduced, plan = self.reduce_plan(steps)
         return (start, reduced), len(plan)
+
+    def reduce(self, z: Zigzag) -> tuple[Zigzag, list[Move]]:
+        """The reduced form of ``z`` and the raw moves reaching it."""
+        _, plan = self.reduce_plan(tuple(m * 2 + d for m, d in z.steps))
+        moves = [Move(kind, "apply", i) for kind, i in plan]
+        return _apply_all(self.cat, self.members, z, moves), moves
 
     # -- macro successors --------------------------------------------------
 
@@ -468,91 +468,46 @@ class _Engine:
 
     # -- raw-move emission (pair mode only) --------------------------------
 
-    def emit(self, z: Zigzag, desc) -> list[Move]:
-        """Raw moves realizing a macro from ``z``, reduction included."""
-        kind = desc[0]
-        i = desc[1]
-        moves: list[Move] = []
+    def emit(self, z: Zigzag, desc) -> tuple[Zigzag, list[Move]]:
+        """Raw moves realizing a macro from ``z``, reduction included, and
+        the reduced zigzag they reach."""
+        kind, i = desc[0], desc[1]
         if kind == "cancel":
-            moves.append(Move(CANCEL, "apply", i))
+            moves = [Move(CANCEL, "apply", i)]
         elif kind == "absorb_r":
-            a = desc[2]
-            w = z.steps[i + 1][0]
-            moves.append(Move(COMPOSE, "unapply", i, (a, w)))
-            moves.append(Move(CANCEL, "apply", i + 1))
+            moves = [Move(COMPOSE, "unapply", i, (desc[2], z.steps[i + 1][0])),
+                     Move(CANCEL, "apply", i + 1)]
         elif kind == "absorb_l":
-            b = desc[2]
-            w = z.steps[i][0]
-            moves.append(Move(COMPOSE, "unapply", i + 1, (w, b)))
-            moves.append(Move(CANCEL, "apply", i))
+            moves = [Move(COMPOSE, "unapply", i + 1, (z.steps[i][0], desc[2])),
+                     Move(CANCEL, "apply", i)]
         elif kind == "replace_bf":
-            b, var = desc[2], desc[3]
-            w = z.steps[i][0]
-            if var == 0:
-                idd = self.cat.identity[self.dom[w]]
-                moves.append(Move(OMIT, "unapply", i + 1, (idd, FWD)))
-                moves.append(Move(COMPOSE, "unapply", i + 1, (w, b)))
-                moves.append(Move(CANCEL, "apply", i))
-            else:
-                idc = self.cat.identity[self.cod[w]]
-                moves.append(Move(OMIT, "unapply", i, (idc, FWD)))
-                moves.append(Move(COMPOSE, "unapply", i, (b, w)))
-                moves.append(Move(CANCEL, "apply", i + 1))
+            moves = _turn(self.cat, z.steps[i][0], desc[2], desc[3], i)
         elif kind == "replace_fb":
             w, var = desc[2], desc[3]
             if var == 0:
-                moves.append(Move(CANCEL, "unapply", i, (w, BWD)))
-                moves.append(Move(COMPOSE, "apply", i + 1))
-                moves.append(Move(OMIT, "apply", i + 1))
+                moves = [Move(CANCEL, "unapply", i, (w, BWD)),
+                         Move(COMPOSE, "apply", i + 1), Move(OMIT, "apply", i + 1)]
             else:
-                moves.append(Move(CANCEL, "unapply", i + 1, (w, FWD)))
-                moves.append(Move(COMPOSE, "apply", i))
-                moves.append(Move(OMIT, "apply", i))
+                moves = [Move(CANCEL, "unapply", i + 1, (w, FWD)),
+                         Move(COMPOSE, "apply", i), Move(OMIT, "apply", i)]
         elif kind == "expand":
-            w, fd = desc[2], desc[3]
-            moves.append(Move(CANCEL, "unapply", i, (w, fd)))
+            moves = [Move(CANCEL, "unapply", i, (desc[2], desc[3]))]
         elif kind == "interior":
-            p, q, w, var = desc[2], desc[3], desc[4], desc[5]
-            moves.append(Move(COMPOSE, "unapply", i, (p, q)))
+            p, q, w, var = desc[2:]
+            moves = [Move(COMPOSE, "unapply", i, (p, q))]
             if var == 0:
-                moves.append(Move(CANCEL, "unapply", i + 1, (w, FWD)))
-                moves.append(Move(COMPOSE, "apply", i))
+                moves += [Move(CANCEL, "unapply", i + 1, (w, FWD)), Move(COMPOSE, "apply", i)]
             else:
-                moves.append(Move(CANCEL, "unapply", i + 1, (w, BWD)))
-                moves.append(Move(COMPOSE, "apply", i + 2))
+                moves += [Move(CANCEL, "unapply", i + 1, (w, BWD)),
+                          Move(COMPOSE, "apply", i + 2)]
         elif kind == "bsplit":
-            a, b, half, r, var = desc[2], desc[3], desc[4], desc[5], desc[6]
-            moves.append(Move(COMPOSE, "unapply", i, (a, b)))
-            pos = i if half == 0 else i + 1
-            w = a if half == 0 else b
-            if var == 0:
-                idd = self.cat.identity[self.dom[w]]
-                moves.append(Move(OMIT, "unapply", pos + 1, (idd, FWD)))
-                moves.append(Move(COMPOSE, "unapply", pos + 1, (w, r)))
-                moves.append(Move(CANCEL, "apply", pos))
-            else:
-                idc = self.cat.identity[self.cod[w]]
-                moves.append(Move(OMIT, "unapply", pos, (idc, FWD)))
-                moves.append(Move(COMPOSE, "unapply", pos, (r, w)))
-                moves.append(Move(CANCEL, "apply", pos + 1))
+            a, b, half, r, var = desc[2:]
+            moves = [Move(COMPOSE, "unapply", i, (a, b))]
+            moves += _turn(self.cat, (a, b)[half], r, var, i + half)
         else:
             raise MoveError(f"unknown macro {kind!r}")
-        # Reduction tail: mirror reduce_plan on the live zigzag.
-        cur = z
-        for mv in moves:
-            cur = apply_move(self.cat, self.members, cur, mv.kind, mv.position,
-                             mv.direction, mv.payload)
-        enc = tuple(m * 2 + d for m, d in cur.steps)
-        _, plan = self.reduce_plan(enc)
-        for action in plan:
-            if action[0] == "omit":
-                mv = Move(OMIT, "apply", action[1])
-            else:
-                mv = Move(COMPOSE, "apply", action[1])
-            moves.append(mv)
-            cur = apply_move(self.cat, self.members, cur, mv.kind, mv.position,
-                             mv.direction, mv.payload)
-        return moves
+        z, tail = self.reduce(_apply_all(self.cat, self.members, z, moves))
+        return z, moves + tail
 
 
 @dataclass(frozen=True)
@@ -636,16 +591,17 @@ class Explorer:
         # visited: state -> (side, cost, parent_state, descriptor)
         visited: dict = {}
         buckets: list[list] = [[] for _ in range(self.budget + 1)]
-        seed_states = []
+        # meet: (state, edge_from, crossing), an edge from edge_from into the
+        # other side's state with its descriptor in crossing; when the second
+        # seed reduces onto the first seed's state, (state, state, ()).
         meet = None
         for side, z in enumerate((z1, z2)):
             state, cost = eng.seed(z.source, tuple(m * 2 + d for m, d in z.steps))
-            seed_states.append(state if cost <= self.budget else None)
             if cost > self.budget:
                 continue
             other = visited.get(state)
             if other is not None and other[0] != side:
-                meet = (state, None, None)
+                meet = (state, state, ())
                 break
             visited[state] = (side, cost, None, None)
             buckets[cost].append((state, side))
@@ -665,7 +621,7 @@ class Explorer:
                         elif seen[0] != side:
                             # Edge from `state` on this side into the other
                             # side's territory at `nstate`.
-                            meet = (nstate, state, desc)
+                            meet = (nstate, state, (desc,))
                             break
                     if meet:
                         break
@@ -673,65 +629,32 @@ class Explorer:
             return EquivResult("unknown", None)
         return EquivResult("equivalent", self._build_trace(z1, z2, visited, meet))
 
-    def _seed_reduce(self, z: Zigzag) -> tuple[Zigzag, list[Move]]:
-        moves: list[Move] = []
-        enc = tuple(m * 2 + d for m, d in z.steps)
-        _, plan = self.engine.reduce_plan(enc)
-        for action in plan:
-            mv = (Move(OMIT, "apply", action[1]) if action[0] == "omit"
-                  else Move(COMPOSE, "apply", action[1]))
-            moves.append(mv)
-            z = apply_move(self.cat, self.members, z, mv.kind, mv.position,
-                           mv.direction, mv.payload)
-        return z, moves
-
-    def _side_moves(self, seed: Zigzag, state, visited) -> tuple[Zigzag, list[Move]]:
-        """Replay seed -> state, returning the end zigzag and its raw moves."""
-        chain = []
-        cur = state
-        while visited[cur][2] is not None:
-            chain.append(visited[cur][3])
-            cur = visited[cur][2]
-        chain.reverse()
-        z, moves = self._seed_reduce(seed)
-        for desc in chain:
-            emitted = self.engine.emit(z, desc)
-            for mv in emitted:
-                z = apply_move(self.cat, self.members, z, mv.kind, mv.position,
-                               mv.direction, mv.payload)
-            moves.extend(emitted)
+    def _side_moves(self, seed: Zigzag, visited, state, crossing) -> tuple[Zigzag, list[Move]]:
+        """Replay seed -> state, then the ``crossing`` macros; the end
+        zigzag and its raw moves."""
+        chain = list(crossing)
+        while visited[state][2] is not None:
+            chain.append(visited[state][3])
+            state = visited[state][2]
+        z, moves = self.engine.reduce(seed)
+        for desc in reversed(chain):
+            z, emitted = self.engine.emit(z, desc)
+            moves += emitted
         return z, moves
 
     def _build_trace(self, z1: Zigzag, z2: Zigzag, visited, meet) -> MoveTrace:
-        meet_state, edge_from, edge_desc = meet
-        meet_side = visited[meet_state][0]
-        if edge_desc is None:
-            # Second seed reduced onto a state the first seed had claimed.
-            za, moves_a = self._side_moves(z1, meet_state, visited)
-            zb, moves_b = self._seed_reduce(z2)
-        elif meet_side == 1:
-            # Edge ran from side 0 into side-1 territory.
-            za, moves_a = self._side_moves(z1, edge_from, visited)
-            emitted = self.engine.emit(za, edge_desc)
-            for mv in emitted:
-                za = apply_move(self.cat, self.members, za, mv.kind, mv.position,
-                                mv.direction, mv.payload)
-            moves_a.extend(emitted)
-            zb, moves_b = self._side_moves(z2, meet_state, visited)
-        else:
-            # Edge ran from side 1 into side-0 territory.
-            za, moves_a = self._side_moves(z1, meet_state, visited)
-            zb, moves_b = self._side_moves(z2, edge_from, visited)
-            emitted = self.engine.emit(zb, edge_desc)
-            for mv in emitted:
-                zb = apply_move(self.cat, self.members, zb, mv.kind, mv.position,
-                                mv.direction, mv.payload)
-            moves_b.extend(emitted)
+        """Each side replays to its own end of the meeting edge and the side
+        the edge starts from crosses it; the second side's moves are then
+        inverted onto the first's."""
+        state, edge_from, crossing = meet
+        owner = visited[state][0]
+        ends = {owner: (state, ()), 1 - owner: (edge_from, crossing)}
+        (za, moves_a), (zb, moves_b) = (
+            self._side_moves(z, visited, *ends[side]) for side, z in enumerate((z1, z2)))
         if za != zb:
             raise MoveError("bidirectional search met at inconsistent states")
         back = invert_trace(self.cat, self.members, MoveTrace(z2, zb, tuple(moves_b)))
-        full = tuple(moves_a) + back.moves
-        trace = MoveTrace(z1, z2, full)
+        trace = MoveTrace(z1, z2, tuple(moves_a) + back.moves)
         replay(self.cat, self.members, trace)
         return trace
 
@@ -766,10 +689,10 @@ def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionRes
     moves: list[Move] = []
     cur = z
 
-    def push(kind, position, direction, payload=None):
+    def push(*pushed: Move):
         nonlocal cur
-        cur = apply_move(cat, members, cur, kind, position, direction, payload)
-        moves.append(Move(kind, direction, position, payload))
+        cur = _apply_all(cat, members, cur, pushed)
+        moves.extend(pushed)
 
     # Expand non-split backward members via certificate decompositions.
     i = 0
@@ -790,7 +713,7 @@ def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionRes
             acc = rest[0]
             for f in rest[1:]:
                 acc = cat.table[f][acc]
-            push(COMPOSE, i, "unapply", (acc, first))
+            push(Move(COMPOSE, "unapply", i, (acc, first)))
         i += len(deco)
     # Replace each backward split by its forward partner; drop backward ids.
     i = 0
@@ -800,27 +723,18 @@ def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionRes
             i += 1
             continue
         if m in cat.identity_set:
-            push(OMIT, i, "apply")
+            push(Move(OMIT, "apply", i))
             continue
+        # A section s (r∘s = id on dom s) turns into its retraction r, a
+        # retraction r (r∘s = id on cod r) into its section s.
         inv, kind = partner[m]
-        if kind == "section":
-            # m = s, inv = r, r∘s = id on dom(s): s backward becomes r forward.
-            idd = cat.identity[cat.dom(m)]
-            push(OMIT, i + 1, "unapply", (idd, FWD))
-            push(COMPOSE, i + 1, "unapply", (m, inv))
-            push(CANCEL, i, "apply")
-        else:
-            # m = r, inv = s, r∘s = id on cod(r): r backward becomes s forward.
-            idc = cat.identity[cat.cod(m)]
-            push(OMIT, i, "unapply", (idc, FWD))
-            push(COMPOSE, i, "unapply", (inv, m))
-            push(CANCEL, i + 1, "apply")
+        push(*_turn(cat, m, inv, 0 if kind == "section" else 1, i))
         i += 1
     # All steps are forward now; fold them into one arrow.
     while len(cur.steps) > 1:
-        push(COMPOSE, 0, "apply")
+        push(Move(COMPOSE, "apply", 0))
     if len(cur.steps) == 1 and cur.steps[0][0] in cat.identity_set:
-        push(OMIT, 0, "apply")
+        push(Move(OMIT, "apply", 0))
     trace = MoveTrace(z, cur, tuple(moves))
     replay(cat, members, trace)
     return ReductionResult(cur, trace)
@@ -936,12 +850,9 @@ def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
 def move_to_json(cat: FinCat, mv: Move) -> dict:
     doc = {"move": mv.kind, "direction": mv.direction, "position": mv.position}
     if mv.payload is not None:
-        if mv.kind == OMIT:
-            doc["payload"] = [cat.mor_name(mv.payload[0]), DIR_NAMES[mv.payload[1]]]
-        elif mv.kind == COMPOSE:
-            doc["payload"] = [cat.mor_name(mv.payload[0]), cat.mor_name(mv.payload[1])]
-        else:
-            doc["payload"] = [cat.mor_name(mv.payload[0]), DIR_NAMES[mv.payload[1]]]
+        first, second = mv.payload
+        second = cat.mor_name(second) if mv.kind == COMPOSE else DIR_NAMES[second]
+        doc["payload"] = [cat.mor_name(first), second]
     return doc
 
 

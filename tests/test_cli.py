@@ -1,6 +1,8 @@
 import collections
+import importlib.util
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
@@ -88,7 +90,18 @@ def test_budget_env_override():
 def test_error_exit_codes(tmp_path):
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
-    assert run_cli("analyze", str(broken)).returncode == 2
+    proc = run_cli("analyze", str(broken))
+    assert proc.returncode == 2
+    assert str(broken) in proc.stderr
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"objects": ["\xe9"]}')
+    assert run_cli("analyze", str(latin)).returncode == 2
+    good = tmp_path / "good.zz"
+    good.write_text(json.dumps({"start": "b", "steps": []}))
+    for zz in (tmp_path / "missing.zz", broken):
+        proc = run_cli("zigzag", fx("f_retr"), "--equiv", str(good), str(zz))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and str(zz) in proc.stderr
 
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps({
@@ -175,6 +188,21 @@ def test_non_name_references_are_malformed(tmp_path, capsys, mangle, zigzag):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "deform"])
+@pytest.mark.parametrize("target", [
+    {"morphisms": ["id:a"]}, {"objects": 5}, {"objects": []}, {"objects": "a"},
+], ids=["no-objects", "objects-number", "objects-empty", "objects-string"])
+def test_malformed_deformation_target(tmp_path, capsys, command, target):
+    """A deformation block's target is checked like the top-level subcategory."""
+    doc = json.loads(path("f_retr_def").read_text())
+    doc["deformation"][0]["target"] = target
+    file = tmp_path / "category.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main([command, str(file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: deformation.target") and "Traceback" not in err
 
 
 def test_deform_subcommand_reports_routes():
@@ -301,3 +329,16 @@ def test_parser_is_built_once_and_rejects_bad_arguments(capsys):
             cli.main(["analyze", fx("f_retr"), "--format", "yaml"])
         assert exc.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+
+def test_benchmark_traced_functions_exist():
+    """Every function the benchmark's tracer wraps is still defined in hocat,
+    so a traced benchmark run cannot break on a deleted name."""
+    file = pathlib.Path(__file__).parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("spans", file)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for modname, names in spans.LAYERS.items():
+        module = importlib.import_module(modname)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{modname}.{name}"
