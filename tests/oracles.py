@@ -5,8 +5,48 @@ full partition enumeration, raw move search.  Nothing imports the
 closure or search code under test beyond basic category plumbing.
 """
 
+import itertools
+
 from hocat.errors import MoveError
 from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, apply_move
+
+
+def brute_law_violation(raw):
+    """The first law a parsed document breaks, or None.
+
+    Reads the document the way ``validate_category`` does: identity laws
+    first, then each entry in order, then every composable pair (g, f),
+    then every composable triple (h, g, f), each by plain nested loops
+    in index order.  Returns ``(kind, names)`` with kind one of
+    "not composable", "endpoint mismatch", "contradicts", "missing" or
+    "associativity" and the arrow names the error message carries.
+    """
+    names = [name for name, _d, _c in raw.morphisms]
+    index = {name: i for i, name in enumerate(names)}
+    dom = [d for _n, d, _c in raw.morphisms]
+    cod = [c for _n, _d, c in raw.morphisms]
+    comp = {}
+    for i in range(len(names)):
+        comp[i, index["id:" + dom[i]]] = i
+        comp[index["id:" + cod[i]], i] = i
+    for after, before, equals in raw.composition:
+        g, f, h = index[after], index[before], index[equals]
+        if dom[g] != cod[f]:
+            return "not composable", (after, before)
+        if (dom[h], cod[h]) != (dom[f], cod[g]):
+            return "endpoint mismatch", (after, before, equals)
+        if comp.get((g, f), h) != h:
+            return "contradicts", (after, before, equals, names[comp[g, f]])
+        comp[g, f] = h
+    n = len(names)
+    for g, f in itertools.product(range(n), repeat=2):
+        if dom[g] == cod[f] and (g, f) not in comp:
+            return "missing", (names[g], names[f])
+    for h, g, f in itertools.product(range(n), repeat=3):
+        if dom[h] == cod[g] and dom[g] == cod[f] \
+                and comp[h, comp[g, f]] != comp[comp[h, g], f]:
+            return "associativity", (names[h], names[g], names[f])
+    return None
 
 
 def brute_close_composition(cat, pairs):
@@ -188,16 +228,19 @@ def _sided(cat, side):
             lambda x, y: cat.table[y][x])
 
 
-def brute_one_sided_relation(cat, members, side):
-    """Closed one-sided relation: pairs equalized by a member on ``side``,
-    closed under composition on both sides; distinct pairs (f < g)."""
+def brute_left_relation(cat, members, side):
+    """Unclosed one-sided relation: distinct parallel pairs (f < g)
+    equalized by a member on ``side`` (the right relation is the left
+    relation of the opposite category)."""
     dom, cod, _hom, after = _sided(cat, side)
-    base = set()
-    for f, g in cat.parallel_pairs():
-        for w in members:
-            if dom(w) == cod(f) and after(w, f) == after(w, g):
-                base.add((f, g))
-    return brute_close_composition(cat, base)
+    return {(f, g) for f, g in cat.parallel_pairs()
+            if any(dom(w) == cod(f) and after(w, f) == after(w, g) for w in members)}
+
+
+def brute_one_sided_relation(cat, members, side):
+    """Closed one-sided relation: :func:`brute_left_relation` closed under
+    composition on both sides; distinct pairs (f < g)."""
+    return brute_close_composition(cat, brute_left_relation(cat, members, side))
 
 
 def _brute_forks(cat, members, side):

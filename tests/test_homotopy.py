@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hocat import (
+    Analysis,
     certify_whitehead,
     check_common_fork,
     check_fork_condition,
@@ -27,6 +28,7 @@ from oracles import (
     brute_close_composition,
     brute_common_fork,
     brute_fork_condition,
+    brute_left_relation,
     brute_one_sided_relation,
     replays_homotopy,
 )
@@ -46,6 +48,13 @@ def test_one_sided_relations_empty_without_collapse():
         cat, members, _r = category(name)
         assert r_left(cat, members).pairs == frozenset()
         assert r_right(cat, members).pairs == frozenset()
+
+
+def test_one_sided_relations_match_brute_force(mixed_corpus, split_corpus):
+    for cat, members, _doc in mixed_corpus + split_corpus:
+        session = Analysis(cat, members)
+        assert session.left.pairs == brute_left_relation(cat, members, "left")
+        assert session.right.pairs == brute_left_relation(cat, members, "right")
 
 
 def test_composition_closure_matches_package_closure(split_corpus):
