@@ -37,10 +37,10 @@ class Precongruence:
         canon = set()
         for f, g in pairs:
             fi, gi = base.mor(f), base.mor(g)
-            if (base.dom(fi), base.cod(fi)) != (base.dom(gi), base.cod(gi)):
-                raise ValidationError(
-                    f"pair ({base.mor_name(fi)!r}, {base.mor_name(gi)!r}) is not parallel")
-            canon.add((min(fi, gi), max(fi, gi)))
+            mf, mg = base.morphisms[fi], base.morphisms[gi]
+            if mf.dom != mg.dom or mf.cod != mg.cod:
+                raise ValidationError(f"pair ({mf.name!r}, {mg.name!r}) is not parallel")
+            canon.add((fi, gi) if fi < gi else (gi, fi))
         self.pairs = frozenset(canon)
 
     @property

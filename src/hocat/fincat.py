@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import FormatError, ValidationError
@@ -349,8 +350,10 @@ def validate_category(raw: RawCategory) -> FinCat:
 
     Fails on: a composable pair with no declared composite (identity
     composites are derived), an entry that contradicts the identity laws
-    or another entry, endpoint mismatches, and associativity violations
-    (the error names the witnessing triple).
+    or another entry, endpoint mismatches, and associativity violations.
+    Every composable pair and triple is checked, a whole table row at a
+    time; the error names the first witness in (g, f), respectively
+    (h, g, f), index order.
     """
     objects = raw.objects
     obj_index = {o: i for i, o in enumerate(objects)}
@@ -378,27 +381,35 @@ def validate_category(raw: RawCategory) -> FinCat:
                 f"{morphisms[table[g][f]].name!r} (identity law or duplicate entry)")
         table[g][f] = h
 
-    for g in range(n):
-        for f in range(n):
-            if morphisms[g].dom == morphisms[f].cod and table[g][f] < 0:
+    # The laws are checked on the table form.  The fill writes only
+    # composable cells, so a row is total exactly when its -1 count is
+    # that of the arrows it cannot follow.
+    cat = FinCat(objects, morphisms, identity, table)
+    table, incoming = cat.table, cat.incoming
+    for g, m in enumerate(morphisms):
+        if table[g].count(-1) != n - len(incoming[m.dom]):
+            f = next(f for f in incoming[m.dom] if table[g][f] < 0)
+            raise ValidationError(
+                f"missing composite: {m.name!r} after {morphisms[f].name!r}")
+
+    # Associativity h∘(g∘f) = (h∘g)∘f, one (h, g) at a time over every f
+    # into dom g: after[g] reads row h at each g∘f, and rows[k] is row k
+    # read at each f into dom k, so rows[h∘g] is the right side.  A
+    # one-arrow gather yields a scalar on both sides alike.
+    gather = [itemgetter(*arrows) for arrows in incoming]
+    rows = [gather[m.dom](table[k]) for k, m in enumerate(morphisms)]
+    after = [itemgetter(*(table[g][f] for f in incoming[m.dom]))
+             for g, m in enumerate(morphisms)]
+    for h, mh in enumerate(morphisms):
+        row = table[h]
+        for g in incoming[mh.dom]:
+            if after[g](row) != rows[row[g]]:
+                f = next(f for f in incoming[morphisms[g].dom]
+                         if row[table[g][f]] != table[row[g]][f])
                 raise ValidationError(
-                    f"missing composite: {morphisms[g].name!r} after {morphisms[f].name!r}")
-
-    # Associativity over every composable triple h∘g∘f.
-    for h in range(n):
-        for g in range(n):
-            if morphisms[h].dom != morphisms[g].cod:
-                continue
-            hg = table[h][g]
-            for f in range(n):
-                if morphisms[g].dom != morphisms[f].cod:
-                    continue
-                if table[h][table[g][f]] != table[hg][f]:
-                    raise ValidationError(
-                        "associativity violation on triple "
-                        f"({morphisms[h].name!r}, {morphisms[g].name!r}, {morphisms[f].name!r})")
-
-    return FinCat(objects, morphisms, identity, table)
+                    "associativity violation on triple "
+                    f"({mh.name!r}, {morphisms[g].name!r}, {morphisms[f].name!r})")
+    return cat
 
 
 def resolve_weqs(cat: FinCat, names: Iterable) -> frozenset[int]:

@@ -53,10 +53,11 @@ def r_left(cat: FinCat, weqs) -> Precongruence:
     w: B -> C.  Degenerate pairs are not stored.
     """
     members = frozenset(cat.mor(w) for w in weqs)
+    rows = [[cat.table[w] for w in out if w in members] for out in cat.outgoing]
     pairs = []
     for f, g in cat.parallel_pairs():
-        for w in cat.outgoing[cat.cod(f)]:
-            if w in members and cat.table[w][f] == cat.table[w][g]:
+        for row in rows[cat.morphisms[f].cod]:
+            if row[f] == row[g]:
                 pairs.append((f, g))
                 break
     return Precongruence(cat, pairs)

@@ -131,7 +131,12 @@ def apply_move(cat: FinCat, weqs, z: Zigzag, move: str, position: int,
     Composing two backward steps requires the composite to be a weak
     equivalence again, otherwise the output would not be a zigzag.
     """
-    members = resolve_weqs(cat, weqs)
+    return _apply(cat, resolve_weqs(cat, weqs), z, move, position, direction, payload)
+
+
+def _apply(cat: FinCat, members: frozenset[int], z: Zigzag, move: str, position: int,
+           direction: str, payload=None) -> Zigzag:
+    """:func:`apply_move` against an already resolved family."""
     steps = z.steps
     n = len(steps)
     if direction not in ("apply", "unapply"):
@@ -140,7 +145,7 @@ def apply_move(cat: FinCat, weqs, z: Zigzag, move: str, position: int,
     def boundary(i: int) -> int:
         at = z.source
         for m, d in steps[:i]:
-            at = cat.cod(m) if d == FWD else cat.dom(m)
+            at = cat.morphisms[m].cod if d == FWD else cat.morphisms[m].dom
         return at
 
     if move == OMIT:
@@ -211,15 +216,15 @@ def apply_move(cat: FinCat, weqs, z: Zigzag, move: str, position: int,
     return Zigzag(z.source, z.target, out)
 
 
-def _apply_all(cat: FinCat, weqs, z: Zigzag, moves) -> Zigzag:
+def _apply_all(cat: FinCat, members: frozenset[int], z: Zigzag, moves) -> Zigzag:
     for mv in moves:
-        z = apply_move(cat, weqs, z, mv.kind, mv.position, mv.direction, mv.payload)
+        z = _apply(cat, members, z, mv.kind, mv.position, mv.direction, mv.payload)
     return z
 
 
 def replay(cat: FinCat, weqs, trace: MoveTrace) -> Zigzag:
     """Apply a trace from its start; raises MoveError if it does not replay."""
-    z = _apply_all(cat, weqs, trace.start, trace.moves)
+    z = _apply_all(cat, resolve_weqs(cat, weqs), trace.start, trace.moves)
     if z != trace.end:
         raise MoveError("trace does not reach its recorded end zigzag")
     return z
@@ -238,11 +243,12 @@ def _invert(before: Zigzag, mv: Move) -> Move:
 
 def invert_trace(cat: FinCat, weqs, trace: MoveTrace) -> MoveTrace:
     """The move-by-move inverse, replaying end back to start."""
+    members = resolve_weqs(cat, weqs)
     inverted = []
     z = trace.start
     for mv in trace.moves:
         # Applying first validates the move before _invert reads its steps.
-        after = apply_move(cat, weqs, z, mv.kind, mv.position, mv.direction, mv.payload)
+        after = _apply(cat, members, z, mv.kind, mv.position, mv.direction, mv.payload)
         inverted.append(_invert(z, mv))
         z = after
     if z != trace.end:

@@ -8,7 +8,8 @@ closure or search code under test beyond basic category plumbing.
 import itertools
 
 from hocat.errors import MoveError
-from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, apply_move
+from hocat.fincat import resolve_weqs
+from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, _apply
 
 
 def brute_law_violation(raw):
@@ -196,7 +197,11 @@ def _candidate_moves(cat, members, z):
 
 
 def raw_reachable(cat, members, z, depth):
-    """All zigzags within ``depth`` raw moves of ``z``, by plain BFS."""
+    """All zigzags within ``depth`` raw moves of ``z``, by plain BFS.
+
+    Each candidate goes through ``apply_move``'s checks against the
+    family resolved once here."""
+    resolved = resolve_weqs(cat, members)
     seen = {z}
     frontier = [z]
     for _ in range(depth):
@@ -204,7 +209,7 @@ def raw_reachable(cat, members, z, depth):
         for cur in frontier:
             for kind, direction, pos, payload in _candidate_moves(cat, members, cur):
                 try:
-                    out = apply_move(cat, members, cur, kind, pos, direction, payload)
+                    out = _apply(cat, resolved, cur, kind, pos, direction, payload)
                 except MoveError:
                     continue
                 if out not in seen:
