@@ -9,9 +9,17 @@ an intended change of output, run that command there and redirect it to
 ``tests/golden/zigzag-traces.json`` holds the ``trace_to_json`` of
 ``bounded_equiv`` and ``reduce_backward_splits`` on the queries listed
 by :func:`zigzag_traces`; every macro rewrite of the search appears in
-at least one of them.  To regenerate it after an intended change of the
-traces, run ``PYTHONPATH=src python tests/test_golden.py`` from the
-repository root.
+at least one of them.
+
+``tests/golden/fork-witnesses.json`` holds, for each side of every
+fixture and of the first 40 instances of the seeded split and mixed
+corpora, the fork condition (verdict, counterexample and every witness
+with its fork and mediator) and the common-fork verdict with its
+counterexample.
+
+To regenerate both files after an intended change, run
+``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
+root.
 """
 
 import json
@@ -19,9 +27,9 @@ import pathlib
 import random
 
 import pytest
-from gencat import gen_split_instance
+from gencat import gen_any_instance, gen_split_instance
 
-from hocat import (bounded_equiv, cli, check_split_generated, check_weq_axioms,
+from hocat import (Analysis, bounded_equiv, cli, check_split_generated, check_weq_axioms,
                    make_zigzag, reduce_backward_splits)
 from hocat.fixtures import NAMES, category, path
 from hocat.zigzag import BWD, FWD, trace_to_json
@@ -29,6 +37,7 @@ from hocat.zigzag import BWD, FWD, trace_to_json
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 COMMANDS = ("analyze", "quotient", "deform")
 TRACES = GOLDEN / "zigzag-traces.json"
+FORKS = GOLDEN / "fork-witnesses.json"
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -104,5 +113,56 @@ def test_zigzag_traces_match_golden():
     assert _render(zigzag_traces()) == TRACES.read_text(encoding="utf-8")
 
 
+def _fork_report(cat, session, side) -> dict:
+    mor = cat.mor_name
+
+    def pair(p):
+        return None if p is None else [mor(p[0]), mor(p[1])]
+
+    def witness(w):
+        fork = w.fork
+        return {"side": w.side, "f": mor(w.f), "g": mor(w.g),
+                "fork": {"side": fork.side, "vertex": cat.obj_name(fork.vertex),
+                         "apex": cat.obj_name(fork.apex), "legs": pair(fork.legs),
+                         "collapse": mor(fork.collapse), "base": mor(fork.base)},
+                "mediator": None if w.mediator is None else mor(w.mediator)}
+
+    cond = session.fork_condition(side)
+    common = session.common_fork(side)
+    return {
+        "fork_condition": {
+            "ok": cond.ok, "counterexample": pair(cond.counterexample),
+            "witnesses": [[pair(p), witness(w)] for p, w in cond.witnesses.items()]},
+        "common_fork": {
+            "ok": common.ok,
+            "counterexample": None if common.counterexample is None
+            else [pair(p) for p in common.counterexample]},
+    }
+
+
+def fork_witnesses() -> dict:
+    """Both fork checks, per side, on every fixture and on the first 40
+    instances of the ``split_corpus`` (seed 90210) and ``mixed_corpus``
+    (seed 31337) fixtures, generated here again as in :func:`zigzag_traces`."""
+    instances = [(name, *category(name)[:2]) for name in NAMES]
+    for tag, seed, gen in (("split", 90210, gen_split_instance),
+                           ("mixed", 31337, gen_any_instance)):
+        rng = random.Random(seed)
+        for k in range(40):
+            cat, members, _doc = gen(rng)
+            instances.append((f"{tag}{k}", cat, members))
+    out: dict = {}
+    for tag, cat, members in instances:
+        session = Analysis(cat, members)
+        for side in ("left", "right"):
+            out[f"{tag} {side}"] = _fork_report(cat, session, side)
+    return out
+
+
+def test_fork_witnesses_match_golden():
+    assert _render(fork_witnesses()) == FORKS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     TRACES.write_text(_render(zigzag_traces()), encoding="utf-8")
+    FORKS.write_text(_render(fork_witnesses()), encoding="utf-8")
