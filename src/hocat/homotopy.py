@@ -140,61 +140,43 @@ def _left_weq_forks(cat: FinCat, members: frozenset[int], va: int, vb: int):
     """Yield every left fork of weak equivalences at vertex ``va``, in
     enumeration order, with the ordered pairs of hom(va, vb) arrows it
     mediates."""
+    table = cat.table
     for apex in range(len(cat.objects)):
         legs_pool = cat.hom(va, apex)
         if not legs_pool:
             continue
-        mediators = cat.hom(apex, vb)
+        image = {leg: [table[h][leg] for h in cat.hom(apex, vb)] for leg in legs_pool}
+        collapses = [(sigma, table[sigma]) for sigma in cat.outgoing[apex] if sigma in members]
         for l0 in legs_pool:
             for l1 in legs_pool:
-                for sigma in cat.outgoing[apex]:
-                    if sigma not in members:
-                        continue
-                    base = cat.table[sigma][l0]
-                    if base != cat.table[sigma][l1] or base not in members:
+                for sigma, row in collapses:
+                    base = row[l0]
+                    if base != row[l1] or base not in members:
                         continue
                     fork = Fork("left", va, apex, (l0, l1), sigma, base)
-                    supported = frozenset(
-                        (cat.table[h][l0], cat.table[h][l1]) for h in mediators)
-                    yield fork, supported
+                    yield fork, frozenset(zip(image[l0], image[l1]))
                     break  # further collapses mediate the same pairs
 
 
 def _fork_index(cat: FinCat, members: frozenset[int], va: int, vb: int):
-    """The left weq forks at ``va``, indexed by the pairs they mediate.
+    """The left weq forks at ``va``, one record per mediated set.
 
-    Returns (forks, mediated): ``mediated`` maps each ordered pair
-    (f, g) of hom(va, vb) arrows to the positions in ``forks`` of the
-    forks mediating it, ascending, so the first is the earliest fork in
-    enumeration order.  Pairs no fork mediates are absent.
+    Returns (forks, masks).  The distinct sets of hom(va, vb) pairs
+    that forks mediate are numbered in the order they first appear, and
+    ``forks[i]`` is the earliest fork mediating set i; ``masks`` maps
+    each ordered pair (f, g) to the bitmask of the sets containing it.
+    A later fork of a set mediates only what its earliest one does, so
+    the lowest bit of a pair's mask names the earliest fork mediating
+    it.  Pairs no fork mediates are absent.
     """
-    forks = []
-    mediated: dict[tuple[int, int], list[int]] = {}
-    for i, (fork, supported) in enumerate(_left_weq_forks(cat, members, va, vb)):
-        forks.append(fork)
-        for pair in supported:
-            mediated.setdefault(pair, []).append(i)
-    return forks, mediated
-
-
-def _bits(positions) -> int:
-    """The integer with exactly the given bit positions set."""
-    buf = bytearray((max(positions) >> 3) + 1 if positions else 0)
-    for i in positions:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
-def _ordered_relation(cat: FinCat, rel: Precongruence, va: int, vb: int):
-    """Ordered pairs of the relation on hom(va, vb), diagonal included."""
-    arrows = cat.hom(va, vb)
-    related = {(f, g) for f, g in rel.pairs}
-    out = []
-    for f in arrows:
-        for g in arrows:
-            if f == g or (min(f, g), max(f, g)) in related:
-                out.append((f, g))
-    return out
+    first: dict[frozenset, Fork] = {}
+    masks: dict[tuple[int, int], int] = {}
+    for fork, supported in _left_weq_forks(cat, members, va, vb):
+        if first.setdefault(supported, fork) is fork:
+            bit = 1 << (len(first) - 1)
+            for pair in supported:
+                masks[pair] = masks.get(pair, 0) | bit
+    return list(first.values()), masks
 
 
 def _mediator_for(cat: FinCat, fork: Fork, f: int, g: int, vb: int):
@@ -219,16 +201,6 @@ class CommonForkResult:
     counterexample: tuple[tuple[int, int], tuple[int, int]] | None
 
 
-def _translate_witness(witness: HomotopyWitness, side: str) -> HomotopyWitness:
-    if side == "left":
-        return witness
-    fork = witness.fork
-    return HomotopyWitness(
-        "right", witness.f, witness.g,
-        Fork("right", fork.vertex, fork.apex, fork.legs, fork.collapse, fork.base),
-        witness.mediator)
-
-
 def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkConditionResult:
     """Does every related pair admit a homotopy over a weq fork?
 
@@ -237,34 +209,28 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     and degenerate pairs always have the identity fork, so this is the
     full ordered statement.
 
-    The forks of each hom pair are enumerated once, on first use, into
-    an index from ordered pair to mediating forks.  A pair's witness
-    uses the earliest fork mediating (f, g) or (g, f), the unswapped
-    pair on a tie, with its lowest-index mediator.
+    Both fork checks of a side read one fork index per hom pair, kept
+    by the session, with one record per set of pairs that forks mediate.
+    A pair's witness uses the earliest fork mediating (f, g) or (g, f),
+    the unswapped pair on a tie, with its lowest-index mediator.
     """
     return Analysis(cat, weqs).fork_condition(side)
 
 
-def _fork_condition(work: FinCat, rel: Precongruence, members: frozenset[int],
-                    side: str) -> ForkConditionResult:
-    indices = {}
+def _fork_condition(work: FinCat, rel: Precongruence, index, side: str) -> ForkConditionResult:
     witnesses = {}
     for f, g in sorted(rel.distinct_pairs):
-        va, vb = work.dom(f), work.cod(f)
-        if (va, vb) not in indices:
-            indices[(va, vb)] = _fork_index(work, members, va, vb)
-        forks, mediated = indices[(va, vb)]
-        straight, crossed = mediated.get((f, g)), mediated.get((g, f))
-        if straight is None and crossed is None:
+        vb = work.cod(f)
+        forks, masks = index(work.dom(f), vb)
+        straight = masks.get((f, g), 0)
+        either = straight | masks.get((g, f), 0)
+        if not either:
             return ForkConditionResult(side, False, (f, g), witnesses)
-        if straight is not None and (crossed is None or straight[0] <= crossed[0]):
-            fork = forks[straight[0]]
-        else:
-            fork = forks[crossed[0]]
-            fork = Fork("left", fork.vertex, fork.apex,
-                        (fork.legs[1], fork.legs[0]), fork.collapse, fork.base)
-        found = HomotopyWitness("left", f, g, fork, _mediator_for(work, fork, f, g, vb))
-        witnesses[(f, g)] = _translate_witness(found, side)
+        low = either & -either
+        fork = forks[low.bit_length() - 1]
+        legs = fork.legs if straight & low else fork.legs[::-1]
+        fork = Fork(side, fork.vertex, fork.apex, legs, fork.collapse, fork.base)
+        witnesses[(f, g)] = HomotopyWitness(side, f, g, fork, _mediator_for(work, fork, f, g, vb))
     return ForkConditionResult(side, True, None, witnesses)
 
 
@@ -275,21 +241,21 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     transitivity argument consumes, which chains one pair against a
     degenerate one on the dual side.
 
-    Each hom pair's forks are indexed once by the pairs they mediate;
-    two pairs share a fork iff the bitmasks of their fork positions
-    meet.
+    The session's fork index of each hom pair keeps one record per
+    mediated set, and two pairs share a fork iff some mediated set
+    holds both: iff their bitmasks of sets meet.
     """
     return Analysis(cat, weqs).common_fork(side)
 
 
-def _common_fork(work: FinCat, rel: Precongruence, members: frozenset[int],
-                 side: str) -> CommonForkResult:
+def _common_fork(work: FinCat, rel: Precongruence, index, side: str) -> CommonForkResult:
     for va, vb in work.hom_pairs():
-        pairs = _ordered_relation(work, rel, va, vb)
-        if not pairs:
-            continue
-        _, mediated = _fork_index(work, members, va, vb)
-        masks = [_bits(mediated.get(p, ())) for p in pairs]
+        # The ordered related pairs of hom(va, vb), diagonal included.
+        arrows = work.hom(va, vb)
+        pairs = [(f, g) for f in arrows for g in arrows
+                 if f == g or (min(f, g), max(f, g)) in rel.pairs]
+        _, mediated = index(va, vb)
+        masks = [mediated.get(p, 0) for p in pairs]
         for i, p1 in enumerate(pairs):
             m1 = masks[i]
             for j in range(i, len(pairs)):
@@ -308,7 +274,7 @@ def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
     return Analysis(cat, weqs).rc_transitive(side)
 
 
-def _rc_transitive(work: FinCat, rel: Precongruence, members: frozenset[int], side: str):
+def _rc_transitive(work: FinCat, rel: Precongruence, index, side: str):
     triple = intransitive_triple(rel.distinct_pairs)
     return triple is None, triple
 
@@ -431,7 +397,8 @@ class Analysis:
     Each stage is computed on first use and then kept, so the stages
     that build on one another share one family check, one opposite
     category, one homotopy congruence (which keeps its quotient), one
-    set of invertible arrows and one fork check per side.  A stage
+    set of invertible arrows, one fork check per side and one fork index
+    per side and hom pair, read by both fork checks.  A stage
     assigned before its first use (``session.family = ...``) is taken as
     given.  ``weqs`` may name arrows or index them; identities are
     implicit, as in documents.
@@ -441,7 +408,9 @@ class Analysis:
         self.cat = cat
         self.weqs = tuple(weqs)
         self.members = resolve_weqs(cat, self.weqs)
-        self._sides: dict = {}  # per-side stages, by (function, side)
+        # per-side stages by (function, side); fork indices by
+        # (_fork_index, side, va, vb)
+        self._sides: dict = {}
 
     @cached_property
     def family(self) -> WeqFamily:
@@ -503,7 +472,14 @@ class Analysis:
 
     def _per_side(self, check, side: str):
         if (check, side) not in self._sides:
-            self._sides[check, side] = check(*self.closed(side), self.members, side)
+            work, rel = self.closed(side)
+
+            def index(va: int, vb: int):
+                key = (_fork_index, side, va, vb)
+                if key not in self._sides:
+                    self._sides[key] = _fork_index(work, self.members, va, vb)
+                return self._sides[key]
+            self._sides[check, side] = check(work, rel, index, side)
         return self._sides[check, side]
 
     @cached_property

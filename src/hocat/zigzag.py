@@ -596,7 +596,9 @@ class Explorer:
         eng = self.engine
         # visited: state -> (side, cost, parent_state, descriptor)
         visited: dict = {}
-        buckets: list[list] = [[] for _ in range(self.budget + 1)]
+        # buckets: cost -> states first reached at that cost, made on use so
+        # memory follows the states found, not the budget.
+        buckets: dict[int, list] = {}
         # meet: (state, edge_from, crossing), an edge from edge_from into the
         # other side's state with its descriptor in crossing; when the second
         # seed reduces onto the first seed's state, (state, state, ()).
@@ -610,27 +612,25 @@ class Explorer:
                 meet = (state, state, ())
                 break
             visited[state] = (side, cost, None, None)
-            buckets[cost].append((state, side))
-        if meet is None:
-            for cost in range(self.budget + 1):
+            buckets.setdefault(cost, []).append((state, side))
+        while buckets and not meet:
+            cost = min(buckets)
+            for state, side in buckets.pop(cost):
+                for nstate, mc, desc in eng.successors(state):
+                    nc = cost + mc
+                    if nc > self.budget:
+                        continue
+                    seen = visited.get(nstate)
+                    if seen is None:
+                        visited[nstate] = (side, nc, state, desc)
+                        buckets.setdefault(nc, []).append((nstate, side))
+                    elif seen[0] != side:
+                        # Edge from `state` on this side into the other
+                        # side's territory at `nstate`.
+                        meet = (nstate, state, (desc,))
+                        break
                 if meet:
                     break
-                for state, side in buckets[cost]:
-                    for nstate, mc, desc in eng.successors(state):
-                        nc = cost + mc
-                        if nc > self.budget:
-                            continue
-                        seen = visited.get(nstate)
-                        if seen is None:
-                            visited[nstate] = (side, nc, state, desc)
-                            buckets[nc].append((nstate, side))
-                        elif seen[0] != side:
-                            # Edge from `state` on this side into the other
-                            # side's territory at `nstate`.
-                            meet = (nstate, state, (desc,))
-                            break
-                    if meet:
-                        break
         if meet is None:
             return EquivResult("unknown", None)
         return EquivResult("equivalent", self._build_trace(z1, z2, visited, meet))

@@ -241,18 +241,19 @@ def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
 
 def test_analyze_computes_each_intermediate_once(monkeypatch):
     """Per category, one analyze checks the family, builds the opposite,
-    the congruence and the quotient at most once, and runs each side's
-    fork condition at most once.  Quotients are counted where they are
-    built, whoever asks for them."""
+    the congruence and the quotient at most once, runs each side's fork
+    condition at most once and indexes the forks of each hom pair of a
+    side at most once.  Quotients are counted where they are built,
+    whoever asks for them."""
     calls = collections.Counter()
     keep = []  # keeps every counted category alive, so ids stay unique
 
-    def counted(owner, name, subject):
+    def counted(owner, name, subject, detail=lambda *args: None):
         real = getattr(owner, name)
 
         def wrapper(*args):
             keep.append(subject(*args))
-            calls[name, id(keep[-1]), args[-1] if name == "_fork_condition" else None] += 1
+            calls[name, id(keep[-1]), detail(*args)] += 1
             return real(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
@@ -261,12 +262,16 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     counted(homotopy, "opposite", lambda cat: cat)
     counted(homotopy, "least_congruence", lambda rel: rel.base)
     counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
-    counted(homotopy, "_fork_condition", lambda work, rel, members, side: work)
+    counted(homotopy, "_fork_condition", lambda work, rel, index, side: work,
+            lambda work, rel, index, side: side)
+    counted(homotopy, "_fork_index", lambda work, members, va, vb: work,
+            lambda work, members, va, vb: (va, vb))
     for name in NAMES:
         calls.clear()
         cli.run_analysis(fx(name))
         assert calls and max(calls.values()) == 1, (name, calls)
         assert sum(k[0] == "_fork_condition" for k in calls) == 2, name
+        assert any(k[0] == "_fork_index" for k in calls), name
 
 
 def test_single_stage_matches_full_report(tmp_path):
@@ -291,7 +296,7 @@ def test_quotient_skips_fork_work(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("fork work for an unselected stage")
 
-    for name in ("_fork_condition", "_common_fork", "intransitive_triple"):
+    for name in ("_fork_condition", "_common_fork", "_fork_index", "intransitive_triple"):
         monkeypatch.setattr(homotopy, name, refuse)
     monkeypatch.setattr(homotopy.Analysis, "saturation", property(refuse))
     assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0

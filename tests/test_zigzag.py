@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -127,6 +128,22 @@ def test_bounded_equiv_retract_example():
         bounded_equiv(cat, members, z1, z3)
     with pytest.raises(ValidationError):
         Explorer(cat, members, budget=-1)
+
+
+def test_search_memory_does_not_grow_with_budget():
+    """A pair that meets at cost 2 needs no memory sized by the budget."""
+    cat, members, _r = category("f_retr")
+    z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
+    z2 = make_zigzag(cat, members, "b", [])
+    tracemalloc.start()
+    try:
+        res = bounded_equiv(cat, members, z1, z2, budget=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "equivalent"
+    assert res.trace == bounded_equiv(cat, members, z1, z2, budget=8).trace
+    assert peak < 5_000_000, peak
 
 
 def test_equiv_trace_within_raw_move_reach():
