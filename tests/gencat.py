@@ -8,7 +8,9 @@ styles, closed under two out of three directly here, independent of the
 package's own closure code.
 """
 
-from hocat.fincat import validate_category, load_spec
+import itertools
+
+from hocat.fincat import load_spec, resolve_weqs, validate_category
 from hocat.weq import check_split_generated, check_weq_axioms
 
 
@@ -85,6 +87,41 @@ def gen_document(rng, max_morphisms=12, max_objects=3, max_size=3):
             "composition": composition,
             "weak_equivalences": [],
         }
+
+
+def all_functions_instance(sizes, weqs):
+    """Every function between carriers of the given sizes, in a fixed
+    order, with ``weqs`` "all" (every arrow) or "bijections".
+
+    Returns (cat, members, doc) like the corpus generators.
+    """
+    ids = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
+    plain = [(d, c, graph)
+             for d, nd in enumerate(sizes) for c, nc in enumerate(sizes)
+             for graph in itertools.product(range(nc), repeat=nd)
+             if (d, c, graph) not in ids]
+    onames = [f"o{i}" for i in range(len(sizes))]
+    name = {a: f"m{k}" for k, a in enumerate(plain)}
+    name.update((a, f"id:{onames[a[0]]}") for a in ids)
+    composition = [{"after": name[g], "before": name[f],
+                    "equals": name[(f[0], g[1], tuple(g[2][v] for v in f[2]))]}
+                   for f in plain for g in plain if f[1] == g[0]]
+    if weqs == "all":
+        chosen = plain
+    elif weqs == "bijections":
+        chosen = [a for a in plain
+                  if sizes[a[0]] == sizes[a[1]] and len(set(a[2])) == len(a[2])]
+    else:
+        raise ValueError(weqs)
+    doc = {
+        "objects": onames,
+        "morphisms": [{"name": name[a], "dom": onames[a[0]], "cod": onames[a[1]]}
+                      for a in plain],
+        "composition": composition,
+        "weak_equivalences": [name[a] for a in chosen],
+    }
+    cat = validate_category(load_spec(doc))
+    return cat, resolve_weqs(cat, doc["weak_equivalences"]), doc
 
 
 def _two_of_three_close(cat, members):

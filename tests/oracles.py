@@ -160,6 +160,24 @@ def all_congruences(cat):
     return out
 
 
+def brute_intransitive_triple(pairs):
+    """First (f, g, h) in index order with f~g, g~h, f != h and not f~h,
+    or None; ``pairs`` are distinct unordered pairs of a symmetric
+    relation.  Plain nested loops over every arrow the pairs mention."""
+    related = set()
+    for f, g in pairs:
+        related.add((f, g))
+        related.add((g, f))
+    arrows = sorted({m for p in pairs for m in p})
+    for f in arrows:
+        for g in arrows:
+            for h in arrows:
+                if f != h and (f, g) in related and (g, h) in related \
+                        and (f, h) not in related:
+                    return f, g, h
+    return None
+
+
 def brute_sigma(cat, class_of):
     """Morphisms invertible up to the congruence ``class_of`` encodes."""
     out = set()

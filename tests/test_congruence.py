@@ -10,7 +10,7 @@ from hocat import (
     quotient,
     sigma_of,
 )
-from hocat.congruence import Congruence, Precongruence
+from hocat.congruence import Congruence, Precongruence, intransitive_triple
 from hocat.errors import ValidationError
 from hocat.fincat import opposite
 from hocat.fixtures import category
@@ -20,6 +20,7 @@ from gencat import sample_precongruence
 from oracles import (
     all_congruences,
     brute_close_composition,
+    brute_intransitive_triple,
     brute_least_congruence,
     brute_sigma,
     hom_partitions,
@@ -190,6 +191,42 @@ def test_is_congruence_spots_transitivity_gap():
     rel2 = Precongruence(cat2, {("t", "id:x"), ("t", "t")})
     ok2, witness2 = is_congruence(rel2)
     assert not ok2 and witness2[0] == "reflexivity"
+
+
+def _random_relation(rng, shape):
+    """Distinct unordered pairs on up to 12 shuffled arrow indices."""
+    arrows = rng.sample(range(40), rng.randint(0, 12))
+    pairs = set()
+
+    def clique(block):
+        pairs.update((min(a, b), max(a, b)) for i, a in enumerate(block) for b in block[i + 1:])
+
+    if shape == "path":
+        pairs.update((min(a, b), max(a, b)) for a, b in zip(arrows, arrows[1:]))
+        return pairs
+    cut = sorted(rng.sample(range(1, len(arrows)), min(3, len(arrows) - 1))) if arrows else []
+    blocks = [arrows[i:j] for i, j in zip([0] + cut, cut + [len(arrows)])]
+    for block in blocks:
+        clique(block)
+    if shape == "missing" and pairs:
+        pairs.discard(rng.choice(sorted(pairs)))
+    return pairs
+
+
+def test_intransitive_triple_matches_brute_force():
+    """Same verdict and triple as plain nested loops on unions of
+    cliques, cliques missing one edge, paths and the empty relation."""
+    rng = random.Random(4242)
+    failing = 0
+    for shape in ("cliques", "missing", "path"):
+        for _ in range(300):
+            pairs = _random_relation(rng, shape)
+            triple = intransitive_triple(pairs)
+            assert triple == brute_intransitive_triple(pairs), (shape, sorted(pairs))
+            assert shape != "cliques" or triple is None
+            failing += triple is not None
+    assert intransitive_triple(()) is None and brute_intransitive_triple(()) is None
+    assert failing >= 200
 
 
 def test_quotient_projection_and_kernel(mixed_corpus):

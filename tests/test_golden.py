@@ -14,20 +14,24 @@ at least one of them.
 ``tests/golden/fork-witnesses.json`` holds, for each side of every
 fixture and of the first 40 instances of the seeded split and mixed
 corpora, the fork condition (verdict, counterexample and every witness
-with its fork and mediator) and the common-fork verdict with its
-counterexample.
+with its fork and mediator), the common-fork verdict with its
+counterexample and the transitivity verdict with its triple.  It also
+holds the sha256 of that report for each side of the 56-arrow category
+of all functions between sets of sizes 1, 2 and 3, with W every arrow
+and with W the bijections.
 
 To regenerate both files after an intended change, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
 root.
 """
 
+import hashlib
 import json
 import pathlib
 import random
 
 import pytest
-from gencat import gen_any_instance, gen_split_instance
+from gencat import all_functions_instance, gen_any_instance, gen_split_instance
 
 from hocat import (Analysis, bounded_equiv, cli, check_split_generated, check_weq_axioms,
                    make_zigzag, reduce_backward_splits)
@@ -129,6 +133,7 @@ def _fork_report(cat, session, side) -> dict:
 
     cond = session.fork_condition(side)
     common = session.common_fork(side)
+    transitive, triple = session.rc_transitive(side)
     return {
         "fork_condition": {
             "ok": cond.ok, "counterexample": pair(cond.counterexample),
@@ -137,13 +142,18 @@ def _fork_report(cat, session, side) -> dict:
             "ok": common.ok,
             "counterexample": None if common.counterexample is None
             else [pair(p) for p in common.counterexample]},
+        "rc_transitive": {
+            "ok": transitive,
+            "triple": None if triple is None else [mor(m) for m in triple]},
     }
 
 
 def fork_witnesses() -> dict:
-    """Both fork checks, per side, on every fixture and on the first 40
-    instances of the ``split_corpus`` (seed 90210) and ``mixed_corpus``
-    (seed 31337) fixtures, generated here again as in :func:`zigzag_traces`."""
+    """Both fork checks and transitivity, per side, on every fixture and
+    on the first 40 instances of the ``split_corpus`` (seed 90210) and
+    ``mixed_corpus`` (seed 31337) fixtures, generated here again as in
+    :func:`zigzag_traces`; for the two 56-arrow instances, the sha256 of
+    each side's report."""
     instances = [(name, *category(name)[:2]) for name in NAMES]
     for tag, seed, gen in (("split", 90210, gen_split_instance),
                            ("mixed", 31337, gen_any_instance)):
@@ -156,6 +166,13 @@ def fork_witnesses() -> dict:
         session = Analysis(cat, members)
         for side in ("left", "right"):
             out[f"{tag} {side}"] = _fork_report(cat, session, side)
+    for weqs in ("all", "bijections"):
+        cat, members, _doc = all_functions_instance((1, 2, 3), weqs)
+        session = Analysis(cat, members)
+        for side in ("left", "right"):
+            report = json.dumps(_fork_report(cat, session, side), sort_keys=True)
+            out[f"fun123-{weqs} {side}"] = {
+                "sha256": hashlib.sha256(report.encode("utf-8")).hexdigest()}
     return out
 
 

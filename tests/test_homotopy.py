@@ -28,6 +28,7 @@ from oracles import (
     brute_close_composition,
     brute_common_fork,
     brute_fork_condition,
+    brute_intransitive_triple,
     brute_left_relation,
     brute_one_sided_relation,
     replays_homotopy,
@@ -118,6 +119,19 @@ def test_rc_transitive_on_fixtures():
         cat, members, _r = category(name)
         ok, counter = check_rc_transitive(cat, members, "left")
         assert ok and counter is None
+
+
+def test_rc_transitive_matches_brute_force(mixed_corpus, split_corpus):
+    """Each side's transitivity verdict and triple agree with nested
+    loops over the brute-force closed relation."""
+    failures = 0
+    for cat, members, _doc in mixed_corpus + split_corpus:
+        session = Analysis(cat, members)
+        for side in ("left", "right"):
+            triple = brute_intransitive_triple(brute_one_sided_relation(cat, members, side))
+            assert session.rc_transitive(side) == (triple is None, triple)
+            failures += triple is not None
+    assert failures >= 1
 
 
 def test_whitehead_certified_on_retract():
