@@ -43,6 +43,16 @@ class Precongruence:
             canon.add((fi, gi) if fi < gi else (gi, fi))
         self.pairs = frozenset(canon)
 
+    @classmethod
+    def canonical(cls, base: FinCat, pairs: Iterable[tuple[int, int]]) -> "Precongruence":
+        """Trust ``pairs`` as already canonical: parallel index pairs
+        (f, g) with f <= g.  For relations built from ``base``'s own
+        tables, which need no resolving or endpoint check."""
+        rel = cls.__new__(cls)
+        rel.base = base
+        rel.pairs = frozenset(pairs)
+        return rel
+
     @property
     def distinct_pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset(p for p in self.pairs if p[0] != p[1])
@@ -50,7 +60,7 @@ class Precongruence:
     def union(self, other: "Precongruence") -> "Precongruence":
         if other.base is not self.base and other.base != self.base:
             raise ValidationError("cannot union relations over different categories")
-        return Precongruence(self.base, self.pairs | other.pairs)
+        return Precongruence.canonical(self.base, self.pairs | other.pairs)
 
     def __eq__(self, other):
         if not isinstance(other, Precongruence):
@@ -335,7 +345,33 @@ def intransitive_triple(pairs) -> tuple[int, int, int] | None:
 
     ``pairs`` are the distinct unordered pairs of a reflexive,
     symmetric relation; None means the relation is transitive.
+
+    The relation is transitive iff each class of its union-find closure
+    is a clique, that is, holds C(k, 2) pairs on its k arrows.  A class
+    holds at most that many, so it suffices that the pairs number
+    Σ C(k, 2) over the classes; only when they fall short are the chains
+    scanned for the triple.  Pairs are counted once each, as (f, g)
+    with f < g.
     """
+    parent: dict[int, int] = {}
+
+    def find(x: int) -> int:
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for f, g in pairs:
+        rf, rg = find(f), find(g)
+        if rf != rg:
+            parent[rg] = rf
+    size: dict[int, int] = {}
+    for x in parent:
+        root = find(x)
+        size[root] = size.get(root, 0) + 1
+    if sum(f < g for f, g in pairs) == sum(k * (k - 1) // 2 for k in size.values()):
+        return None
     adj: dict[int, set[int]] = {}
     for f, g in pairs:
         adj.setdefault(f, set()).add(g)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .congruence import Congruence, Precongruence, intransitive_triple, least_congruence, sigma_of
 from .errors import ValidationError
@@ -60,7 +61,7 @@ def r_left(cat: FinCat, weqs) -> Precongruence:
             if row[f] == row[g]:
                 pairs.append((f, g))
                 break
-    return Precongruence(cat, pairs)
+    return Precongruence.canonical(cat, pairs)
 
 
 def r_right(cat: FinCat, weqs) -> Precongruence:
@@ -72,20 +73,37 @@ def r_right(cat: FinCat, weqs) -> Precongruence:
     return Analysis(cat, weqs).right
 
 
-def _left_closure(work: FinCat, pairs) -> Precongruence:
+def _gather(keys):
+    """The cells of a row at ``keys``, always as a tuple (a one-key
+    ``itemgetter`` returns a scalar)."""
+    if len(keys) == 1:
+        key, = keys
+        return lambda row: (row[key],)
+    return itemgetter(*keys) if keys else lambda row: ()
+
+
+def _left_closure(work: FinCat, transposed, pairs) -> Precongruence:
     """Composition closure of a left relation on ``work``.
 
     The left relation is already stable under pre-composition (the same
     equalizing member works), so post-composing with every mediator
     h: B -> B' alone reaches the full two-sided closure.
+
+    ``transposed[f][h]`` is h∘f in ``work``, so each leg's composites
+    with every mediator are one gather of its transposed row.
     """
+    gathers: dict = {}  # one per codomain
+    morphisms = work.morphisms
     out = set(pairs)
     for f, g in pairs:
-        for h in work.outgoing[work.cod(f)]:
-            hf, hg = work.table[h][f], work.table[h][g]
-            if hf != hg:
-                out.add((min(hf, hg), max(hf, hg)))
-    return Precongruence(work, out)
+        cod = morphisms[f].cod
+        if cod not in gathers:
+            gathers[cod] = _gather(work.outgoing[cod])
+        gather = gathers[cod]
+        out.update((hf, hg) if hf < hg else (hg, hf)
+                   for hf, hg in zip(gather(transposed[f]), gather(transposed[g]))
+                   if hf != hg)
+    return Precongruence.canonical(work, out)
 
 
 def r_left_comp(cat: FinCat, weqs) -> Precongruence:
@@ -95,7 +113,7 @@ def r_left_comp(cat: FinCat, weqs) -> Precongruence:
 
 def r_right_comp(cat: FinCat, weqs) -> Precongruence:
     """Dual closure: pre-compose the right relation with every mediator."""
-    return Precongruence(cat, Analysis(cat, weqs).closed("right")[1].pairs)
+    return Precongruence.canonical(cat, Analysis(cat, weqs).closed("right")[1].pairs)
 
 
 def homotopy_congruence(cat: FinCat, weqs) -> Congruence:
@@ -136,16 +154,18 @@ class HomotopyWitness:
     mediator: int
 
 
-def _left_weq_forks(cat: FinCat, members: frozenset[int], va: int, vb: int):
+def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], va: int, vb: int):
     """Yield every left fork of weak equivalences at vertex ``va``, in
-    enumeration order, with the ordered pairs of hom(va, vb) arrows it
-    mediates."""
+    enumeration order, with the set of ordered pairs of hom(va, vb)
+    arrows it mediates.  ``transposed[f][h]`` is h∘f; a leg's
+    composites are gathered the first time a fork uses the leg."""
     table = cat.table
     for apex in range(len(cat.objects)):
         legs_pool = cat.hom(va, apex)
         if not legs_pool:
             continue
-        image = {leg: [table[h][leg] for h in cat.hom(apex, vb)] for leg in legs_pool}
+        gather = _gather(cat.hom(apex, vb))
+        image = {}
         collapses = [(sigma, table[sigma]) for sigma in cat.outgoing[apex] if sigma in members]
         for l0 in legs_pool:
             for l1 in legs_pool:
@@ -153,30 +173,81 @@ def _left_weq_forks(cat: FinCat, members: frozenset[int], va: int, vb: int):
                     base = row[l0]
                     if base != row[l1] or base not in members:
                         continue
+                    for leg in (l0, l1):
+                        if leg not in image:
+                            image[leg] = gather(transposed[leg])
                     fork = Fork("left", va, apex, (l0, l1), sigma, base)
                     yield fork, frozenset(zip(image[l0], image[l1]))
                     break  # further collapses mediate the same pairs
 
 
-def _fork_index(cat: FinCat, members: frozenset[int], va: int, vb: int):
-    """The left weq forks at ``va``, one record per mediated set.
+class _ForkIndex:
+    """The left weq forks at ``va`` towards ``vb``, one record per
+    mediated set, read from the enumeration only as far as the
+    questions asked of it need.
 
-    Returns (forks, masks).  The distinct sets of hom(va, vb) pairs
-    that forks mediate are numbered in the order they first appear, and
-    ``forks[i]`` is the earliest fork mediating set i; ``masks`` maps
-    each ordered pair (f, g) to the bitmask of the sets containing it.
-    A later fork of a set mediates only what its earliest one does, so
+    The distinct sets of hom(va, vb) pairs that forks mediate are
+    numbered in the order they first appear, and ``records[i]`` is the
+    earliest fork mediating set i; ``masks`` maps each ordered pair
+    (f, g) to the bitmask of the sets read so far that contain it.  A
+    later fork of a set mediates only what its earliest one does, so
     the lowest bit of a pair's mask names the earliest fork mediating
-    it.  Pairs no fork mediates are absent.
+    it; reading on only adds higher bits, so that holds as soon as the
+    mask is nonzero.  A question reads to the end only when its answer
+    is no.
+
+    A set is recognized again by its hash, its size and the masks of
+    its pairs (a set of that size whose every pair has bit i is set i),
+    so the mediated sets themselves are not kept.
     """
-    first: dict[frozenset, Fork] = {}
-    masks: dict[tuple[int, int], int] = {}
-    for fork, supported in _left_weq_forks(cat, members, va, vb):
-        if first.setdefault(supported, fork) is fork:
-            bit = 1 << (len(first) - 1)
-            for pair in supported:
-                masks[pair] = masks.get(pair, 0) | bit
-    return list(first.values()), masks
+
+    def __init__(self, cat: FinCat, transposed, members: frozenset[int], va: int, vb: int):
+        self._unread = _left_weq_forks(cat, transposed, members, va, vb)
+        self.records: list[Fork] = []
+        self.masks: dict[tuple[int, int], int] = {}
+        self._sizes: list[int] = []
+        # the latest record of each hash, and the one before it that
+        # has the same hash
+        self._by_hash: dict[int, int] = {}
+        self._same_hash: dict[int, int] = {}
+
+    def _read(self) -> bool:
+        """Read the next fork in; False once every fork is read."""
+        item = next(self._unread, None)
+        if item is None:
+            return False
+        fork, mediated = item
+        masks, size, key = self.masks, len(mediated), hash(mediated)
+        i = self._by_hash.get(key)
+        while i is not None:
+            bit = 1 << i
+            if self._sizes[i] == size and all(masks.get(p, 0) & bit for p in mediated):
+                return True
+            i = self._same_hash.get(i)
+        i = len(self.records)
+        if key in self._by_hash:
+            self._same_hash[i] = self._by_hash[key]
+        self._by_hash[key] = i
+        self.records.append(fork)
+        self._sizes.append(size)
+        bit = 1 << i
+        for p in mediated:
+            masks[p] = masks.get(p, 0) | bit
+        return True
+
+    def either(self, f: int, g: int) -> tuple[int, int]:
+        """The masks of (f, g) and (g, f), read until one is nonzero."""
+        masks = self.masks
+        while not (masks.get((f, g), 0) or masks.get((g, f), 0)) and self._read():
+            pass
+        return masks.get((f, g), 0), masks.get((g, f), 0)
+
+    def share(self, p, q) -> tuple[int, int]:
+        """The masks of pairs p and q, read until they meet."""
+        masks = self.masks
+        while not masks.get(p, 0) & masks.get(q, 0) and self._read():
+            pass
+        return masks.get(p, 0), masks.get(q, 0)
 
 
 def _mediator_for(cat: FinCat, fork: Fork, f: int, g: int, vb: int):
@@ -210,7 +281,8 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     full ordered statement.
 
     Both fork checks of a side read one fork index per hom pair, kept
-    by the session, with one record per set of pairs that forks mediate.
+    by the session, with one record per set of pairs that forks mediate;
+    the index reads forks only until each pair's first one is found.
     A pair's witness uses the earliest fork mediating (f, g) or (g, f),
     the unswapped pair on a tie, with its lowest-index mediator.
     """
@@ -221,13 +293,13 @@ def _fork_condition(work: FinCat, rel: Precongruence, index, side: str) -> ForkC
     witnesses = {}
     for f, g in sorted(rel.distinct_pairs):
         vb = work.cod(f)
-        forks, masks = index(work.dom(f), vb)
-        straight = masks.get((f, g), 0)
-        either = straight | masks.get((g, f), 0)
+        forks = index(work.dom(f), vb)
+        straight, swapped = forks.either(f, g)
+        either = straight | swapped
         if not either:
             return ForkConditionResult(side, False, (f, g), witnesses)
         low = either & -either
-        fork = forks[low.bit_length() - 1]
+        fork = forks.records[low.bit_length() - 1]
         legs = fork.legs if straight & low else fork.legs[::-1]
         fork = Fork(side, fork.vertex, fork.apex, legs, fork.collapse, fork.base)
         witnesses[(f, g)] = HomotopyWitness(side, f, g, fork, _mediator_for(work, fork, f, g, vb))
@@ -243,7 +315,8 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
 
     The session's fork index of each hom pair keeps one record per
     mediated set, and two pairs share a fork iff some mediated set
-    holds both: iff their bitmasks of sets meet.
+    holds both: iff their bitmasks of sets meet.  The index reads forks
+    only until they do, and to the end only for a counterexample.
     """
     return Analysis(cat, weqs).common_fork(side)
 
@@ -254,13 +327,16 @@ def _common_fork(work: FinCat, rel: Precongruence, index, side: str) -> CommonFo
         arrows = work.hom(va, vb)
         pairs = [(f, g) for f in arrows for g in arrows
                  if f == g or (min(f, g), max(f, g)) in rel.pairs]
-        _, mediated = index(va, vb)
-        masks = [mediated.get(p, 0) for p in pairs]
+        forks = index(va, vb)
+        # Masks copied here only gain bits as the index reads on, so a
+        # miss is asked of the index again before it counts.
+        masks = [forks.masks.get(p, 0) for p in pairs]
         for i, p1 in enumerate(pairs):
-            m1 = masks[i]
             for j in range(i, len(pairs)):
-                if not m1 & masks[j]:
-                    return CommonForkResult(side, False, (p1, pairs[j]))
+                if not masks[i] & masks[j]:
+                    masks[i], masks[j] = forks.share(p1, pairs[j])
+                    if not masks[i] & masks[j]:
+                        return CommonForkResult(side, False, (p1, pairs[j]))
     return CommonForkResult(side, True, None)
 
 
@@ -398,7 +474,10 @@ class Analysis:
     that build on one another share one family check, one opposite
     category, one homotopy congruence (which keeps its quotient), one
     set of invertible arrows, one fork check per side and one fork index
-    per side and hom pair, read by both fork checks.  A stage
+    per side and hom pair, read by both fork checks only as far as their
+    answers need and let go once both are answered.  Leg composites come from the transposed table the
+    session holds anyway: the opposite's on the left, the category's on
+    the right.  A stage
     assigned before its first use (``session.family = ...``) is taken as
     given.  ``weqs`` may name arrows or index them; identities are
     implicit, as in documents.
@@ -408,8 +487,9 @@ class Analysis:
         self.cat = cat
         self.weqs = tuple(weqs)
         self.members = resolve_weqs(cat, self.weqs)
-        # per-side stages by (function, side); fork indices by
-        # (_fork_index, side, va, vb)
+        # per-side stages by (function, side); a side's fork indices by
+        # (va, vb) under (_ForkIndex, side), until both fork checks of
+        # the side are answered
         self._sides: dict = {}
 
     @cached_property
@@ -436,7 +516,7 @@ class Analysis:
 
     @cached_property
     def right(self) -> Precongruence:
-        return Precongruence(self.cat, r_left(self.op, self.members).pairs)
+        return Precongruence.canonical(self.cat, r_left(self.op, self.members).pairs)
 
     @cached_property
     def congruence(self) -> Congruence:
@@ -447,18 +527,23 @@ class Analysis:
         """The arrows invertible in the homotopy quotient."""
         return sigma_of(self.cat, self.congruence)
 
-    def closed(self, side: str) -> tuple[FinCat, Precongruence]:
+    def _work(self, side: str) -> tuple[FinCat, list]:
         """The category a side's forks live in (``cat`` on the left, its
-        opposite on the right) and the closed one-sided relation there."""
+        opposite on the right) and its transposed table (the other's)."""
         if side == "left":
-            work, base = self.cat, self.left
-        elif side == "right":
-            work, base = self.op, self.right
-        else:
-            raise ValidationError(f"side must be left or right, not {side!r}")
+            return self.cat, self.op.table
+        if side == "right":
+            return self.op, self.cat.table
+        raise ValidationError(f"side must be left or right, not {side!r}")
+
+    def closed(self, side: str) -> tuple[FinCat, Precongruence]:
+        """The category a side's forks live in and the closed one-sided
+        relation there."""
+        work, transposed = self._work(side)
         key = (_left_closure, side)
         if key not in self._sides:
-            self._sides[key] = _left_closure(work, base.pairs)
+            base = self.left if side == "left" else self.right
+            self._sides[key] = _left_closure(work, transposed, base.pairs)
         return work, self._sides[key]
 
     def fork_condition(self, side: str = "left") -> ForkConditionResult:
@@ -473,13 +558,16 @@ class Analysis:
     def _per_side(self, check, side: str):
         if (check, side) not in self._sides:
             work, rel = self.closed(side)
+            transposed = self._work(side)[1]
+            indices = self._sides.setdefault((_ForkIndex, side), {})
 
-            def index(va: int, vb: int):
-                key = (_fork_index, side, va, vb)
-                if key not in self._sides:
-                    self._sides[key] = _fork_index(work, self.members, va, vb)
-                return self._sides[key]
+            def index(va: int, vb: int) -> _ForkIndex:
+                if (va, vb) not in indices:
+                    indices[va, vb] = _ForkIndex(work, transposed, self.members, va, vb)
+                return indices[va, vb]
             self._sides[check, side] = check(work, rel, index, side)
+            if (_fork_condition, side) in self._sides and (_common_fork, side) in self._sides:
+                indices.clear()  # both answers are kept; nothing reads the side's forks again
         return self._sides[check, side]
 
     @cached_property

@@ -10,6 +10,8 @@ import time
 
 import pytest
 
+from gencat import all_functions_instance
+
 from hocat import cli, congruence, homotopy
 from hocat.fixtures import NAMES, path
 
@@ -264,14 +266,35 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
     counted(homotopy, "_fork_condition", lambda work, rel, index, side: work,
             lambda work, rel, index, side: side)
-    counted(homotopy, "_fork_index", lambda work, members, va, vb: work,
-            lambda work, members, va, vb: (va, vb))
+    counted(homotopy, "_ForkIndex", lambda work, transposed, members, va, vb: work,
+            lambda work, transposed, members, va, vb: (va, vb))
     for name in NAMES:
         calls.clear()
         cli.run_analysis(fx(name))
         assert calls and max(calls.values()) == 1, (name, calls)
         assert sum(k[0] == "_fork_condition" for k in calls) == 2, name
-        assert any(k[0] == "_fork_index" for k in calls), name
+        assert any(k[0] == "_ForkIndex" for k in calls), name
+
+
+def test_analyze_reads_only_the_forks_it_needs(monkeypatch, tmp_path):
+    """On all functions between sets of sizes 1, 2 and 3 with W every
+    arrow, one analyze reads fewer weq forks than there are at the hom
+    pairs it indexes: each fork question stops at its answer."""
+    real = homotopy._left_weq_forks
+    asked, read = [], collections.Counter()
+
+    def counting(*args):
+        asked.append(args)
+        for item in real(*args):
+            read["forks"] += 1
+            yield item
+
+    monkeypatch.setattr(homotopy, "_left_weq_forks", counting)
+    file = tmp_path / "fun123.json"
+    file.write_text(json.dumps(all_functions_instance((1, 2, 3), "all")[2]))
+    assert cli.main(["analyze", str(file), "--format", "json"]) == 0
+    full = sum(sum(1 for _ in real(*args)) for args in asked)
+    assert 0 < read["forks"] < full, (read["forks"], full)
 
 
 def test_single_stage_matches_full_report(tmp_path):
@@ -296,7 +319,8 @@ def test_quotient_skips_fork_work(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("fork work for an unselected stage")
 
-    for name in ("_fork_condition", "_common_fork", "_fork_index", "intransitive_triple"):
+    for name in ("_fork_condition", "_common_fork", "_ForkIndex", "_left_weq_forks",
+                 "_left_closure", "intransitive_triple"):
         monkeypatch.setattr(homotopy, name, refuse)
     monkeypatch.setattr(homotopy.Analysis, "saturation", property(refuse))
     assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0

@@ -21,6 +21,7 @@ from hocat import (
     r_right_comp,
     validate_category,
 )
+from hocat import homotopy
 from hocat.errors import ValidationError
 from hocat.fixtures import category
 
@@ -132,6 +133,21 @@ def test_rc_transitive_matches_brute_force(mixed_corpus, split_corpus):
             assert session.rc_transitive(side) == (triple is None, triple)
             failures += triple is not None
     assert failures >= 1
+
+
+def test_fork_index_tells_colliding_sets_apart(monkeypatch, mixed_corpus, split_corpus):
+    """The fork index recognizes a mediated set again by its size and
+    its pairs' masks, not by its hash alone: with every set hashing
+    alike, both fork checks give the same answers and witnesses."""
+    instances = mixed_corpus[:60] + split_corpus[:60]
+    want = [(s.fork_condition(side), s.common_fork(side))
+            for s in (Analysis(cat, members) for cat, members, _doc in instances)
+            for side in ("left", "right")]
+    monkeypatch.setattr(homotopy, "hash", lambda obj: 0, raising=False)
+    got = [(s.fork_condition(side), s.common_fork(side))
+           for s in (Analysis(cat, members) for cat, members, _doc in instances)
+           for side in ("left", "right")]
+    assert got == want
 
 
 def test_whitehead_certified_on_retract():
