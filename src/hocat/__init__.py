@@ -8,17 +8,15 @@ zigzag the bounded rewriting oracle, deformation the pointwise chains,
 and cli the file-driven pipeline.
 """
 
-from .congruence import (Congruence, Precongruence, QuotientResult, close_composition,
-                         is_congruence, kernel_congruence, least_congruence, quotient,
-                         sigma_of)
+from .congruence import (Congruence, Precongruence, QuotientResult, is_congruence,
+                         kernel_congruence, least_congruence, quotient, sigma_of)
 from .deformation import (ConjugationReport, Deformation, DeformationChain, HoCr,
                           InversionReport, build_ho_cr, check_conjugation,
                           check_inverts_w, compose_chain, map_zigzag,
                           validate_deformation)
 from .errors import FormatError, HocatError, MoveError, ValidationError
-from .fincat import (CatFunctor, FinCat, Mor, RawCategory, Subcategory,
-                     find_isomorphism, load_file, load_spec, opposite,
-                     resolve_weqs, subcategory, validate_category)
+from .fincat import (CatFunctor, FinCat, Mor, RawCategory, Subcategory, load_file,
+                     load_spec, opposite, resolve_weqs, subcategory, validate_category)
 from .homotopy import (Analysis, Fork, HomotopyWitness, LRComparison, SaturationReport,
                        WhiteheadCertificate, WhiteheadResult, certify_whitehead,
                        check_common_fork, check_fork_condition, check_lr_coincide,

@@ -24,7 +24,7 @@ from .fincat import CatFunctor, FinCat, Mor
 
 __all__ = [
     "Precongruence", "Congruence", "QuotientResult",
-    "close_composition", "least_congruence", "quotient",
+    "least_congruence", "quotient",
     "kernel_congruence", "sigma_of", "is_congruence",
 ]
 
@@ -180,24 +180,13 @@ class Congruence:
         return f"Congruence({len(self.classes)} classes, {big} nontrivial)"
 
 
-def close_composition(rel: Precongruence) -> Precongruence:
-    """Close a relation under two-sided composition.
-
-    Every pair (f, g) spawns (v∘f∘u, v∘g∘u) for all composable u, v.
-    The output contains the input and the operation is idempotent.
-    Degenerate spawned pairs are dropped; degenerate input pairs stay.
-    """
-    base = rel.base
-    out = set(rel.pairs)
-    for f, g in rel.pairs:
-        d, c = base.dom(f), base.cod(f)
-        for u in base.incoming[d]:
-            fu, gu = base.table[f][u], base.table[g][u]
-            for v in base.outgoing[c]:
-                vfu, vgu = base.table[v][fu], base.table[v][gu]
-                if vfu != vgu:
-                    out.add((min(vfu, vgu), max(vfu, vgu)))
-    return Precongruence(base, out)
+def find_root(parent, x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent`` (a list or
+    dict from each element to its parent), halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
 
 def least_congruence(rel: Precongruence) -> Congruence:
@@ -210,17 +199,10 @@ def least_congruence(rel: Precongruence) -> Congruence:
     base = rel.base
     n = len(base.morphisms)
     parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     work = list(rel.pairs)
     while work:
         f, g = work.pop()
-        rf, rg = find(f), find(g)
+        rf, rg = find_root(parent, f), find_root(parent, g)
         if rf == rg:
             continue
         if rf > rg:
@@ -234,7 +216,7 @@ def least_congruence(rel: Precongruence) -> Congruence:
 
     groups: dict[int, list[int]] = {}
     for m in range(n):
-        groups.setdefault(find(m), []).append(m)
+        groups.setdefault(find_root(parent, m), []).append(m)
     return Congruence(base, groups.values())
 
 
@@ -254,8 +236,9 @@ class QuotientResult:
         table = [[-1] * k for _ in range(k)]
         for gi, gcls in enumerate(classes):
             for fi, fcls in enumerate(classes):
-                if base.composable(gcls[0], fcls[0]):
-                    table[gi][fi] = congruence.class_of[base.table[gcls[0]][fcls[0]]]
+                c = base.table[gcls[0]][fcls[0]]
+                if c >= 0:
+                    table[gi][fi] = congruence.class_of[c]
         self.quotient = FinCat(base.objects, morphisms, identity, table)
         self.projection = CatFunctor(
             base, self.quotient,
@@ -353,22 +336,14 @@ def intransitive_triple(pairs) -> tuple[int, int, int] | None:
     scanned for the triple.  Pairs are counted once each, as (f, g)
     with f < g.
     """
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent = {x: x for pair in pairs for x in pair}
     for f, g in pairs:
-        rf, rg = find(f), find(g)
+        rf, rg = find_root(parent, f), find_root(parent, g)
         if rf != rg:
             parent[rg] = rf
     size: dict[int, int] = {}
     for x in parent:
-        root = find(x)
+        root = find_root(parent, x)
         size[root] = size.get(root, 0) + 1
     if sum(f < g for f, g in pairs) == sum(k * (k - 1) // 2 for k in size.values()):
         return None

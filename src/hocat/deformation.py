@@ -59,9 +59,9 @@ def _functor_laws(cat: FinCat, ambient: Subcategory, on_mor: dict) -> bool:
     mors = ambient.morphisms
     for g in mors:
         for f in mors:
-            if cat.composable(g, f):
-                if on_mor[cat.table[g][f]] != cat.table[on_mor[g]][on_mor[f]]:
-                    return False
+            c = cat.table[g][f]
+            if c >= 0 and on_mor[c] != cat.table[on_mor[g]][on_mor[f]]:
+                return False
     return True
 
 

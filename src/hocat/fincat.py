@@ -18,7 +18,6 @@ freely between threads or cached without copying.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from operator import itemgetter
@@ -115,22 +114,24 @@ class FinCat:
     def is_identity(self, f) -> bool:
         return self.mor(f) in self.identity_set
 
-    def composable(self, g, f) -> bool:
-        return self.cod(f) == self.dom(g)
-
     def hom(self, a, b) -> tuple[int, ...]:
         """Arrows from a to b, ascending by index."""
         return self._hom.get((self.obj(a), self.obj(b)), ())
 
+    def one_sided_inverses(self, f) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The arrows g: cod f -> dom f with g∘f = id (left inverses)
+        and those with f∘g = id (right inverses), each ascending."""
+        f = self.mor(f)
+        m, table = self.morphisms[f], self.table
+        pool = self._hom.get((m.cod, m.dom), ())
+        idx, idy = self.identity[m.dom], self.identity[m.cod]
+        return (tuple(g for g in pool if table[g][f] == idx),
+                tuple(g for g in pool if table[f][g] == idy))
+
     def inverse(self, f) -> int | None:
         """The lowest-index two-sided inverse of ``f``, or None."""
-        f = self.mor(f)
-        x, y = self.morphisms[f].dom, self.morphisms[f].cod
-        idx, idy = self.identity[x], self.identity[y]
-        for g in self._hom.get((y, x), ()):
-            if self.table[g][f] == idx and self.table[f][g] == idy:
-                return g
-        return None
+        left, right = self.one_sided_inverses(f)
+        return next((g for g in left if g in right), None)
 
     def hom_pairs(self) -> tuple[tuple[int, int], ...]:
         """Ordered object pairs with at least one arrow."""
@@ -419,18 +420,15 @@ def resolve_weqs(cat: FinCat, names: Iterable) -> frozenset[int]:
     return frozenset(members)
 
 
-def opposite(cat: FinCat, weqs: Iterable[int] = ()) -> tuple[FinCat, frozenset[int]]:
+def opposite(cat: FinCat) -> FinCat:
     """The opposite category, arrows keeping their indices and names.
 
     The table transposes: a pair composable one way round becomes
-    composable the other way round.  The weak equivalence family carries
-    over unchanged.  Applying this twice gives back an equal category.
+    composable the other way round.  Applying this twice gives back an
+    equal category.
     """
     morphisms = tuple(Mor(m.name, m.cod, m.dom) for m in cat.morphisms)
-    n = len(morphisms)
-    table = [[cat.table[f][g] for f in range(n)] for g in range(n)]
-    op = FinCat(cat.objects, morphisms, cat.identity, table)
-    return op, frozenset(cat.mor(w) for w in weqs)
+    return FinCat(cat.objects, morphisms, cat.identity, zip(*cat.table))
 
 
 class CatFunctor:
@@ -504,148 +502,26 @@ def subcategory(cat: FinCat, objects: Iterable, morphisms: Iterable | None = Non
         chosen = {cat.mor(m) for m in morphisms}
         chosen.update(cat.identity[x] for x in objs)
         mors = sorted(chosen)
-    obj_set, mor_set = set(objs), set(mors)
+    obj_set = set(objs)
     for m in mors:
         if cat.dom(m) not in obj_set or cat.cod(m) not in obj_set:
             raise ValidationError(
                 f"subcategory: {cat.mor_name(m)!r} has an endpoint outside the chosen objects")
-    for g in mors:
-        for f in mors:
-            if cat.composable(g, f) and cat.table[g][f] not in mor_set:
-                raise ValidationError(
-                    "subcategory not closed under composition: "
-                    f"{cat.mor_name(g)!r} after {cat.mor_name(f)!r}")
     sub_obj = {x: i for i, x in enumerate(objs)}
     sub_mor = {m: i for i, m in enumerate(mors)}
     rmorphisms = tuple(Mor(cat.mor_name(m), sub_obj[cat.dom(m)], sub_obj[cat.cod(m)]) for m in mors)
     identity = tuple(sub_mor[cat.identity[x]] for x in objs)
     table = [[-1] * len(mors) for _ in mors]
     for gi, g in enumerate(mors):
+        row = cat.table[g]
         for fi, f in enumerate(mors):
-            if cat.composable(g, f):
-                table[gi][fi] = sub_mor[cat.table[g][f]]
+            if row[f] < 0:
+                continue
+            if row[f] not in sub_mor:
+                raise ValidationError(
+                    "subcategory not closed under composition: "
+                    f"{cat.mor_name(g)!r} after {cat.mor_name(f)!r}")
+            table[gi][fi] = sub_mor[row[f]]
     sub = FinCat(tuple(cat.obj_name(x) for x in objs), rmorphisms, identity, table)
     return Subcategory(cat, tuple(objs), tuple(mors), sub)
 
-
-def find_isomorphism(a: FinCat, b: FinCat):
-    """Search for an isomorphism of categories a -> b.
-
-    Returns (object map, morphism map) as index tuples, or None.  Pure
-    backtracking over object bijections and hom-set bijections; fine at
-    the sizes this package targets (tens of arrows).
-    """
-    if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
-        return None
-
-    def profile(cat, x):
-        nobj = len(cat.objects)
-        return (len(cat.hom(x, x)),
-                tuple(sorted(len(cat.hom(x, y)) for y in range(nobj))),
-                tuple(sorted(len(cat.hom(y, x)) for y in range(nobj))))
-
-    prof_a = [profile(a, x) for x in range(len(a.objects))]
-    prof_b = [profile(b, x) for x in range(len(b.objects))]
-
-    for perm in itertools.permutations(range(len(b.objects))):
-        if any(prof_a[x] != prof_b[perm[x]] for x in range(len(a.objects))):
-            continue
-        if any(len(a.hom(x, y)) != len(b.hom(perm[x], perm[y]))
-               for x in range(len(a.objects)) for y in range(len(a.objects))):
-            continue
-        mor_map = _match_morphisms(a, b, perm)
-        if mor_map is not None:
-            return tuple(perm), mor_map
-    return None
-
-
-def _color_sigs(cat: FinCat, colors):
-    out = []
-    for m in range(len(cat.morphisms)):
-        rights = sorted((colors[f], colors[cat.table[m][f]])
-                        for f in cat.incoming[cat.dom(m)])
-        lefts = sorted((colors[g], colors[cat.table[g][m]])
-                       for g in cat.outgoing[cat.cod(m)])
-        out.append((colors[m], tuple(rights), tuple(lefts)))
-    return out
-
-
-def _joint_colors(a: FinCat, b: FinCat, perm):
-    """Composition-profile colors numbered consistently across a and b.
-
-    Starts from (object pair, identity flag) and refines each color by
-    the multiset of composites it enters, until stable.  An isomorphism
-    over ``perm`` must preserve these colors, which cuts the matching
-    search to within color classes.
-    """
-    inv = [0] * len(b.objects)
-    for x, px in enumerate(perm):
-        inv[px] = x
-    nm = len(a.morphisms)
-
-    def renumber(sa, sb):
-        seen: dict = {}
-        out = []
-        for sig in (*sa, *sb):
-            if sig not in seen:
-                seen[sig] = len(seen)
-            out.append(seen[sig])
-        return out[:nm], out[nm:], len(seen)
-
-    ca, cb, width = renumber(
-        [(a.dom(m), a.cod(m), m in a.identity_set) for m in range(nm)],
-        [(inv[b.dom(m)], inv[b.cod(m)], m in b.identity_set) for m in range(nm)])
-    while True:
-        ca, cb, w2 = renumber(_color_sigs(a, ca), _color_sigs(b, cb))
-        if w2 == width:
-            return ca, cb
-        width = w2
-
-
-def _match_morphisms(a: FinCat, b: FinCat, perm):
-    nm = len(a.morphisms)
-    ca, cb = _joint_colors(a, b, perm)
-    if sorted(ca) != sorted(cb):
-        return None
-    pool: dict = {}
-    for n in range(nm):
-        pool.setdefault(cb[n], []).append(n)
-    # rarest colors first keeps the branching shallow
-    order = sorted(range(nm), key=lambda m: (len(pool[ca[m]]), ca[m], m))
-    mapping = [-1] * nm
-    used = [False] * nm
-
-    def consistent(m):
-        for f in a.incoming[a.dom(m)]:
-            if mapping[f] < 0:
-                continue
-            c = a.table[m][f]
-            if mapping[c] >= 0 and mapping[c] != b.table[mapping[m]][mapping[f]]:
-                return False
-        for g in a.outgoing[a.cod(m)]:
-            if mapping[g] < 0:
-                continue
-            c = a.table[g][m]
-            if mapping[c] >= 0 and mapping[c] != b.table[mapping[g]][mapping[m]]:
-                return False
-        return True
-
-    def place(k):
-        if k == nm:
-            return all(mapping[a.table[g][f]] == b.table[mapping[g]][mapping[f]]
-                       for g, f in a.composable_pairs())
-        m = order[k]
-        for n in pool[ca[m]]:
-            if used[n]:
-                continue
-            mapping[m] = n
-            used[n] = True
-            if consistent(m) and place(k + 1):
-                return True
-            mapping[m] = -1
-            used[n] = False
-        return False
-
-    if place(0):
-        return tuple(mapping)
-    return None

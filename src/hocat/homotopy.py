@@ -205,11 +205,8 @@ class _ForkIndex:
         self._unread = _left_weq_forks(cat, transposed, members, va, vb)
         self.records: list[Fork] = []
         self.masks: dict[tuple[int, int], int] = {}
-        self._sizes: list[int] = []
-        # the latest record of each hash, and the one before it that
-        # has the same hash
-        self._by_hash: dict[int, int] = {}
-        self._same_hash: dict[int, int] = {}
+        # the records of the sets with each (hash, size)
+        self._by_key: dict[tuple[int, int], list[int]] = {}
 
     def _read(self) -> bool:
         """Read the next fork in; False once every fork is read."""
@@ -217,19 +214,15 @@ class _ForkIndex:
         if item is None:
             return False
         fork, mediated = item
-        masks, size, key = self.masks, len(mediated), hash(mediated)
-        i = self._by_hash.get(key)
-        while i is not None:
+        masks = self.masks
+        same = self._by_key.setdefault((hash(mediated), len(mediated)), [])
+        for i in same:
             bit = 1 << i
-            if self._sizes[i] == size and all(masks.get(p, 0) & bit for p in mediated):
+            if all(masks.get(p, 0) & bit for p in mediated):
                 return True
-            i = self._same_hash.get(i)
         i = len(self.records)
-        if key in self._by_hash:
-            self._same_hash[i] = self._by_hash[key]
-        self._by_hash[key] = i
+        same.append(i)
         self.records.append(fork)
-        self._sizes.append(size)
         bit = 1 << i
         for p in mediated:
             masks[p] = masks.get(p, 0) | bit
@@ -508,7 +501,7 @@ class Analysis:
 
     @cached_property
     def op(self) -> FinCat:
-        return opposite(self.cat)[0]
+        return opposite(self.cat)
 
     @cached_property
     def left(self) -> Precongruence:

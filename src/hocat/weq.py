@@ -107,12 +107,8 @@ def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
 
 def find_splits(cat: FinCat) -> frozenset[tuple[int, int]]:
     """All ordered pairs (s, r) with r∘s an identity."""
-    out = set()
-    for s in range(len(cat.morphisms)):
-        for r in cat.incoming[cat.dom(s)]:
-            if cat.composable(r, s) and cat.is_identity(cat.table[r][s]):
-                out.add((s, r))
-    return frozenset(out)
+    return frozenset((s, r) for s in range(len(cat.morphisms))
+                     for r in cat.one_sided_inverses(s)[0])
 
 
 @dataclass(frozen=True)
@@ -184,9 +180,7 @@ def check_split_generated(family: WeqFamily) -> SplitGenResult:
         nxt = []
         for x in frontier:
             for s in split_members:
-                if not cat.composable(s, x):
-                    continue
-                c = cat.table[s][x]
+                c = cat.table[s][x]  # -1 when not composable: never a member
                 if c in members and c not in decomp:
                     decomp[c] = decomp[x] + (s,)
                     nxt.append(c)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .congruence import quotient
+from .congruence import find_root, quotient
 from .errors import FormatError, MoveError, ValidationError
 from .fincat import FinCat, known_name, resolve_weqs
 
@@ -327,11 +327,7 @@ class _Engine:
     # one-sided inverses of w: (left: b∘w = id_dom, right: w∘b = id_cod)
     @_memo
     def inv(self, w: int):
-        idd = self.cat.identity[self.dom[w]]
-        idc = self.cat.identity[self.cod[w]]
-        pool = self.cat.hom(self.cod[w], self.dom[w])
-        return (tuple(b for b in pool if self.table[b][w] == idd),
-                tuple(b for b in pool if self.table[w][b] == idc))
+        return self.cat.one_sided_inverses(w)
 
     # members w one-sided-inverting a forward step b: (b∘w = id, w∘b = id)
     @_memo
@@ -554,18 +550,6 @@ class Explorer:
         eng = self.engine
         nm = len(self.cat.morphisms)
         parent = list(range(nm))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x, y):
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[max(rx, ry)] = min(rx, ry)
-
         # Seed words stay unreduced so interior rewrites can still split
         # an identity arrow across a section/retraction bracketing.
         visited: dict = {}
@@ -579,10 +563,11 @@ class Explorer:
                 if seen is None:
                     visited[nstate] = f
                 else:
-                    union(f, seen)
+                    rf, rs = find_root(parent, f), find_root(parent, seen)
+                    parent[max(rf, rs)] = min(rf, rs)
         out = set()
         for f, g in self.cat.parallel_pairs():
-            if find(f) == find(g):
+            if find_root(parent, f) == find_root(parent, g):
                 out.add((f, g))
         return frozenset(out)
 

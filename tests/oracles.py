@@ -191,6 +191,35 @@ def brute_sigma(cat, class_of):
     return frozenset(out)
 
 
+def brute_isomorphism(a, b):
+    """An isomorphism of categories a -> b as (object map, morphism map)
+    of index tuples, or None.
+
+    Tries every object bijection, then every choice of one bijection
+    per hom-set, and checks identities and every composable pair.
+    Exponential; callers keep to a handful of arrows.
+    """
+    nobj = len(a.objects)
+    if nobj != len(b.objects) or len(a.morphisms) != len(b.morphisms):
+        return None
+    homs = [(x, y) for x in range(nobj) for y in range(nobj)]
+    for obj in itertools.permutations(range(nobj)):
+        sources = [a.hom(x, y) for x, y in homs]
+        targets = [b.hom(obj[x], obj[y]) for x, y in homs]
+        if any(len(s) != len(t) for s, t in zip(sources, targets)):
+            continue
+        for images in itertools.product(*map(itertools.permutations, targets)):
+            mor = [0] * len(a.morphisms)
+            for src, img in zip(sources, images):
+                for f, g in zip(src, img):
+                    mor[f] = g
+            if all(mor[a.identity[x]] == b.identity[obj[x]] for x in range(nobj)) \
+                    and all(mor[a.table[g][f]] == b.table[mor[g]][mor[f]]
+                            for g, f in a.composable_pairs()):
+                return obj, tuple(mor)
+    return None
+
+
 def _candidate_moves(cat, members, z):
     """Every raw move candidate at ``z``; legality left to apply_move."""
     n = len(z.steps)

@@ -3,6 +3,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import pkgutil
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import pytest
 
 from gencat import all_functions_instance
 
+import hocat
 from hocat import cli, congruence, homotopy
 from hocat.fixtures import NAMES, path
 
@@ -371,3 +373,15 @@ def test_benchmark_traced_functions_exist():
         module = importlib.import_module(modname)
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+
+
+def test_every_exported_name_resolves():
+    """Each hocat module's ``__all__`` names only what the module defines,
+    so ``from hocat.<module> import *`` cannot break on a stale entry, and
+    ``from hocat import *`` works."""
+    for info in pkgutil.walk_packages(hocat.__path__, "hocat."):
+        module = importlib.import_module(info.name)
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{info.name}.{name}"
+        exec(f"from {info.name} import *", {})
+    exec("from hocat import *", {})
