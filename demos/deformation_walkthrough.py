@@ -16,8 +16,8 @@ Run:  python3 demos/deformation_walkthrough.py
 """
 
 from hocat import (
+    Analysis,
     build_ho_cr,
-    certify_whitehead,
     check_conjugation,
     check_inverts_w,
     compose_chain,
@@ -37,13 +37,13 @@ def chain_for(name):
 def target_certificate(cat, members, chain):
     sub = chain.target
     sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    return certify_whitehead(sub.cat, sub_members).certificate
+    return Analysis(sub.cat, sub_members).whitehead.certificate
 
 
 def main():
     print("== a weak equivalence with no way back ==")
     cat, members, chain = chain_for("f_def")
-    print("ambient whitehead verdict:", certify_whitehead(cat, members).status)
+    print("ambient whitehead verdict:", Analysis(cat, members).whitehead.status)
     print("deformation is functorial:", chain.functorial)
 
     hocr = build_ho_cr(cat, members, chain,
@@ -62,7 +62,7 @@ def main():
 
     print("\n== both models certified, compared directly ==")
     cat2, members2, chain2 = chain_for("f_retr_def")
-    ambient = certify_whitehead(cat2, members2)
+    ambient = Analysis(cat2, members2).whitehead
     print("ambient whitehead verdict:", ambient.status)
     hocr2 = build_ho_cr(cat2, members2, chain2,
                         cert0=target_certificate(cat2, members2, chain2))

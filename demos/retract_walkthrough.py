@@ -8,15 +8,7 @@ is all the localization needs.
 Run:  python3 demos/retract_walkthrough.py
 """
 
-from hocat import (
-    Explorer,
-    certify_whitehead,
-    check_split_generated,
-    check_weq_axioms,
-    homotopy_congruence,
-    make_zigzag,
-    quotient,
-)
+from hocat import Analysis, bounded_equiv, make_zigzag
 from hocat.fixtures import category
 from hocat.zigzag import trace_to_json
 
@@ -31,28 +23,30 @@ def main():
         print(f"  {names(m)}: {cat.obj_name(cat.dom(m))} -> {cat.obj_name(cat.cod(m))}")
     print("weak equivalences:", ", ".join(sorted(names(m) for m in members)))
 
-    fam = check_weq_axioms(cat, members)
+    # One session computes each stage below once and shares it.
+    session = Analysis(cat, members)
+    fam = session.family
     print("\n== family axioms ==")
     print("identities present:", fam.report.identities_ok)
     print("two out of three:", fam.report.two_of_three_ok)
 
-    split = check_split_generated(fam)
+    split = session.splitgen
     print("\n== split generation ==")
     for w, inv, kind in split.certificate.split_weqs:
         print(f"  {names(w)} is a {kind} with one-sided inverse {names(inv)}")
     deco = split.certificate.decompositions[cat.mor("e")]
     print("  e factors through splits as:", " then ".join(names(m) for m in deco))
 
-    cong = homotopy_congruence(cat, members)
+    cong = session.congruence
     print("\n== homotopy classes ==")
     for cls in cong.classes:
         print("  {" + ", ".join(names(m) for m in cls) + "}")
     print("the only identification is e ~ id:b")
 
-    res = certify_whitehead(cat, members)
+    res = session.whitehead
     print("\n== localization ==")
     print("whitehead verdict:", res.status)
-    q = quotient(cat, res.congruence)
+    q = res.congruence.quotient
     print("quotient arrows:", ", ".join(
         q.quotient.mor_name(i) for i in range(len(q.quotient.morphisms))))
     for w in sorted(members):
@@ -61,7 +55,7 @@ def main():
     print("\n== the same fact by zigzag moves ==")
     z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
     z2 = make_zigzag(cat, members, "b", [("id:b", "fwd")])
-    out = Explorer(cat, members, budget=8).pair(z1, z2)
+    out = bounded_equiv(cat, members, z1, z2, budget=8)
     print("search verdict:", out.status)
     doc = trace_to_json(cat, out.trace)
     for mv in doc["moves"]:

@@ -10,8 +10,9 @@ nothing changes.
 
 Pairs are stored unordered as (min index, max index); symmetry is free.
 A precongruence keeps whatever pairs it was given, including degenerate
-(f, f) ones, because ``is_congruence`` judges the literal relation.  A
-congruence stores a partition instead, where reflexivity is implicit.
+(f, f) ones.  A congruence stores a partition instead, where reflexivity
+is implicit, and builds its quotient category once.  ``sigma_of`` reads
+that quotient for the arrows invertible up to the congruence.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .fincat import CatFunctor, FinCat, Mor
 __all__ = [
     "Precongruence", "Congruence", "QuotientResult",
     "least_congruence", "quotient",
-    "kernel_congruence", "sigma_of", "is_congruence",
+    "kernel_congruence", "sigma_of",
 ]
 
 
@@ -140,9 +141,6 @@ class Congruence:
     def related(self, f, g) -> bool:
         return self.class_of[self.base.mor(f)] == self.class_of[self.base.mor(g)]
 
-    def class_members(self, f) -> tuple[int, ...]:
-        return self.classes[self.class_of[self.base.mor(f)]]
-
     def nonsingleton_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cls for cls in self.classes if len(cls) > 1)
 
@@ -154,9 +152,6 @@ class Congruence:
                 for g in cls[i + 1:]:
                     out.add((f, g))
         return frozenset(out)
-
-    def contains(self, rel: Precongruence) -> bool:
-        return all(self.class_of[f] == self.class_of[g] for f, g in rel.pairs)
 
     @cached_property
     def quotient(self) -> "QuotientResult":
@@ -245,9 +240,6 @@ class QuotientResult:
             on_objects=tuple(range(obj_count)),
             on_morphisms=congruence.class_of)
 
-    def class_name(self, f) -> str:
-        return self.quotient.mor_name(self.congruence.class_of[self.congruence.base.mor(f)])
-
 
 def quotient(cat: FinCat, congruence: Congruence) -> QuotientResult:
     """Quotient ``cat`` by a certified congruence.
@@ -273,54 +265,18 @@ def kernel_congruence(functor: CatFunctor) -> Congruence:
     return Congruence(src, groups.values())
 
 
-def sigma_of(cat: FinCat, rel) -> frozenset[int]:
-    """Arrows invertible up to the congruence generated by ``rel``.
+def sigma_of(cat: FinCat, cong: Congruence) -> frozenset[int]:
+    """Arrows invertible up to the congruence ``cong``.
 
     f qualifies when its class has an inverse in the quotient, that is,
     when some g: Y -> X has g∘f related to id_X and f∘g related to id_Y.
-    ``rel`` may be a Precongruence (its least congruence is taken) or an
-    already certified Congruence.  Honest isomorphisms always qualify,
-    whatever the relation.
+    Honest isomorphisms always qualify, whatever the congruence.
     """
-    cong = rel if isinstance(rel, Congruence) else least_congruence(rel)
     if cong.base != cat:
-        raise ValidationError("relation was built over a different category")
+        raise ValidationError("congruence was built over a different category")
     qcat = cong.quotient.quotient
     invertible = [qcat.inverse(c) is not None for c in range(len(cong.classes))]
     return frozenset(f for f, c in enumerate(cong.class_of) if invertible[c])
-
-
-def is_congruence(rel: Precongruence):
-    """Judge the literal relation in ``rel``.
-
-    Returns (ok, witness).  The relation must be reflexive (degenerate
-    pairs count as part of the stored relation here), transitive, and
-    closed under composition on both sides; symmetry is free from the
-    unordered storage.  The witness names the first failure in index
-    order: ("reflexivity", f), ("transitivity", (f, g, h)), or
-    ("composition", (f, g, u, v)).
-    """
-    base = rel.base
-    pairs = rel.pairs
-    for f in range(len(base.morphisms)):
-        if (f, f) not in pairs:
-            return False, ("reflexivity", f)
-    # Every arrow is related to itself by now, so degenerate pairs
-    # cannot break transitivity.
-    triple = intransitive_triple(rel.distinct_pairs)
-    if triple is not None:
-        return False, ("transitivity", triple)
-    for f, g in sorted(pairs):
-        if f == g:
-            continue
-        d, c = base.dom(f), base.cod(f)
-        for u in base.incoming[d]:
-            fu, gu = base.table[f][u], base.table[g][u]
-            for v in base.outgoing[c]:
-                vfu, vgu = base.table[v][fu], base.table[v][gu]
-                if vfu != vgu and (min(vfu, vgu), max(vfu, vgu)) not in pairs:
-                    return False, ("composition", (f, g, u, v))
-    return True, None
 
 
 def intransitive_triple(pairs) -> tuple[int, int, int] | None:

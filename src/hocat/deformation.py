@@ -28,7 +28,7 @@ from .zigzag import BWD, FWD, Zigzag, bounded_equiv, make_zigzag
 __all__ = [
     "Deformation", "DeformationChain", "HoCr", "InversionReport",
     "ConjugationReport", "validate_deformation", "compose_chain",
-    "map_zigzag", "build_ho_cr", "check_inverts_w", "check_conjugation",
+    "build_ho_cr", "check_inverts_w", "check_conjugation",
 ]
 
 
@@ -230,20 +230,6 @@ def compose_chain(links) -> DeformationChain:
         functorial=_functor_laws(cat, links[0].ambient, on_mor))
 
 
-def map_zigzag(d, z: Zigzag) -> Zigzag:
-    """Push a zigzag through a deformation or chain, arrow by arrow."""
-    cat, on_mor = d.cat, d.on_morphisms
-    if z.source not in d.on_objects:
-        raise ValidationError("zigzag starts outside the deformation's stage")
-    steps = []
-    for m, dr in z.steps:
-        if m not in on_mor:
-            raise ValidationError(
-                f"zigzag step {cat.mor_name(m)!r} lies outside the deformation's stage")
-        steps.append((on_mor[m], dr))
-    return make_zigzag(cat, d.weqs, d.on_objects[z.source], steps)
-
-
 @dataclass(frozen=True, eq=False)
 class HoCr:
     """The deformed quotient: one arrow per homotopy class of target arrows.
@@ -251,21 +237,21 @@ class HoCr:
     Arrows X -> Y are the classes of target arrows rX -> rY; ``route``
     records whether the classes came from a certificate on the target
     ("target-classes") or on the ambient category ("ambient-classes").
-    ``class_members`` lists, per arrow, the parent-category arrows in
-    that class.  ``gamma`` is the induced functor f |-> [rf].
+    ``classes`` lists, per arrow, the parent-category arrows in that
+    class.  ``gamma`` is the induced functor f |-> [rf].
     """
 
     category: FinCat
     gamma: CatFunctor
     chain: DeformationChain
     route: str
-    class_members: tuple[tuple[int, ...], ...]
+    classes: tuple[tuple[int, ...], ...]
 
 
-def _route_classes(cat, chain, class_of, members_of, class_name):
+def _route_classes(cat, chain, class_of, members_of, label):
     """Assemble the quotient shape shared by both certificate routes.
 
-    class_of / members_of / class_name speak parent indices throughout.
+    class_of / members_of / label speak parent indices throughout.
     """
     from .fincat import Mor
 
@@ -292,7 +278,7 @@ def _route_classes(cat, chain, class_of, members_of, class_name):
     for x, y, c in entries:
         mem = tuple(m for m in members_of(c) if m in tgt)
         memberships.append(mem)
-        names.append(f"{cat.obj_name(x)}>{cat.obj_name(y)}:{class_name(c)}")
+        names.append(f"{cat.obj_name(x)}>{cat.obj_name(y)}:{label(c)}")
         mors.append(Mor(names[-1], x, y))
     identity = tuple(index[(x, x, class_of(cat.identity[chain.on_objects[x]]))]
                      for x in range(n_obj))
@@ -350,13 +336,13 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
         def members_of(c):
             return tuple(sub.morphisms[m] for m in cong.classes[c])
 
-        def class_name(c):
+        def label(c):
             return f"[{sub.cat.mor_name(cong.classes[c][0])}]"
 
         hocat, gamma, memberships = _route_classes(
-            cat, chain, class_of, members_of, class_name)
+            cat, chain, class_of, members_of, label)
         return HoCr(category=hocat, gamma=gamma, chain=chain,
-                    route="target-classes", class_members=memberships)
+                    route="target-classes", classes=memberships)
 
     if ambient_cert is not None:
         if ambient_cert.congruence.base != cat:
@@ -367,7 +353,7 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
             lambda c: cong.classes[c],
             lambda c: f"[{cat.mor_name(cong.classes[c][0])}]")
         return HoCr(category=hocat, gamma=gamma, chain=chain,
-                    route="ambient-classes", class_members=memberships)
+                    route="ambient-classes", classes=memberships)
 
     if cert0 is not None and not chain.functorial:
         raise ValidationError(
@@ -477,7 +463,7 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
         psi_mors = []
         for i in range(len(hq.morphisms)):
             x, y = hq.dom(i), hq.cod(i)
-            rep = hocr.class_members[i][0]
+            rep = hocr.classes[i][0]
             mid = cong.class_of[rep]
             psi_mors.append(qcat.table[qcat.table[theta_cls[y]][mid]][theta_inv[x]])
         try:

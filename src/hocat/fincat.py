@@ -111,9 +111,6 @@ class FinCat:
     def cod(self, f) -> int:
         return self.morphisms[self.mor(f)].cod
 
-    def is_identity(self, f) -> bool:
-        return self.mor(f) in self.identity_set
-
     def hom(self, a, b) -> tuple[int, ...]:
         """Arrows from a to b, ascending by index."""
         return self._hom.get((self.obj(a), self.obj(b)), ())
@@ -226,6 +223,8 @@ def load_spec(document) -> RawCategory:
     _require(len(set(objects)) == len(objects), "duplicate object name")
     for o in objects:
         _require(not o.startswith(ID_PREFIX), f"object name {o!r} uses the reserved prefix {ID_PREFIX!r}")
+        # Reports key each hom-set "x>y", so a ">" in a name makes keys collide.
+        _require(">" not in o, f"object name {o!r}: '>' is reserved to separate hom-set keys")
     obj_set = set(objects)
 
     declared = document.get("morphisms", [])
@@ -480,9 +479,6 @@ class Subcategory:
     objects: tuple[int, ...]
     morphisms: tuple[int, ...]
     cat: FinCat
-
-    def to_sub_obj(self, parent_obj: int) -> int:
-        return self.objects.index(parent_obj)
 
     def to_sub_mor(self, parent_mor: int) -> int:
         return self.morphisms.index(parent_mor)

@@ -39,9 +39,9 @@ from .weq import SplitGenResult, WeqFamily, check_split_generated, check_weq_axi
 
 __all__ = [
     "Analysis", "Fork", "HomotopyWitness", "WhiteheadCertificate", "WhiteheadResult",
-    "LRComparison", "SaturationReport",
+    "SaturationReport",
     "r_left", "r_right", "r_left_comp", "r_right_comp",
-    "homotopy_congruence", "certify_whitehead", "check_lr_coincide",
+    "homotopy_congruence", "certify_whitehead",
     "check_fork_condition", "check_common_fork", "check_rc_transitive",
     "check_saturation",
 ]
@@ -343,11 +343,6 @@ def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
     return Analysis(cat, weqs).rc_transitive(side)
 
 
-def _rc_transitive(work: FinCat, rel: Precongruence, index, side: str):
-    triple = intransitive_triple(rel.distinct_pairs)
-    return triple is None, triple
-
-
 @dataclass(frozen=True)
 class WhiteheadCertificate:
     """Proof that the homotopy quotient inverts the whole family.
@@ -395,44 +390,6 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     if splitgen is not None:
         session.splitgen = splitgen
     return session.whitehead
-
-
-@dataclass(frozen=True)
-class LRComparison:
-    ok: bool
-    left: Congruence
-    right: Congruence
-    both: Congruence
-    differing: tuple[int, int, str] | None
-
-
-def check_lr_coincide(cat: FinCat, weqs) -> LRComparison:
-    """Under split generation the one-sided congruences must agree.
-
-    Raises when the family is not split-generated (the comparison is
-    only promised there); otherwise reports the three congruences and,
-    on a mismatch, the first differing pair and where it differs.
-    """
-    session = Analysis(cat, weqs)
-    session.axioms_hold("family axioms must hold")
-    if not session.splitgen.generated:
-        raise ValidationError("left/right comparison needs a split-generated family")
-    lc = least_congruence(session.left)
-    rc = least_congruence(session.right)
-    both = session.congruence
-    ok = lc == rc == both
-    differing = None
-    if not ok:
-        for f, g in sorted(set(lc.as_pairs()) ^ set(rc.as_pairs())):
-            which = "left-only" if lc.related(f, g) else "right-only"
-            differing = (f, g, which)
-            break
-        if differing is None:
-            for f, g in sorted(set(both.as_pairs()) ^ set(lc.as_pairs())):
-                which = "combined-only" if both.related(f, g) else "one-sided-only"
-                differing = (f, g, which)
-                break
-    return LRComparison(ok, lc, rc, both, differing)
 
 
 @dataclass(frozen=True)
@@ -546,7 +503,13 @@ class Analysis:
         return self._per_side(_common_fork, side)
 
     def rc_transitive(self, side: str = "left") -> tuple[bool, tuple[int, int, int] | None]:
-        return self._per_side(_rc_transitive, side)
+        """Is the closed one-sided relation transitive?  With the first
+        intransitive triple when it is not."""
+        key = (intransitive_triple, side)
+        if key not in self._sides:
+            triple = intransitive_triple(self.closed(side)[1].distinct_pairs)
+            self._sides[key] = (triple is None, triple)
+        return self._sides[key]
 
     def _per_side(self, check, side: str):
         if (check, side) not in self._sides:

@@ -1,7 +1,7 @@
 """Weak equivalence families: axioms, split arrows, split generation.
 
 A weak equivalence family is any set of arrows meant to satisfy two
-axioms: it contains the identities, and among f, g, g∘f membership of
+axioms: it includes the identities, and among f, g, g∘f membership of
 any two forces the third (two out of three).  A third, stricter property
 is tracked separately: weak invertibility, where f∘g and h∘f both in the
 family force f in as well.
@@ -124,16 +124,6 @@ class SplitCertificate:
 
     split_weqs: tuple[tuple[int, int, str], ...]
     decompositions: dict[int, tuple[int, ...]]
-
-    def sections_of(self, w: int) -> tuple[int, ...]:
-        """Retractions r with r∘w = id, ascending."""
-        return tuple(sorted(r for s, r, kind in self.split_weqs
-                            if s == w and kind == "section"))
-
-    def retractions_of(self, w: int) -> tuple[int, ...]:
-        """Sections t with w∘t = id, ascending."""
-        return tuple(sorted(t for r, t, kind in self.split_weqs
-                            if r == w and kind == "retraction"))
 
 
 @dataclass(frozen=True)

@@ -15,9 +15,7 @@ its exact raw-move cost, so budgets stay honest while the state space
 stays small.  Each macro is turned back into its raw moves once, by
 the engine's ``emit``, which also returns the reduced zigzag those
 moves reach; the trace is the two sides' emitted moves joined at the
-meeting edge.  ``Explorer`` amortizes the same walk over every
-single-arrow zigzag of a category at once, which is what the bulk
-oracle comparisons need.
+meeting edge.
 """
 
 from __future__ import annotations
@@ -25,15 +23,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .congruence import find_root, quotient
 from .errors import FormatError, MoveError, ValidationError
 from .fincat import FinCat, known_name, resolve_weqs
 
 __all__ = [
     "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
-    "NonfullnessWitness", "Explorer",
+    "NonfullnessWitness",
     "make_zigzag", "apply_move", "replay", "bounded_equiv",
-    "reduce_backward_splits", "ho_hom", "connect", "nonfullness_witness",
+    "reduce_backward_splits", "connect", "nonfullness_witness",
     "zigzag_to_json", "zigzag_from_json",
 ]
 
@@ -468,7 +465,7 @@ class _Engine:
                 yield finish(steps[:i] + (w * 2 + BWD, w * 2) + steps[i:], 1,
                              ("expand", i, w, BWD))
 
-    # -- raw-move emission (pair mode only) --------------------------------
+    # -- raw-move emission (traces only) -----------------------------------
 
     def emit(self, z: Zigzag, desc) -> tuple[Zigzag, list[Move]]:
         """Raw moves realizing a macro from ``z``, reduction included, and
@@ -522,137 +519,88 @@ class EquivResult:
         return self.status == "equivalent"
 
 
-class Explorer:
-    """Shared bounded search over one category's move graph.
-
-    ``pair`` answers a single bounded_equiv question with a replayable
-    trace.  ``single_arrow_relation`` seeds every one-arrow zigzag at
-    once, applies each rewrite a single time, and unions seeds whose
-    rewrites land on the same word; longer derivations compose through
-    intermediate seeds, which only ever adds true equivalences.  One
-    application per seed suffices: a pair equalized by a member after
-    bracketing meets in one rewrite from each side (boundary insertion
-    when a bracket is trivial, interior insertion otherwise), and every
-    morphism in a derivation chain is itself a seed.
-    """
-
-    def __init__(self, cat: FinCat, weqs, budget: int = 8):
-        self.cat = cat
-        self.members = resolve_weqs(cat, weqs)
-        self.budget = int(budget)
-        if self.budget < 0:
-            raise ValidationError("budget must be nonnegative")
-        self.engine = _Engine(cat, self.members)
-
-    # -- bulk mode ---------------------------------------------------------
-
-    def single_arrow_relation(self) -> frozenset[tuple[int, int]]:
-        eng = self.engine
-        nm = len(self.cat.morphisms)
-        parent = list(range(nm))
-        # Seed words stay unreduced so interior rewrites can still split
-        # an identity arrow across a section/retraction bracketing.
-        visited: dict = {}
-        for f in range(nm):
-            visited[(self.cat.dom(f), (f * 2,))] = f
-        for state, f in list(visited.items()):
-            for nstate, mc, _ in eng.successors(state):
-                if mc > self.budget:
+def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) -> EquivResult:
+    """Bidirectional bounded search; "equivalent" verdicts carry a trace."""
+    budget = int(budget)
+    if budget < 0:
+        raise ValidationError("budget must be nonnegative")
+    members = resolve_weqs(cat, weqs)
+    if (z1.source, z1.target) != (z2.source, z2.target):
+        raise ValidationError("zigzags must share both endpoints")
+    if z1 == z2:
+        return EquivResult("equivalent", MoveTrace(z1, z2, ()))
+    eng = _Engine(cat, members)
+    # visited: state -> (side, cost, parent_state, descriptor)
+    visited: dict = {}
+    # buckets: cost -> states first reached at that cost, made on use so
+    # memory follows the states found, not the budget.
+    buckets: dict[int, list] = {}
+    # meet: (state, edge_from, crossing), an edge from edge_from into the
+    # other side's state with its descriptor in crossing; when the second
+    # seed reduces onto the first seed's state, (state, state, ()).
+    meet = None
+    for side, z in enumerate((z1, z2)):
+        state, cost = eng.seed(z.source, tuple(m * 2 + d for m, d in z.steps))
+        if cost > budget:
+            continue
+        other = visited.get(state)
+        if other is not None and other[0] != side:
+            meet = (state, state, ())
+            break
+        visited[state] = (side, cost, None, None)
+        buckets.setdefault(cost, []).append((state, side))
+    while buckets and not meet:
+        cost = min(buckets)
+        for state, side in buckets.pop(cost):
+            for nstate, mc, desc in eng.successors(state):
+                nc = cost + mc
+                if nc > budget:
                     continue
                 seen = visited.get(nstate)
                 if seen is None:
-                    visited[nstate] = f
-                else:
-                    rf, rs = find_root(parent, f), find_root(parent, seen)
-                    parent[max(rf, rs)] = min(rf, rs)
-        out = set()
-        for f, g in self.cat.parallel_pairs():
-            if find_root(parent, f) == find_root(parent, g):
-                out.add((f, g))
-        return frozenset(out)
-
-    # -- pair mode -----------------------------------------------------------
-
-    def pair(self, z1: Zigzag, z2: Zigzag) -> EquivResult:
-        if (z1.source, z1.target) != (z2.source, z2.target):
-            raise ValidationError("zigzags must share both endpoints")
-        if z1 == z2:
-            return EquivResult("equivalent", MoveTrace(z1, z2, ()))
-        eng = self.engine
-        # visited: state -> (side, cost, parent_state, descriptor)
-        visited: dict = {}
-        # buckets: cost -> states first reached at that cost, made on use so
-        # memory follows the states found, not the budget.
-        buckets: dict[int, list] = {}
-        # meet: (state, edge_from, crossing), an edge from edge_from into the
-        # other side's state with its descriptor in crossing; when the second
-        # seed reduces onto the first seed's state, (state, state, ()).
-        meet = None
-        for side, z in enumerate((z1, z2)):
-            state, cost = eng.seed(z.source, tuple(m * 2 + d for m, d in z.steps))
-            if cost > self.budget:
-                continue
-            other = visited.get(state)
-            if other is not None and other[0] != side:
-                meet = (state, state, ())
-                break
-            visited[state] = (side, cost, None, None)
-            buckets.setdefault(cost, []).append((state, side))
-        while buckets and not meet:
-            cost = min(buckets)
-            for state, side in buckets.pop(cost):
-                for nstate, mc, desc in eng.successors(state):
-                    nc = cost + mc
-                    if nc > self.budget:
-                        continue
-                    seen = visited.get(nstate)
-                    if seen is None:
-                        visited[nstate] = (side, nc, state, desc)
-                        buckets.setdefault(nc, []).append((nstate, side))
-                    elif seen[0] != side:
-                        # Edge from `state` on this side into the other
-                        # side's territory at `nstate`.
-                        meet = (nstate, state, (desc,))
-                        break
-                if meet:
+                    visited[nstate] = (side, nc, state, desc)
+                    buckets.setdefault(nc, []).append((nstate, side))
+                elif seen[0] != side:
+                    # Edge from `state` on this side into the other
+                    # side's territory at `nstate`.
+                    meet = (nstate, state, (desc,))
                     break
-        if meet is None:
-            return EquivResult("unknown", None)
-        return EquivResult("equivalent", self._build_trace(z1, z2, visited, meet))
-
-    def _side_moves(self, seed: Zigzag, visited, state, crossing) -> tuple[Zigzag, list[Move]]:
-        """Replay seed -> state, then the ``crossing`` macros; the end
-        zigzag and its raw moves."""
-        chain = list(crossing)
-        while visited[state][2] is not None:
-            chain.append(visited[state][3])
-            state = visited[state][2]
-        z, moves = self.engine.reduce(seed)
-        for desc in reversed(chain):
-            z, emitted = self.engine.emit(z, desc)
-            moves += emitted
-        return z, moves
-
-    def _build_trace(self, z1: Zigzag, z2: Zigzag, visited, meet) -> MoveTrace:
-        """Each side replays to its own end of the meeting edge and the side
-        the edge starts from crosses it; the second side's moves are then
-        inverted onto the first's."""
-        state, edge_from, crossing = meet
-        owner = visited[state][0]
-        ends = {owner: (state, ()), 1 - owner: (edge_from, crossing)}
-        (za, moves_a), (zb, moves_b) = (
-            self._side_moves(z, visited, *ends[side]) for side, z in enumerate((z1, z2)))
-        if za != zb:
-            raise MoveError("bidirectional search met at inconsistent states")
-        back = invert_trace(self.cat, self.members, MoveTrace(z2, zb, tuple(moves_b)))
-        trace = MoveTrace(z1, z2, tuple(moves_a) + back.moves)
-        replay(self.cat, self.members, trace)
-        return trace
+            if meet:
+                break
+    if meet is None:
+        return EquivResult("unknown", None)
+    return EquivResult("equivalent", _build_trace(eng, z1, z2, visited, meet))
 
 
-def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) -> EquivResult:
-    """Bidirectional bounded search; "equivalent" verdicts carry a trace."""
-    return Explorer(cat, weqs, budget).pair(z1, z2)
+def _side_moves(eng: _Engine, seed: Zigzag, visited, state, crossing) -> tuple[Zigzag, list[Move]]:
+    """Replay seed -> state, then the ``crossing`` macros; the end
+    zigzag and its raw moves."""
+    chain = list(crossing)
+    while visited[state][2] is not None:
+        chain.append(visited[state][3])
+        state = visited[state][2]
+    z, moves = eng.reduce(seed)
+    for desc in reversed(chain):
+        z, emitted = eng.emit(z, desc)
+        moves += emitted
+    return z, moves
+
+
+def _build_trace(eng: _Engine, z1: Zigzag, z2: Zigzag, visited, meet) -> MoveTrace:
+    """Each side replays to its own end of the meeting edge and the side
+    the edge starts from crosses it; the second side's moves are then
+    inverted onto the first's."""
+    state, edge_from, crossing = meet
+    owner = visited[state][0]
+    ends = {owner: (state, ()), 1 - owner: (edge_from, crossing)}
+    (za, moves_a), (zb, moves_b) = (
+        _side_moves(eng, z, visited, *ends[side]) for side, z in enumerate((z1, z2)))
+    if za != zb:
+        raise MoveError("bidirectional search met at inconsistent states")
+    back = invert_trace(eng.cat, eng.members, MoveTrace(z2, zb, tuple(moves_b)))
+    trace = MoveTrace(z1, z2, tuple(moves_a) + back.moves)
+    replay(eng.cat, eng.members, trace)
+    return trace
 
 
 # -- length-one reduction under a split certificate -----------------------
@@ -731,19 +679,7 @@ def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionRes
     return ReductionResult(cur, trace)
 
 
-# -- certified hom-sets and non-fullness ----------------------------------
-
-
-def ho_hom(cat: FinCat, weqs, cert, x, y) -> tuple[int, ...]:
-    """Hom-set of the certified homotopy quotient at (x, y).
-
-    Returns quotient-morphism indices; the certificate guarantees the
-    quotient is the localization, so these are the localized hom-classes.
-    """
-    if cert is None:
-        raise ValidationError("ho_hom needs a Whitehead certificate")
-    q = quotient(cat, cert.congruence)
-    return q.quotient.hom(x, y)
+# -- non-fullness ---------------------------------------------------------
 
 
 @dataclass(frozen=True)

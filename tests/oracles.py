@@ -2,14 +2,17 @@
 
 Everything here favors obviousness over speed: plain fixpoint loops,
 full partition enumeration, raw move search.  Nothing imports the
-closure or search code under test beyond basic category plumbing.
+closure or search code under test beyond basic category plumbing,
+except ``single_arrow_relation``, which takes the search engine's
+rewrites once from every one-arrow zigzag.
 """
 
 import itertools
 
+from hocat.congruence import find_root
 from hocat.errors import MoveError
 from hocat.fincat import resolve_weqs
-from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, _apply
+from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, _apply, _Engine
 
 
 def brute_law_violation(raw):
@@ -266,6 +269,37 @@ def raw_reachable(cat, members, z, depth):
         if not frontier:
             break
     return seen
+
+
+def single_arrow_relation(cat, weqs, budget):
+    """Parallel pairs whose one-arrow zigzags meet within ``budget``.
+
+    Seeds every one-arrow zigzag at once, applies each of the search
+    engine's rewrites a single time, and unions seeds whose rewrites
+    land on the same word; longer derivations compose through
+    intermediate seeds, which only ever adds true equivalences.  One
+    application per seed suffices: a pair equalized by a member after
+    bracketing meets in one rewrite from each side (boundary insertion
+    when a bracket is trivial, interior insertion otherwise), and every
+    morphism in a derivation chain is itself a seed.
+    """
+    eng = _Engine(cat, resolve_weqs(cat, weqs))
+    parent = list(range(len(cat.morphisms)))
+    # Seed words stay unreduced so interior rewrites can still split
+    # an identity arrow across a section/retraction bracketing.
+    visited = {(cat.dom(f), (f * 2,)): f for f in range(len(cat.morphisms))}
+    for state, f in list(visited.items()):
+        for nstate, cost, _ in eng.successors(state):
+            if cost > budget:
+                continue
+            seen = visited.get(nstate)
+            if seen is None:
+                visited[nstate] = f
+            else:
+                rf, rs = find_root(parent, f), find_root(parent, seen)
+                parent[max(rf, rs)] = min(rf, rs)
+    return frozenset((f, g) for f, g in cat.parallel_pairs()
+                     if find_root(parent, f) == find_root(parent, g))
 
 
 def _sided(cat, side):

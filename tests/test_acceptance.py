@@ -12,7 +12,6 @@ import subprocess
 import sys
 
 from hocat import (
-    Explorer,
     Precongruence,
     build_ho_cr,
     certify_whitehead,
@@ -38,7 +37,7 @@ from hocat import (
 from hocat.fixtures import NAMES, category, path
 
 from gencat import sample_precongruence
-from oracles import all_congruences, brute_isomorphism
+from oracles import all_congruences, brute_isomorphism, single_arrow_relation
 
 
 def _passed(n, label):
@@ -122,14 +121,14 @@ def test_c04_zigzag_search_matches_algebra(split_corpus):
     for name in NAMES:
         cat, members, _ = category(name)
         cong = homotopy_congruence(cat, members)
-        rel = Explorer(cat, members, budget=8).single_arrow_relation()
+        rel = single_arrow_relation(cat, members, 8)
         for f, g in cat.parallel_pairs():
             assert ((f, g) in rel) == cong.related(f, g), name
 
     mismatches = 0
     for cat, members, _doc in split_corpus:
         cong = homotopy_congruence(cat, members)
-        rel = Explorer(cat, members, budget=8).single_arrow_relation()
+        rel = single_arrow_relation(cat, members, 8)
         for f, g in cat.parallel_pairs():
             if ((f, g) in rel) != cong.related(f, g):
                 mismatches += 1
@@ -143,7 +142,7 @@ def test_c05_quotient_kernel_adjunction(mixed_corpus, tiny_corpus):
     for cat, _members, _doc in mixed_corpus:
         seed = Precongruence(cat, sample_precongruence(rng, cat))
         least = least_congruence(seed)
-        assert least.contains(seed)
+        assert all(least.related(f, g) for f, g in seed.pairs)
         proj = quotient(cat, least).projection
         assert kernel_congruence(proj) == least
 

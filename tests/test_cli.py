@@ -119,6 +119,22 @@ def test_error_exit_codes(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_object_name_with_hom_key_separator_is_malformed(tmp_path, capsys):
+    """Hom-sets are reported under "x>y" keys; with ">" in object names,
+    a>b -> c and a -> b>c would share the key "a>b>c"."""
+    file = tmp_path / "category.json"
+    file.write_text(json.dumps({
+        "objects": ["a>b", "c", "a", "b>c"],
+        "morphisms": [{"name": "f", "dom": "a>b", "cod": "c"},
+                      {"name": "g", "dom": "a", "cod": "b>c"}],
+        "composition": [],
+        "weak_equivalences": [],
+    }))
+    assert cli.main(["quotient", str(file), "--format", "json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'a>b'" in err and "Traceback" not in err
+
+
 def test_quotient_subcommand():
     proc = run_cli("quotient", fx("f_retr"), "--format", "json")
     assert proc.returncode == 0

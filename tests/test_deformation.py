@@ -8,8 +8,6 @@ from hocat import (
     check_conjugation,
     check_inverts_w,
     compose_chain,
-    make_zigzag,
-    map_zigzag,
     subcategory,
     validate_deformation,
 )
@@ -155,30 +153,6 @@ def test_compose_chain_single_and_double():
         compose_chain([l2, l1])
 
 
-def test_map_zigzag_pushes_steps_through():
-    cat, members, raw = category("f_def")
-    c0 = subcategory(cat, ["x0"])
-    chain = compose_chain([validate_deformation(cat, members, c0, raw.deformation[0])])
-    z = make_zigzag(cat, members, "x0", [("theta", "fwd")])
-    out = map_zigzag(chain, z)
-    assert out.steps == ((cat.mor("id:x0"), FWD),)
-    assert out.source == out.target == cat.obj("x0")
-
-    rcat, _m, rraw = category("f_retr_def")
-    rc0 = subcategory(rcat, ["a"])
-    l1 = validate_deformation(rcat, ALL_RETR_W, rc0, rraw.deformation[0])
-    trivial = {
-        "direction": "left",
-        "on_objects": {"a": "a"},
-        "on_morphisms": {"id:a": "id:a"},
-        "theta": {"a": "id:a"},
-    }
-    l2 = validate_deformation(rcat, ALL_RETR_W, rc0, trivial, ambient=rc0)
-    z2 = make_zigzag(rcat, ALL_RETR_W, "b", [("e", "fwd")])
-    with pytest.raises(ValidationError, match="outside the deformation's stage"):
-        map_zigzag(l2, z2)
-
-
 def build_fixture_hocr(name):
     cat, members, raw = category(name)
     c0 = subcategory(cat, raw.subcategory["objects"])
@@ -200,7 +174,7 @@ def test_build_ho_cr_target_route():
             assert len(hq.hom(x, y)) == 1
     g = hocr.gamma.on_morphisms[cat.mor("theta")]
     assert (hq.dom(g), hq.cod(g)) == (cat.obj("x0"), cat.obj("x1"))
-    for mem in hocr.class_members:
+    for mem in hocr.classes:
         assert mem == (cat.mor("id:x0"),)
 
 

@@ -274,7 +274,7 @@ def test_subcategory_defaults_to_full():
     sub0 = subcategory(cat, [cat.obj("x0")])
     names = [m.name for m in sub0.cat.morphisms]
     assert names == ["id:x0"]
-    assert sub0.to_sub_obj(cat.obj("x0")) == 0
+    assert sub0.objects == (cat.obj("x0"),)
 
 
 def test_subcategory_rejects_open_morphism_set():

@@ -7,7 +7,6 @@ from hocat import (
     certify_whitehead,
     check_common_fork,
     check_fork_condition,
-    check_lr_coincide,
     check_rc_transitive,
     check_saturation,
     check_weq_axioms,
@@ -217,15 +216,6 @@ def test_whitehead_inconclusive_without_witness():
     assert res.witness is None and res.certificate is None
     assert res.congruence.nonsingleton_classes() == ()
     assert res.split_generation.missing == cat.mor("u")
-
-
-def test_lr_coincide_on_certified(split_corpus):
-    cat, members, _r = category("f_retr")
-    cmp = check_lr_coincide(cat, members)
-    assert cmp.ok
-    assert cmp.left.class_of == cmp.right.class_of == cmp.both.class_of
-    for cat2, members2, _doc in split_corpus[:60]:
-        assert check_lr_coincide(cat2, members2).ok
 
 
 def test_saturation_fixture_verdicts():

@@ -1,7 +1,6 @@
 """Randomized invariants tying the fast paths to first-principles checks."""
 
 from hocat import (
-    Explorer,
     bounded_equiv,
     check_split_generated,
     check_weq_axioms,
@@ -11,7 +10,7 @@ from hocat import (
 )
 from hocat.zigzag import CANCEL, COMPOSE, FWD, OMIT
 
-from oracles import raw_reachable
+from oracles import raw_reachable, single_arrow_relation
 
 
 def test_equivalence_traces_stay_within_raw_moves(split_corpus):
@@ -59,7 +58,7 @@ def test_single_arrow_relation_matches_congruence(split_corpus):
     """The bulk zigzag relation at the default budget is the congruence."""
     mismatches = []
     for cat, members, doc in split_corpus:
-        rel = Explorer(cat, members, budget=8).single_arrow_relation()
+        rel = single_arrow_relation(cat, members, 8)
         cong = homotopy_congruence(cat, members)
         want = {(f, g) for f, g in cat.parallel_pairs() if cong.related(f, g)}
         if rel != want:

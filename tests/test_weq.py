@@ -60,8 +60,6 @@ def test_split_certificate_on_retract():
     assert cat.table[s][r] == e  # decomposition order is first-applied first
     for x in cat.identity_set:
         assert cert.decompositions[x] == (x,)
-    assert cert.sections_of(s) == (r,)
-    assert cert.retractions_of(r) == (s,)
 
 
 def test_split_generation_fails_on_span():
@@ -99,7 +97,7 @@ def test_corpus_families_honor_closure(split_corpus):
         split_set = {w for w, _inv, _kind in cert.split_weqs}
         for w, inv, kind in cert.split_weqs:
             got = cat.table[inv][w] if kind == "section" else cat.table[w][inv]
-            assert cat.is_identity(got)
+            assert got in cat.identity_set
         for w in fam.members:
             chain = cert.decompositions[w]
             assert set(chain) <= split_set | set(cat.identity_set)
