@@ -27,7 +27,6 @@ def main():
     session = Analysis(cat, members)
     fam = session.family
     print("\n== family axioms ==")
-    print("identities present:", fam.report.identities_ok)
     print("two out of three:", fam.report.two_of_three_ok)
 
     split = session.splitgen

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .deformation import (build_ho_cr, check_conjugation, check_inverts_w,
                           compose_chain, validate_deformation)
 from .errors import FormatError, MoveError, ValidationError
-from .fincat import (FinCat, load_file, read_json, resolve_weqs, subcategory,
-                     validate_category)
+from .fincat import (FinCat, known_name, load_file, read_json, resolve_weqs,
+                     subcategory, validate_category)
 from .homotopy import Analysis, certify_whitehead
 from .zigzag import bounded_equiv, connect, trace_to_json, zigzag_from_json, zigzag_to_json
 
@@ -384,7 +384,8 @@ def _cmd_zigzag(args) -> int:
 
     if args.src is None or args.dst is None:
         raise FormatError("zigzag needs --from and --to (or --equiv with two files)")
-    z = connect(cat, members, args.src, args.dst)
+    z = connect(cat, members, known_name(args.src, cat.objects, "--from: unknown object"),
+                known_name(args.dst, cat.objects, "--to: unknown object"))
     if z is None:
         _emit({"status": "unreachable"}, args.format)
     else:

@@ -144,15 +144,6 @@ class Congruence:
     def nonsingleton_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cls for cls in self.classes if len(cls) > 1)
 
-    def as_pairs(self) -> frozenset[tuple[int, int]]:
-        """All distinct related pairs, canonically ordered."""
-        out = set()
-        for cls in self.classes:
-            for i, f in enumerate(cls):
-                for g in cls[i + 1:]:
-                    out.add((f, g))
-        return frozenset(out)
-
     @cached_property
     def quotient(self) -> "QuotientResult":
         """The quotient category, built on first use and then kept."""

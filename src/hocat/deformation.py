@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .congruence import Congruence, quotient
 from .errors import ValidationError
-from .fincat import DIRECTIONS, CatFunctor, FinCat, Subcategory, resolve_weqs, subcategory
+from .fincat import DIRECTIONS, CatFunctor, FinCat, Mor, Subcategory, resolve_weqs, subcategory
 from .homotopy import WhiteheadCertificate
 from .zigzag import BWD, FWD, Zigzag, bounded_equiv, make_zigzag
 
@@ -51,17 +51,13 @@ class Deformation:
     functorial: bool
 
 
-def _functor_laws(cat: FinCat, ambient: Subcategory, on_mor: dict) -> bool:
-    for x in ambient.objects:
-        rid = on_mor[cat.identity[x]]
-        if rid != cat.identity[cat.dom(rid)]:
-            return False
-    mors = ambient.morphisms
-    for g in mors:
-        for f in mors:
-            c = cat.table[g][f]
-            if c >= 0 and on_mor[c] != cat.table[on_mor[g]][on_mor[f]]:
-                return False
+def _is_functor(cat: FinCat, ambient: Subcategory, on_obj: dict, on_mor: dict) -> bool:
+    """Whether the maps, read on the stage ``ambient``, form a functor into ``cat``."""
+    try:
+        CatFunctor(ambient.cat, cat, [on_obj[x] for x in ambient.objects],
+                   [on_mor[f] for f in ambient.morphisms])
+    except ValidationError:
+        return False
     return True
 
 
@@ -158,21 +154,21 @@ def validate_deformation(cat: FinCat, weqs, c0: Subcategory, data,
     return Deformation(
         cat=cat, weqs=members, direction=direction, ambient=ambient, target=c0,
         on_objects=on_obj, on_morphisms=on_mor, theta=theta,
-        functorial=_functor_laws(cat, ambient, on_mor))
+        functorial=_is_functor(cat, ambient, on_obj, on_mor))
 
 
 @dataclass(frozen=True, eq=False)
 class DeformationChain:
-    """Composite of one or more deformations, innermost target last.
+    """Composite of one or more deformations onto the last link's target.
 
-    ``thetas`` holds, per starting object X, the zigzag from the fully
-    retracted rX back to X obtained by stringing the stage thetas
-    together.  ``functorial`` reflects the composite maps themselves.
+    ``on_objects`` and ``on_morphisms`` are the composite maps over
+    parent indices, total on the first link's stage.  ``thetas`` holds,
+    per starting object X, the zigzag from the fully retracted rX back
+    to X obtained by stringing the stage thetas together.
+    ``functorial`` is whether the composite maps form a functor.
     """
 
     cat: FinCat
-    weqs: frozenset[int]
-    links: tuple[Deformation, ...]
     target: Subcategory
     on_objects: dict[int, int]
     on_morphisms: dict[int, int]
@@ -195,7 +191,6 @@ def compose_chain(links) -> DeformationChain:
             raise ValidationError(
                 "chain links do not compose: a stage differs from the previous target")
 
-    weqs = links[0].weqs
     on_obj: dict[int, int] = {}
     on_mor: dict[int, int] = {}
     for x in links[0].ambient.objects:
@@ -219,15 +214,15 @@ def compose_chain(links) -> DeformationChain:
             d = links[i]
             t = d.theta[stage[i]]
             steps.append((t, FWD if d.direction == "left" else BWD))
-        z = make_zigzag(cat, weqs, stage[-1], steps)
+        z = make_zigzag(cat, links[0].weqs, stage[-1], steps)
         if z.target != x:
             raise RuntimeError("internal inconsistency: composite theta misses its object")
         thetas[x] = z
 
     return DeformationChain(
-        cat=cat, weqs=weqs, links=links, target=links[-1].target,
+        cat=cat, target=links[-1].target,
         on_objects=on_obj, on_morphisms=on_mor, thetas=thetas,
-        functorial=_functor_laws(cat, links[0].ambient, on_mor))
+        functorial=_is_functor(cat, links[0].ambient, on_obj, on_mor))
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +232,8 @@ class HoCr:
     Arrows X -> Y are the classes of target arrows rX -> rY; ``route``
     records whether the classes came from a certificate on the target
     ("target-classes") or on the ambient category ("ambient-classes").
-    ``classes`` lists, per arrow, the parent-category arrows in that
-    class.  ``gamma`` is the induced functor f |-> [rf].
+    ``classes`` lists, per arrow, the target arrows in that class as
+    ascending parent indices.  ``gamma`` is the induced functor f |-> [rf].
     """
 
     category: FinCat
@@ -248,39 +243,29 @@ class HoCr:
     classes: tuple[tuple[int, ...], ...]
 
 
-def _route_classes(cat, chain, class_of, members_of, label):
-    """Assemble the quotient shape shared by both certificate routes.
+def _route_classes(cat, chain, class_of, classes):
+    """Build Ho(C, r) and gamma from one congruence on the parent's arrows.
 
-    class_of / members_of / label speak parent indices throughout.
+    ``class_of`` maps each target arrow (a parent index) to its class and
+    ``classes`` lists each class's parent arrows, lowest first.  The
+    arrows X -> Y are the classes met by the target arrows rX -> rY, each
+    named after its lowest arrow and holding its members in the target.
     """
-    from .fincat import Mor
-
     tgt = set(chain.target.morphisms)
     n_obj = len(cat.objects)
     index: dict[tuple[int, int, int], int] = {}
     entries = []
     for x in range(n_obj):
         for y in range(n_obj):
-            rx, ry = chain.on_objects[x], chain.on_objects[y]
-            seen = []
-            for m in chain.target.morphisms:
-                if cat.dom(m) == rx and cat.cod(m) == ry:
-                    c = class_of(m)
-                    if c not in seen:
-                        seen.append(c)
-            for c in sorted(seen):
+            hom = cat.hom(chain.on_objects[x], chain.on_objects[y])
+            for c in sorted({class_of[m] for m in hom if m in tgt}):
                 index[(x, y, c)] = len(entries)
                 entries.append((x, y, c))
 
-    names = []
-    mors = []
-    memberships = []
-    for x, y, c in entries:
-        mem = tuple(m for m in members_of(c) if m in tgt)
-        memberships.append(mem)
-        names.append(f"{cat.obj_name(x)}>{cat.obj_name(y)}:{label(c)}")
-        mors.append(Mor(names[-1], x, y))
-    identity = tuple(index[(x, x, class_of(cat.identity[chain.on_objects[x]]))]
+    on, mn = cat.obj_name, cat.mor_name
+    mors = tuple(Mor(f"{on(x)}>{on(y)}:[{mn(classes[c][0])}]", x, y) for x, y, c in entries)
+    memberships = tuple(tuple(m for m in classes[c] if m in tgt) for _x, _y, c in entries)
+    identity = tuple(index[(x, x, class_of[cat.identity[chain.on_objects[x]]])]
                      for x in range(n_obj))
 
     k = len(entries)
@@ -289,26 +274,21 @@ def _route_classes(cat, chain, class_of, members_of, label):
         for fi, (x, y1, c1) in enumerate(entries):
             if y1 != y2:
                 continue
-            reps1, reps2 = memberships[fi], memberships[gi]
-            want = None
-            for a in reps1:
-                for b in reps2:
-                    got = class_of(cat.table[b][a])
-                    if want is None:
-                        want = got
-                    elif got != want:
-                        raise RuntimeError(
-                            "internal inconsistency: composite class depends on "
-                            "the chosen representatives")
-            table[gi][fi] = index[(x, z, want)]
+            got = {class_of[cat.table[b][a]]
+                   for a in memberships[fi] for b in memberships[gi]}
+            if len(got) != 1:
+                raise RuntimeError(
+                    "internal inconsistency: composite class depends on "
+                    "the chosen representatives")
+            table[gi][fi] = index[(x, z, got.pop())]
 
-    hocat = FinCat(cat.objects, tuple(mors), identity, table)
+    hocat = FinCat(cat.objects, mors, identity, table)
     gamma_mors = tuple(
-        index[(cat.dom(f), cat.cod(f), class_of(chain.on_morphisms[f]))]
+        index[(cat.dom(f), cat.cod(f), class_of[chain.on_morphisms[f]])]
         for f in range(len(cat.morphisms)))
     gamma = CatFunctor(cat, hocat, on_objects=tuple(range(n_obj)),
                        on_morphisms=gamma_mors)
-    return hocat, gamma, tuple(memberships)
+    return hocat, gamma, memberships
 
 
 def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
@@ -316,10 +296,12 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
                 ambient_cert: WhiteheadCertificate | None = None) -> HoCr:
     """Materialize Ho(C, r) from certified homotopy classes.
 
-    The preferred route needs a functorial chain and a certificate over
-    the target subcategory; with only an ambient certificate the classes
-    are cut from the ambient congruence instead, which also covers
-    non-functorial chains.
+    The preferred route ("target-classes") needs a functorial chain and
+    ``cert0``, a certificate over the target subcategory, whose classes
+    are read back onto the parent's arrows.  With only ``ambient_cert``
+    ("ambient-classes") the ambient congruence is cut to the target
+    instead, which also covers non-functorial chains.  Either way one
+    congruence on the parent's arrows feeds :func:`_route_classes`.
     """
     if len(chain.on_objects) != len(cat.objects):
         raise ValidationError("the chain must start from the whole category")
@@ -329,39 +311,26 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
         if cert0.congruence.base != sub.cat:
             raise ValidationError("target certificate is not over the target subcategory")
         cong = cert0.congruence
-
-        def class_of(parent_mor):
-            return cong.class_of[sub.to_sub_mor(parent_mor)]
-
-        def members_of(c):
-            return tuple(sub.morphisms[m] for m in cong.classes[c])
-
-        def label(c):
-            return f"[{sub.cat.mor_name(cong.classes[c][0])}]"
-
-        hocat, gamma, memberships = _route_classes(
-            cat, chain, class_of, members_of, label)
-        return HoCr(category=hocat, gamma=gamma, chain=chain,
-                    route="target-classes", classes=memberships)
-
-    if ambient_cert is not None:
+        route = "target-classes"
+        class_of = dict(zip(sub.morphisms, cong.class_of))
+        classes = tuple(tuple(sub.morphisms[i] for i in cls) for cls in cong.classes)
+    elif ambient_cert is not None:
         if ambient_cert.congruence.base != cat:
             raise ValidationError("ambient certificate is not over the ambient category")
-        cong = ambient_cert.congruence
-        hocat, gamma, memberships = _route_classes(
-            cat, chain, lambda m: cong.class_of[m],
-            lambda c: cong.classes[c],
-            lambda c: f"[{cat.mor_name(cong.classes[c][0])}]")
-        return HoCr(category=hocat, gamma=gamma, chain=chain,
-                    route="ambient-classes", classes=memberships)
-
-    if cert0 is not None and not chain.functorial:
+        route = "ambient-classes"
+        class_of, classes = ambient_cert.congruence.class_of, ambient_cert.congruence.classes
+    elif cert0 is not None:
         raise ValidationError(
             "requires functorial chain or ambient certificate: the chain does not "
             "preserve composition, so the target certificate alone cannot be used")
-    raise ValidationError(
-        "requires functorial chain or ambient certificate: no usable certificate "
-        "was given")
+    else:
+        raise ValidationError(
+            "requires functorial chain or ambient certificate: no usable certificate "
+            "was given")
+
+    hocat, gamma, memberships = _route_classes(cat, chain, class_of, classes)
+    return HoCr(category=hocat, gamma=gamma, chain=chain, route=route,
+                classes=memberships)
 
 
 @dataclass(frozen=True)

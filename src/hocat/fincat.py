@@ -166,10 +166,12 @@ class FinCat:
 
 @dataclass(frozen=True)
 class RawCategory:
-    """Parsed but unvalidated category document.
+    """Parsed but unvalidated category document, by name throughout.
 
     ``morphisms`` lists identities first (object order, reserved names),
-    then the declared arrows in declaration order.
+    then the declared arrows in declaration order.  ``subcategory`` and
+    ``deformation`` are the document's blocks as given, or None.  Where
+    the document came from is the caller's to keep.
     """
 
     objects: tuple[str, ...]
@@ -178,7 +180,6 @@ class RawCategory:
     weak_equivalences: tuple[str, ...]
     subcategory: dict | None
     deformation: tuple[dict, ...] | None
-    source: str | None = None
 
 
 def _require(cond: bool, msg: str):
@@ -341,8 +342,7 @@ def read_json(path):
 
 def load_file(path) -> RawCategory:
     """Read and parse a category document from ``path``."""
-    raw = load_spec(read_json(path))
-    return RawCategory(**{**raw.__dict__, "source": str(path)})
+    return load_spec(read_json(path))
 
 
 def validate_category(raw: RawCategory) -> FinCat:
@@ -479,9 +479,6 @@ class Subcategory:
     objects: tuple[int, ...]
     morphisms: tuple[int, ...]
     cat: FinCat
-
-    def to_sub_mor(self, parent_mor: int) -> int:
-        return self.morphisms.index(parent_mor)
 
 
 def subcategory(cat: FinCat, objects: Iterable, morphisms: Iterable | None = None) -> Subcategory:

@@ -21,10 +21,7 @@ def path(name: str):
 
 
 def load(name: str) -> RawCategory:
-    raw = load_spec(path(name).read_text(encoding="utf-8"))
-    return RawCategory(raw.objects, raw.morphisms, raw.composition,
-                       raw.weak_equivalences, raw.subcategory, raw.deformation,
-                       source=name)
+    return load_spec(path(name).read_text(encoding="utf-8"))
 
 
 def category(name: str) -> tuple[FinCat, frozenset, RawCategory]:

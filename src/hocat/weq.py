@@ -30,14 +30,15 @@ __all__ = [
 class AxiomReport:
     """Outcome of the two family axioms plus weak invertibility.
 
-    Witnesses are morphism-index tuples: two_of_three gives (f, g, g∘f)
-    with exactly the absent one missing from the family; weak
-    invertibility gives (f, g, h) with f∘g and h∘f in the family but f
-    not.
+    The identities axiom holds by construction: missing identities are
+    inserted and listed in ``inserted_identities``, so ``axioms_ok`` is
+    the two out of three verdict.  Witnesses are morphism-index tuples:
+    two_of_three gives (f, g, g∘f) with exactly the absent one missing
+    from the family; weak invertibility gives (f, g, h) with f∘g and h∘f
+    in the family but f not.
     """
 
     inserted_identities: tuple[int, ...]
-    identities_ok: bool
     two_of_three_ok: bool
     two_of_three_witness: tuple[int, int, int] | None
     weak_invertibility_ok: bool
@@ -45,7 +46,7 @@ class AxiomReport:
 
     @property
     def axioms_ok(self) -> bool:
-        return self.identities_ok and self.two_of_three_ok
+        return self.two_of_three_ok
 
 
 @dataclass(frozen=True)
@@ -55,9 +56,6 @@ class WeqFamily:
     base: FinCat
     members: frozenset[int]
     report: AxiomReport
-
-    def __contains__(self, f) -> bool:
-        return self.base.mor(f) in self.members
 
 
 def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
@@ -96,7 +94,6 @@ def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
 
     report = AxiomReport(
         inserted_identities=inserted,
-        identities_ok=True,
         two_of_three_ok=two_ok,
         two_of_three_witness=two_wit,
         weak_invertibility_ok=weak_ok,

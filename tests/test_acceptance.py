@@ -158,7 +158,8 @@ def test_c05_quotient_kernel_adjunction(mixed_corpus, tiny_corpus):
                 for m in block:
                     cls_of[m] = block
             if all(cls_of[f] is cls_of[g] for f, g in seed.pairs):
-                assert all(cls_of[f] is cls_of[g] for f, g in least.as_pairs())
+                assert all(cls_of[f] is cls_of[g] for cls in least.classes
+                           for f in cls for g in cls if f < g)
     assert len(mixed_corpus) >= 200
     _passed(5, "quotient-kernel adjunction and minimality")
 

@@ -165,6 +165,13 @@ def test_zigzag_connect_and_unreachable():
         "source": "x1", "target": "x0", "steps": [["theta", "bwd"]]}
 
 
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_zigzag_unknown_endpoint_is_malformed(capsys, flag):
+    ends = {"--from": "a", "--to": "b", flag: "zz"}
+    assert cli.main(["zigzag", fx("f_span"), *(w for kv in ends.items() for w in kv)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: unknown object 'zz'\n"
+
+
 def test_zigzag_equiv_flow(tmp_path):
     z1 = tmp_path / "one.zz"
     z2 = tmp_path / "two.zz"

@@ -8,7 +8,10 @@ from hocat import (
     check_conjugation,
     check_inverts_w,
     compose_chain,
+    load_spec,
+    resolve_weqs,
     subcategory,
+    validate_category,
     validate_deformation,
 )
 from hocat.errors import ValidationError
@@ -230,6 +233,58 @@ def test_build_ho_cr_needs_full_start():
     with pytest.raises(ValidationError, match="whole category"):
         build_ho_cr(cat, ALL_RETR_W, small, cert0=None,
                     ambient_cert=certify_whitehead(cat, ALL_RETR_W).certificate)
+
+
+def two_iso_objects_times_idempotent():
+    """Objects a, b joined by inverse isos u, t, times the monoid {1, e}
+    with e∘e = e; W is every arrow.  A left deformation onto b sends each
+    arrow to id:b or e by its monoid part, with theta_a = t, theta_b = id:b.
+    """
+    arrows = {"u": ("a", "b", 1), "t": ("b", "a", 1), "e": ("b", "b", "e"),
+              "ea": ("a", "a", "e"), "eu": ("a", "b", "e"), "te": ("b", "a", "e")}
+    name = {v: k for k, v in arrows.items()}
+    name[("a", "a", 1)], name[("b", "b", 1)] = "id:a", "id:b"
+    composition = [
+        {"after": g, "before": f, "equals": name[(x, z, "e" if "e" in (m1, m2) else 1)]}
+        for g, (y, z, m2) in arrows.items()
+        for f, (x, y1, m1) in arrows.items() if y1 == y]
+    on_morphisms = {k: "e" if m == "e" else "id:b" for k, (_d, _c, m) in arrows.items()}
+    on_morphisms.update({"id:a": "id:b", "id:b": "id:b"})
+    return {
+        "objects": ["a", "b"],
+        "morphisms": [{"name": k, "dom": d, "cod": c} for k, (d, c, _m) in arrows.items()],
+        "composition": composition,
+        "weak_equivalences": list(arrows),
+        "subcategory": {"objects": ["b"]},
+        "deformation": [{"direction": "left", "on_objects": {"a": "b", "b": "b"},
+                         "on_morphisms": on_morphisms, "theta": {"a": "t", "b": "id:b"}}],
+    }
+
+
+def test_ho_cr_routes_agree_when_sub_and_parent_indices_differ():
+    raw = load_spec(two_iso_objects_times_idempotent())
+    cat = validate_category(raw)
+    members = resolve_weqs(cat, raw.weak_equivalences)
+    assert len(cat.morphisms) == 8
+    chain = compose_chain([validate_deformation(cat, members, subcategory(cat, ["b"]),
+                                                raw.deformation[0])])
+    assert chain.functorial
+    sub = chain.target
+    idb, e = cat.mor("id:b"), cat.mor("e")
+    assert sub.morphisms == (idb, e) == (1, 4)
+    cert0 = certify_whitehead(sub.cat, [0, 1]).certificate
+    ambient = certify_whitehead(cat, members).certificate
+    assert cert0 is not None and ambient is not None
+
+    by_target = build_ho_cr(cat, members, chain, cert0=cert0)
+    by_ambient = build_ho_cr(cat, members, chain, ambient_cert=ambient)
+    assert (by_target.route, by_ambient.route) == ("target-classes", "ambient-classes")
+    assert by_target.category == by_ambient.category
+    assert by_target.gamma.on_objects == by_ambient.gamma.on_objects
+    assert by_target.gamma.on_morphisms == by_ambient.gamma.on_morphisms
+    assert by_target.classes == by_ambient.classes == ((idb, e),) * 4
+    for hocr in (by_target, by_ambient):
+        assert check_conjugation(cat, members, chain, hocr, cert=ambient).status == "verified"
 
 
 def test_check_inverts_w_on_deformed_quotient():

@@ -190,8 +190,7 @@ def test_load_file_missing_path_is_format_error(tmp_path):
 
 
 def test_load_file_reads_fixture(tmp_path):
-    raw = load(f := "f_retr")
-    assert raw.source == f
+    raw = load("f_retr")
     target = tmp_path / "copy.json"
     target.write_text(json.dumps(json.load(open(path("f_retr")))))
     assert load_file(target).objects == raw.objects

@@ -11,7 +11,7 @@ def test_axioms_pass_on_split_retract():
     assert fam.report.axioms_ok
     assert fam.report.two_of_three_ok
     assert fam.report.weak_invertibility_ok
-    assert "e" in fam and "id:a" in fam
+    assert cat.mor("e") in fam.members and cat.mor("id:a") in fam.members
     assert fam.report.inserted_identities == ()  # members came resolved
     bare = check_weq_axioms(cat, ["s", "r", "e"])
     assert bare.report.inserted_identities == tuple(sorted(cat.identity_set))
