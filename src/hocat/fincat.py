@@ -142,12 +142,10 @@ class FinCat:
                     yield f, g
 
     def composable_pairs(self):
-        """Yield all (g, f) with g∘f defined."""
-        for g in range(len(self.morphisms)):
-            row = self.table[g]
-            for f in range(len(self.morphisms)):
-                if row[f] >= 0:
-                    yield g, f
+        """Yield all (g, f) with g∘f defined, g then f ascending."""
+        for g, m in enumerate(self.morphisms):
+            for f in self.incoming[m.dom]:
+                yield g, f
 
     def __eq__(self, other):
         if not isinstance(other, FinCat):
@@ -235,8 +233,8 @@ def load_spec(document) -> RawCategory:
     plain: list[tuple[str, str, str]] = []
     for entry in declared:
         _require(isinstance(entry, dict), "morphisms: entries must be objects")
-        _require(set(entry) == {"name", "dom", "cod"},
-                 f"morphism entry needs exactly name/dom/cod, got {sorted(entry)}")
+        if set(entry) != {"name", "dom", "cod"}:
+            raise FormatError(f"morphism entry needs exactly name/dom/cod, got {sorted(entry)}")
         name, dom, cod = entry["name"], entry["dom"], entry["cod"]
         _require(isinstance(name, str) and name, "morphism name must be a nonempty string")
         _require(name not in names_seen, f"duplicate morphism name {name!r}")
@@ -257,8 +255,8 @@ def load_spec(document) -> RawCategory:
     comp_entries = []
     for entry in composition:
         _require(isinstance(entry, dict), "composition: entries must be objects")
-        _require(set(entry) == {"after", "before", "equals"},
-                 f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
+        if set(entry) != {"after", "before", "equals"}:
+            raise FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
         for k in ("after", "before", "equals"):
             known_name(entry[k], mor_names, "composition entry references unknown morphism")
         comp_entries.append((entry["after"], entry["before"], entry["equals"]))

@@ -36,6 +36,7 @@ from .congruence import Congruence, Precongruence, intransitive_triple, least_co
 from .errors import ValidationError
 from .fincat import FinCat, opposite, resolve_weqs
 from .weq import SplitGenResult, WeqFamily, check_split_generated, check_weq_axioms
+from .zigzag import nonfullness_witness
 
 __all__ = [
     "Analysis", "Fork", "HomotopyWitness", "WhiteheadCertificate", "WhiteheadResult",
@@ -182,30 +183,23 @@ def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], va: int, v
 
 
 class _ForkIndex:
-    """The left weq forks at ``va`` towards ``vb``, one record per
-    mediated set, read from the enumeration only as far as the
-    questions asked of it need.
+    """The left weq forks at ``va`` towards ``vb`` for the common-fork
+    check, read from the enumeration only until the pairs asked about
+    share a fork (to the end only when they share none).
 
     The distinct sets of hom(va, vb) pairs that forks mediate are
-    numbered in the order they first appear, and ``records[i]`` is the
-    earliest fork mediating set i; ``masks`` maps each ordered pair
-    (f, g) to the bitmask of the sets read so far that contain it.  A
-    later fork of a set mediates only what its earliest one does, so
-    the lowest bit of a pair's mask names the earliest fork mediating
-    it; reading on only adds higher bits, so that holds as soon as the
-    mask is nonzero.  A question reads to the end only when its answer
-    is no.
-
-    A set is recognized again by its hash, its size and the masks of
-    its pairs (a set of that size whose every pair has bit i is set i),
-    so the mediated sets themselves are not kept.
+    numbered in the order they first appear; ``masks`` maps each ordered
+    pair (f, g) to the bitmask of the sets read so far that contain it,
+    so reading on only adds bits.  A set is recognized again by its
+    hash, its size and the masks of its pairs (a set of that size whose
+    every pair has bit i is set i), so the sets themselves are not kept.
     """
 
     def __init__(self, cat: FinCat, transposed, members: frozenset[int], va: int, vb: int):
         self._unread = _left_weq_forks(cat, transposed, members, va, vb)
-        self.records: list[Fork] = []
+        self._sets = 0
         self.masks: dict[tuple[int, int], int] = {}
-        # the records of the sets with each (hash, size)
+        # the numbers of the sets with each (hash, size)
         self._by_key: dict[tuple[int, int], list[int]] = {}
 
     def _read(self) -> bool:
@@ -213,27 +207,20 @@ class _ForkIndex:
         item = next(self._unread, None)
         if item is None:
             return False
-        fork, mediated = item
+        _fork, mediated = item
         masks = self.masks
         same = self._by_key.setdefault((hash(mediated), len(mediated)), [])
         for i in same:
             bit = 1 << i
             if all(masks.get(p, 0) & bit for p in mediated):
                 return True
-        i = len(self.records)
+        i = self._sets
+        self._sets += 1
         same.append(i)
-        self.records.append(fork)
         bit = 1 << i
         for p in mediated:
             masks[p] = masks.get(p, 0) | bit
         return True
-
-    def either(self, f: int, g: int) -> tuple[int, int]:
-        """The masks of (f, g) and (g, f), read until one is nonzero."""
-        masks = self.masks
-        while not (masks.get((f, g), 0) or masks.get((g, f), 0)) and self._read():
-            pass
-        return masks.get((f, g), 0), masks.get((g, f), 0)
 
     def share(self, p, q) -> tuple[int, int]:
         """The masks of pairs p and q, read until they meet."""
@@ -243,19 +230,11 @@ class _ForkIndex:
         return masks.get(p, 0), masks.get(q, 0)
 
 
-def _mediator_for(cat: FinCat, fork: Fork, f: int, g: int, vb: int):
-    for h in cat.hom(fork.apex, vb):
-        if cat.table[h][fork.legs[0]] == f and cat.table[h][fork.legs[1]] == g:
-            return h
-    return None
-
-
 @dataclass(frozen=True)
 class ForkConditionResult:
     side: str
     ok: bool
     counterexample: tuple[int, int] | None
-    witnesses: dict
 
 
 @dataclass(frozen=True)
@@ -273,30 +252,54 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     and degenerate pairs always have the identity fork, so this is the
     full ordered statement.
 
-    Both fork checks of a side read one fork index per hom pair, kept
-    by the session, with one record per set of pairs that forks mediate;
-    the index reads forks only until each pair's first one is found.
-    A pair's witness uses the earliest fork mediating (f, g) or (g, f),
-    the unswapped pair on a tie, with its lowest-index mediator.
+    Decided without reading a fork: a weq fork with legs (l0, l1)
+    exists iff some member σ has σ∘l0 = σ∘l1 a member, and it mediates
+    exactly the pairs (h∘l0, h∘l1).  So forks mediate the closure of
+    these good pairs (all of the closed relation when every one-sided
+    pair is good); the counterexample is the least related pair outside
+    it.  ``Analysis.fork_witnesses`` names a fork and mediator per pair.
     """
     return Analysis(cat, weqs).fork_condition(side)
 
 
-def _fork_condition(work: FinCat, rel: Precongruence, index, side: str) -> ForkConditionResult:
-    witnesses = {}
-    for f, g in sorted(rel.distinct_pairs):
-        vb = work.cod(f)
-        forks = index(work.dom(f), vb)
-        straight, swapped = forks.either(f, g)
-        either = straight | swapped
-        if not either:
-            return ForkConditionResult(side, False, (f, g), witnesses)
-        low = either & -either
-        fork = forks.records[low.bit_length() - 1]
-        legs = fork.legs if straight & low else fork.legs[::-1]
-        fork = Fork(side, fork.vertex, fork.apex, legs, fork.collapse, fork.base)
-        witnesses[(f, g)] = HomotopyWitness(side, f, g, fork, _mediator_for(work, fork, f, g, vb))
-    return ForkConditionResult(side, True, None, witnesses)
+def _fork_condition(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
+                    side: str, base: Precongruence) -> ForkConditionResult:
+    # Every good pair is in the one-sided relation ``base`` that ``rel`` closes.
+    table, morphisms = work.table, work.morphisms
+    collapses = [[table[sigma] for sigma in out if sigma in members] for out in work.outgoing]
+    good = {(f, g) for f, g in base.pairs
+            if any(row[f] == row[g] and row[f] in members for row in collapses[morphisms[f].cod])}
+    if len(good) == len(base.pairs):  # both close to ``rel``; always so with W every arrow
+        return ForkConditionResult(side, True, None)
+    missing = rel.pairs - _left_closure(work, transposed, good).pairs
+    return ForkConditionResult(side, not missing, min(missing) if missing else None)
+
+
+def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
+                    side: str, cut: tuple[int, int] | None) -> dict:
+    """A homotopy witness for each related pair before ``cut`` (every
+    pair when None), in pair order: the earliest fork mediating (f, g)
+    or (g, f), legs in (f, g) order and the unswapped pair on a tie,
+    with its lowest-index mediator.  Each hom pair's forks are read once,
+    in order, until all its pairs are met."""
+    table = work.table
+    pairs = sorted(p for p in rel.pairs if cut is None or p < cut)
+    unmet: dict = {}
+    for f, g in pairs:
+        unmet.setdefault((work.dom(f), work.cod(f)), set()).add((f, g))
+    found = {}
+    for (va, vb), left in unmet.items():
+        forks = _left_weq_forks(work, transposed, members, va, vb)
+        while left:
+            fork, mediated = next(forks)
+            for f, g in [p for p in left if p in mediated or p[::-1] in mediated]:
+                l0, l1 = fork.legs if (f, g) in mediated else fork.legs[::-1]
+                mediator = next(h for h in work.hom(fork.apex, vb)
+                                if table[h][l0] == f and table[h][l1] == g)
+                found[f, g] = HomotopyWitness(side, f, g, Fork(
+                    side, fork.vertex, fork.apex, (l0, l1), fork.collapse, fork.base), mediator)
+                left.discard((f, g))
+    return {p: found[p] for p in pairs}
 
 
 def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult:
@@ -306,24 +309,25 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     transitivity argument consumes, which chains one pair against a
     degenerate one on the dual side.
 
-    The session's fork index of each hom pair keeps one record per
-    mediated set, and two pairs share a fork iff some mediated set
-    holds both: iff their bitmasks of sets meet.  The index reads forks
-    only until they do, and to the end only for a counterexample.
+    Each hom pair gets one fork index, with one bit per mediated set,
+    and two pairs share a fork iff some mediated set holds both: iff
+    their bitmasks meet.  The index reads forks only until they do,
+    and to the end only for a counterexample.
     """
     return Analysis(cat, weqs).common_fork(side)
 
 
-def _common_fork(work: FinCat, rel: Precongruence, index, side: str) -> CommonForkResult:
+def _common_fork(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
+                 side: str) -> CommonForkResult:
     for va, vb in work.hom_pairs():
         # The ordered related pairs of hom(va, vb), diagonal included.
         arrows = work.hom(va, vb)
         pairs = [(f, g) for f in arrows for g in arrows
                  if f == g or (min(f, g), max(f, g)) in rel.pairs]
-        forks = index(va, vb)
-        # Masks copied here only gain bits as the index reads on, so a
-        # miss is asked of the index again before it counts.
-        masks = [forks.masks.get(p, 0) for p in pairs]
+        forks = _ForkIndex(work, transposed, members, va, vb)
+        # Masks copied from the index only gain bits as it reads on, so
+        # a miss is asked of the index again before it counts.
+        masks = [0] * len(pairs)
         for i, p1 in enumerate(pairs):
             for j in range(i, len(pairs)):
                 if not masks[i] & masks[j]:
@@ -423,13 +427,13 @@ class Analysis:
     Each stage is computed on first use and then kept, so the stages
     that build on one another share one family check, one opposite
     category, one homotopy congruence (which keeps its quotient), one
-    set of invertible arrows, one fork check per side and one fork index
-    per side and hom pair, read by both fork checks only as far as their
-    answers need and let go once both are answered.  Leg composites come from the transposed table the
-    session holds anyway: the opposite's on the left, the category's on
-    the right.  A stage
-    assigned before its first use (``session.family = ...``) is taken as
-    given.  ``weqs`` may name arrows or index them; identities are
+    set of invertible arrows, and per side one closed relation, fork
+    condition, set of fork witnesses, common-fork and transitivity
+    verdict.  Leg composites come from the transposed table the session
+    holds anyway: the opposite's on the left, the category's on the
+    right.  No fork index outlives the check that reads it.  A stage
+    assigned before its first use (``session.family = ...``) is taken
+    as given.  ``weqs`` may name arrows or index them; identities are
     implicit, as in documents.
     """
 
@@ -437,9 +441,7 @@ class Analysis:
         self.cat = cat
         self.weqs = tuple(weqs)
         self.members = resolve_weqs(cat, self.weqs)
-        # per-side stages by (function, side); a side's fork indices by
-        # (va, vb) under (_ForkIndex, side), until both fork checks of
-        # the side are answered
+        # per-side stages by (function, side)
         self._sides: dict = {}
 
     @cached_property
@@ -492,12 +494,20 @@ class Analysis:
         work, transposed = self._work(side)
         key = (_left_closure, side)
         if key not in self._sides:
-            base = self.left if side == "left" else self.right
-            self._sides[key] = _left_closure(work, transposed, base.pairs)
+            self._sides[key] = _left_closure(work, transposed, self._one_sided(side).pairs)
         return work, self._sides[key]
 
+    def _one_sided(self, side: str) -> Precongruence:
+        return self.left if side == "left" else self.right
+
     def fork_condition(self, side: str = "left") -> ForkConditionResult:
-        return self._per_side(_fork_condition, side)
+        return self._per_side(_fork_condition, side, self._one_sided(side))
+
+    def fork_witnesses(self, side: str = "left") -> dict:
+        """A :class:`HomotopyWitness` for each related pair (f, g) before
+        the fork condition's counterexample (every pair when it holds),
+        keyed and ordered by pair."""
+        return self._per_side(_fork_witnesses, side, self.fork_condition(side).counterexample)
 
     def common_fork(self, side: str = "left") -> CommonForkResult:
         return self._per_side(_common_fork, side)
@@ -511,19 +521,11 @@ class Analysis:
             self._sides[key] = (triple is None, triple)
         return self._sides[key]
 
-    def _per_side(self, check, side: str):
+    def _per_side(self, check, side: str, *args):
         if (check, side) not in self._sides:
             work, rel = self.closed(side)
-            transposed = self._work(side)[1]
-            indices = self._sides.setdefault((_ForkIndex, side), {})
-
-            def index(va: int, vb: int) -> _ForkIndex:
-                if (va, vb) not in indices:
-                    indices[va, vb] = _ForkIndex(work, transposed, self.members, va, vb)
-                return indices[va, vb]
-            self._sides[check, side] = check(work, rel, index, side)
-            if (_fork_condition, side) in self._sides and (_common_fork, side) in self._sides:
-                indices.clear()  # both answers are kept; nothing reads the side's forks again
+            self._sides[check, side] = check(work, self._work(side)[1], self.members, rel,
+                                             side, *args)
         return self._sides[check, side]
 
     @cached_property
@@ -545,7 +547,6 @@ class Analysis:
             raise RuntimeError(
                 "internal inconsistency: split-generated family failed certification")
 
-        from .zigzag import nonfullness_witness  # deferred: zigzag imports this module
         witness = nonfullness_witness(cat, members)
         status = "failed" if witness is not None else "inconclusive"
         return WhiteheadResult(status, cong, None, witness, family, self.splitgen)

@@ -217,6 +217,22 @@ def test_non_name_references_are_malformed(tmp_path, capsys, mangle, zigzag):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("mangle, message", [
+    (lambda d: d["morphisms"][0].update(extra=1),
+     "morphism entry needs exactly name/dom/cod, got ['cod', 'dom', 'extra', 'name']"),
+    (lambda d: d["composition"][0].pop("equals"),
+     "composition entry needs exactly after/before/equals, got ['after', 'before']"),
+], ids=["morphism-fields", "composition-fields"])
+def test_entry_field_messages(tmp_path, capsys, mangle, message):
+    """An entry with the wrong fields exits 2 and names the fields it has."""
+    doc = json.loads(path("f_retr").read_text())
+    mangle(doc)
+    file = tmp_path / "category.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(file)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["analyze", "deform"])
 @pytest.mark.parametrize("target", [
     {"morphisms": ["id:a"]}, {"objects": 5}, {"objects": []}, {"objects": "a"},
@@ -289,8 +305,8 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     counted(homotopy, "opposite", lambda cat: cat)
     counted(homotopy, "least_congruence", lambda rel: rel.base)
     counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
-    counted(homotopy, "_fork_condition", lambda work, rel, index, side: work,
-            lambda work, rel, index, side: side)
+    counted(homotopy, "_fork_condition", lambda work, transposed, members, rel, side, base: work,
+            lambda work, transposed, members, rel, side, base: side)
     counted(homotopy, "_ForkIndex", lambda work, transposed, members, va, vb: work,
             lambda work, transposed, members, va, vb: (va, vb))
     for name in NAMES:
@@ -299,6 +315,20 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
         assert calls and max(calls.values()) == 1, (name, calls)
         assert sum(k[0] == "_fork_condition" for k in calls) == 2, name
         assert any(k[0] == "_ForkIndex" for k in calls), name
+
+
+def test_analyze_builds_no_witnesses(monkeypatch, tmp_path):
+    """The fork condition is decided from the closure of the good pairs:
+    analyze never names a fork and mediator for a pair."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("analyze built a homotopy witness")
+
+    monkeypatch.setattr(homotopy, "HomotopyWitness", refuse)
+    file = tmp_path / "fun123.json"
+    file.write_text(json.dumps(all_functions_instance((1, 2, 3), "all")[2]))
+    for document in [fx(name) for name in NAMES] + [str(file)]:
+        report = cli.run_analysis(document)
+        assert report.data["forks"] != "skipped", document
 
 
 def test_analyze_reads_only_the_forks_it_needs(monkeypatch, tmp_path):
@@ -344,8 +374,8 @@ def test_quotient_skips_fork_work(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("fork work for an unselected stage")
 
-    for name in ("_fork_condition", "_common_fork", "_ForkIndex", "_left_weq_forks",
-                 "_left_closure", "intransitive_triple"):
+    for name in ("_fork_condition", "_fork_witnesses", "_common_fork", "_ForkIndex",
+                 "_left_weq_forks", "_left_closure", "intransitive_triple"):
         monkeypatch.setattr(homotopy, name, refuse)
     monkeypatch.setattr(homotopy.Analysis, "saturation", property(refuse))
     assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0

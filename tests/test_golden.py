@@ -13,9 +13,10 @@ at least one of them.
 
 ``tests/golden/fork-witnesses.json`` holds, for each side of every
 fixture and of the first 40 instances of the seeded split and mixed
-corpora, the fork condition (verdict, counterexample and every witness
-with its fork and mediator), the common-fork verdict with its
-counterexample and the transitivity verdict with its triple.  It also
+corpora, the fork condition (verdict and counterexample), every witness
+of ``Analysis.fork_witnesses`` with its fork and mediator, the
+common-fork verdict with its counterexample and the transitivity
+verdict with its triple.  It also
 holds the sha256 of that report for each side of the 56-arrow category
 of all functions between sets of sizes 1, 2 and 3, with W every arrow
 and with W the bijections.
@@ -132,12 +133,13 @@ def _fork_report(cat, session, side) -> dict:
                 "mediator": None if w.mediator is None else mor(w.mediator)}
 
     cond = session.fork_condition(side)
+    witnesses = session.fork_witnesses(side)
     common = session.common_fork(side)
     transitive, triple = session.rc_transitive(side)
     return {
         "fork_condition": {
             "ok": cond.ok, "counterexample": pair(cond.counterexample),
-            "witnesses": [[pair(p), witness(w)] for p, w in cond.witnesses.items()]},
+            "witnesses": [[pair(p), witness(w)] for p, w in witnesses.items()]},
         "common_fork": {
             "ok": common.ok,
             "counterexample": None if common.counterexample is None

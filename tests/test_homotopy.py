@@ -78,7 +78,7 @@ def test_fork_condition_witnesses_replay():
     cat, members, _r = category("f_retr")
     res = check_fork_condition(cat, members, "left")
     assert res.ok and res.counterexample is None
-    for (f, g), wit in res.witnesses.items():
+    for (f, g), wit in Analysis(cat, members).fork_witnesses("left").items():
         fork = wit.fork
         assert fork.base in members and fork.collapse in members
         assert cat.table[fork.collapse][fork.legs[0]] == fork.base
@@ -91,10 +91,12 @@ def test_fork_condition_right_side_mirrors():
     cat, members, _r = category("f_retr")
     res = check_fork_condition(cat, members, "right")
     assert res.ok
-    for wit in res.witnesses.values():
+    for wit in Analysis(cat, members).fork_witnesses("right").values():
         assert wit.side == "right"
     with pytest.raises(ValidationError):
         check_fork_condition(cat, members, "middle")
+    with pytest.raises(ValidationError):
+        Analysis(cat, members).fork_witnesses("middle")
 
 
 def test_common_fork_needs_shared_support():
@@ -135,13 +137,14 @@ def test_fork_index_tells_colliding_sets_apart(monkeypatch, mixed_corpus, split_
     its pairs' masks, not by its hash alone: with every set hashing
     alike, both fork checks give the same answers and witnesses."""
     instances = mixed_corpus[:60] + split_corpus[:60]
-    want = [(s.fork_condition(side), s.common_fork(side))
-            for s in (Analysis(cat, members) for cat, members, _doc in instances)
-            for side in ("left", "right")]
+
+    def answers():
+        return [(s.fork_condition(side), s.fork_witnesses(side), s.common_fork(side))
+                for s in (Analysis(cat, members) for cat, members, _doc in instances)
+                for side in ("left", "right")]
+    want = answers()
     monkeypatch.setattr(homotopy, "hash", lambda obj: 0, raising=False)
-    got = [(s.fork_condition(side), s.common_fork(side))
-           for s in (Analysis(cat, members) for cat, members, _doc in instances)
-           for side in ("left", "right")]
+    got = answers()
     assert got == want
 
 
@@ -251,13 +254,15 @@ def test_fork_checks_match_brute_force(mixed_corpus, split_corpus):
     and every witness they return replays."""
     fork_failures = common_failures = 0
     for cat, members, _doc in mixed_corpus + split_corpus:
+        session = Analysis(cat, members)
         for side in ("left", "right"):
             res = check_fork_condition(cat, members, side)
             assert (res.ok, res.counterexample) == brute_fork_condition(cat, members, side)
             rel = brute_one_sided_relation(cat, members, side)
-            if res.ok:
-                assert set(res.witnesses) == rel
-            for (f, g), wit in res.witnesses.items():
+            witnesses = session.fork_witnesses(side)
+            assert set(witnesses) == {p for p in rel
+                                      if res.ok or p < res.counterexample}
+            for (f, g), wit in witnesses.items():
                 assert (wit.f, wit.g) == (f, g) and (f, g) in rel
                 assert replays_homotopy(cat, members, side, wit)
             common = check_common_fork(cat, members, side)
