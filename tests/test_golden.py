@@ -21,15 +21,24 @@ holds the sha256 of that report for each side of the 56-arrow category
 of all functions between sets of sizes 1, 2 and 3, with W every arrow
 and with W the bijections.
 
-To regenerate both files after an intended change, run
+``tests/golden/analyze-fun1234-sha256.json`` holds the sha256 of
+``hocat analyze FILE --format json`` on the 494-arrow category of all
+functions between sets of sizes 1, 2, 3 and 4, with W every arrow and
+with W the bijections, the document named ``fun1234-WEQS.json``.
+
+To regenerate these three files after an intended change, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
 root.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import os
 import pathlib
 import random
+import tempfile
 
 import pytest
 from gencat import all_functions_instance, gen_any_instance, gen_split_instance
@@ -43,6 +52,7 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 COMMANDS = ("analyze", "quotient", "deform")
 TRACES = GOLDEN / "zigzag-traces.json"
 FORKS = GOLDEN / "fork-witnesses.json"
+ANALYZE_494 = GOLDEN / "analyze-fun1234-sha256.json"
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -182,6 +192,33 @@ def test_fork_witnesses_match_golden():
     assert _render(fork_witnesses()) == FORKS.read_text(encoding="utf-8")
 
 
+def analyze_494_hashes() -> dict:
+    """The sha256 of ``analyze --format json`` on all functions between
+    sets of sizes 1, 2, 3 and 4 (494 arrows), per family, each run from
+    the directory that holds the document."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        try:
+            os.chdir(workdir)
+            for weqs in ("all", "bijections"):
+                name = f"fun1234-{weqs}.json"
+                with open(name, "w", encoding="utf-8") as fh:
+                    json.dump(all_functions_instance((1, 2, 3, 4), weqs)[2], fh)
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text):
+                    assert cli.main(["analyze", name, "--format", "json"]) == 0
+                out[name] = hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def test_analyze_494_matches_golden():
+    assert _render(analyze_494_hashes()) == ANALYZE_494.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     TRACES.write_text(_render(zigzag_traces()), encoding="utf-8")
     FORKS.write_text(_render(fork_witnesses()), encoding="utf-8")
+    ANALYZE_494.write_text(_render(analyze_494_hashes()), encoding="utf-8")
