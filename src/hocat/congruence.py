@@ -179,11 +179,15 @@ def least_congruence(rel: Precongruence) -> Congruence:
     """The smallest congruence containing ``rel``.
 
     Union-find per hom-set with a worklist: each newly merged pair
-    re-fires one-sided composition closure, and transitivity inside the
-    union-find carries the two-sided consequences to a fixpoint.
+    (f, g) pushes (f∘k, g∘k) and (k∘f, k∘g) for each composable k of
+    :attr:`FinCat.generators`, and transitivity inside the union-find
+    carries the consequences to a fixpoint.  Closed under composition
+    with the generators, the equivalence is closed under composition
+    with their composites, which are every arrow.
     """
     base = rel.base
     n = len(base.morphisms)
+    table, morphisms = base.table, base.morphisms
     parent = list(range(n))
     work = list(rel.pairs)
     while work:
@@ -194,11 +198,12 @@ def least_congruence(rel: Precongruence) -> Congruence:
         if rf > rg:
             rf, rg = rg, rf
         parent[rg] = rf
-        d, c = base.dom(f), base.cod(f)
-        for u in base.incoming[d]:
-            work.append((base.table[f][u], base.table[g][u]))
-        for v in base.outgoing[c]:
-            work.append((base.table[v][f], base.table[v][g]))
+        d, c = morphisms[f].dom, morphisms[f].cod
+        for k in base.generators:
+            if morphisms[k].cod == d:
+                work.append((table[f][k], table[g][k]))
+            if morphisms[k].dom == c:
+                work.append((table[k][f], table[k][g]))
 
     groups: dict[int, list[int]] = {}
     for m in range(n):

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 from .congruence import Congruence, Precongruence, intransitive_triple, least_congruence, sigma_of
 from .errors import ValidationError
@@ -74,36 +73,32 @@ def r_right(cat: FinCat, weqs) -> Precongruence:
     return Analysis(cat, weqs).right
 
 
-def _gather(keys):
-    """The cells of a row at ``keys``, always as a tuple (a one-key
-    ``itemgetter`` returns a scalar)."""
-    if len(keys) == 1:
-        key, = keys
-        return lambda row: (row[key],)
-    return itemgetter(*keys) if keys else lambda row: ()
-
-
-def _left_closure(work: FinCat, transposed, pairs) -> Precongruence:
+def _left_closure(work: FinCat, pairs) -> Precongruence:
     """Composition closure of a left relation on ``work``.
 
     The left relation is already stable under pre-composition (the same
     equalizing member works), so post-composing with every mediator
-    h: B -> B' alone reaches the full two-sided closure.
-
-    ``transposed[f][h]`` is h∘f in ``work``, so each leg's composites
-    with every mediator are one gather of its transposed row.
+    h: B -> B' alone reaches the full two-sided closure.  Each mediator
+    is a composite of :attr:`FinCat.generators`, so a worklist that
+    post-composes each new pair with the generators out of its codomain
+    reaches the same pairs.  A pair that becomes degenerate stays so
+    and is dropped.  An empty relation is closed as it is.
     """
-    gathers: dict = {}  # one per codomain
-    morphisms = work.morphisms
+    table, morphisms = work.table, work.morphisms
     out = set(pairs)
-    for f, g in pairs:
-        cod = morphisms[f].cod
-        if cod not in gathers:
-            gathers[cod] = _gather(work.outgoing[cod])
-        gather = gathers[cod]
-        out.update((hf, hg) if hf < hg else (hg, hf)
-                   for hf, hg in zip(gather(transposed[f]), gather(transposed[g]))
-                   if hf != hg)
+    todo = list(out)
+    # the rows of the generators out of each object
+    after = [[table[k] for k in work.generators if morphisms[k].dom == x]
+             for x in range(len(work.objects))] if todo else ()
+    while todo:
+        f, g = todo.pop()
+        for row in after[morphisms[f].cod]:
+            hf, hg = row[f], row[g]
+            if hf != hg:
+                p = (hf, hg) if hf < hg else (hg, hf)
+                if p not in out:
+                    out.add(p)
+                    todo.append(p)
     return Precongruence.canonical(work, out)
 
 
@@ -165,7 +160,7 @@ def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], va: int, v
         legs_pool = cat.hom(va, apex)
         if not legs_pool:
             continue
-        gather = _gather(cat.hom(apex, vb))
+        mediators = cat.hom(apex, vb)
         image = {}
         collapses = [(sigma, table[sigma]) for sigma in cat.outgoing[apex] if sigma in members]
         for l0 in legs_pool:
@@ -176,7 +171,7 @@ def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], va: int, v
                         continue
                     for leg in (l0, l1):
                         if leg not in image:
-                            image[leg] = gather(transposed[leg])
+                            image[leg] = tuple(map(transposed[leg].__getitem__, mediators))
                     fork = Fork("left", va, apex, (l0, l1), sigma, base)
                     yield fork, frozenset(zip(image[l0], image[l1]))
                     break  # further collapses mediate the same pairs
@@ -271,7 +266,7 @@ def _fork_condition(work: FinCat, transposed, members: frozenset[int], rel: Prec
             if any(row[f] == row[g] and row[f] in members for row in collapses[morphisms[f].cod])}
     if len(good) == len(base.pairs):  # both close to ``rel``; always so with W every arrow
         return ForkConditionResult(side, True, None)
-    missing = rel.pairs - _left_closure(work, transposed, good).pairs
+    missing = rel.pairs - _left_closure(work, good).pairs
     return ForkConditionResult(side, not missing, min(missing) if missing else None)
 
 
@@ -309,10 +304,12 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     transitivity argument consumes, which chains one pair against a
     degenerate one on the dual side.
 
-    Each hom pair gets one fork index, with one bit per mediated set,
-    and two pairs share a fork iff some mediated set holds both: iff
-    their bitmasks meet.  The index reads forks only until they do,
-    and to the end only for a counterexample.
+    Each hom pair with a distinct related pair gets one fork index,
+    with one bit per mediated set, and two pairs share a fork iff some
+    mediated set holds both: iff their bitmasks meet.  The index reads
+    forks only until they do, and to the end only for a counterexample.
+    A hom pair whose related pairs are all diagonal needs no index: the
+    identity fork at its vertex mediates every (h, h).
     """
     return Analysis(cat, weqs).common_fork(side)
 
@@ -324,6 +321,8 @@ def _common_fork(work: FinCat, transposed, members: frozenset[int], rel: Precong
         arrows = work.hom(va, vb)
         pairs = [(f, g) for f in arrows for g in arrows
                  if f == g or (min(f, g), max(f, g)) in rel.pairs]
+        if len(pairs) == len(arrows):
+            continue  # the identity fork at va mediates every (h, h)
         forks = _ForkIndex(work, transposed, members, va, vb)
         # Masks copied from the index only gain bits as it reads on, so
         # a miss is asked of the index again before it counts.
@@ -491,10 +490,10 @@ class Analysis:
     def closed(self, side: str) -> tuple[FinCat, Precongruence]:
         """The category a side's forks live in and the closed one-sided
         relation there."""
-        work, transposed = self._work(side)
+        work = self._work(side)[0]
         key = (_left_closure, side)
         if key not in self._sides:
-            self._sides[key] = _left_closure(work, transposed, self._one_sided(side).pairs)
+            self._sides[key] = _left_closure(work, self._one_sided(side).pairs)
         return work, self._sides[key]
 
     def _one_sided(self, side: str) -> Precongruence:

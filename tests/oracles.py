@@ -53,6 +53,20 @@ def brute_law_violation(raw):
     return None
 
 
+def brute_generated(cat, gens):
+    """The arrows composed from ``gens`` and the identities: a plain
+    fixpoint, composing any two arrows reached so far."""
+    reached = set(cat.identity) | set(gens)
+    changed = True
+    while changed:
+        changed = False
+        for g, f in itertools.product(list(reached), repeat=2):
+            if cat.morphisms[g].dom == cat.morphisms[f].cod and cat.table[g][f] not in reached:
+                reached.add(cat.table[g][f])
+                changed = True
+    return frozenset(reached)
+
+
 def brute_close_composition(cat, pairs):
     """Smallest superset of ``pairs`` stable under one-sided composition."""
     out = set()

@@ -1,4 +1,5 @@
 import collections
+import functools
 import importlib.util
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 from gencat import all_functions_instance
 
 import hocat
-from hocat import cli, congruence, homotopy
+from hocat import cli, congruence, fincat, homotopy
 from hocat.fixtures import NAMES, path
 
 
@@ -283,11 +284,12 @@ def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
 
 
 def test_analyze_computes_each_intermediate_once(monkeypatch):
-    """Per category, one analyze checks the family, builds the opposite,
-    the congruence and the quotient at most once, runs each side's fork
-    condition at most once and indexes the forks of each hom pair of a
-    side at most once.  Quotients are counted where they are built,
-    whoever asks for them."""
+    """Per category, one analyze finds the generating set, checks the
+    family, builds the opposite, the congruence and the quotient at most
+    once, and runs each side's fork condition at most once.  A side's
+    common fork indexes exactly the hom pairs that hold a distinct
+    related pair, each once, up to the one with its counterexample.
+    Quotients are counted where they are built, whoever asks for them."""
     calls = collections.Counter()
     keep = []  # keeps every counted category alive, so ids stay unique
 
@@ -309,12 +311,37 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
             lambda work, transposed, members, rel, side, base: side)
     counted(homotopy, "_ForkIndex", lambda work, transposed, members, va, vb: work,
             lambda work, transposed, members, va, vb: (va, vb))
+    real_generators = fincat.FinCat.generators.func
+
+    def generators(cat):
+        keep.append(cat)
+        calls["generators", id(cat), None] += 1
+        return real_generators(cat)
+    prop = functools.cached_property(generators)
+    prop.__set_name__(fincat.FinCat, "generators")
+    monkeypatch.setattr(fincat.FinCat, "generators", prop)
+    commons = []
+    real_common = homotopy._common_fork
+
+    def common(work, *args):
+        commons.append((work, args[2], real_common(work, *args)))
+        return commons[-1][2]
+    monkeypatch.setattr(homotopy, "_common_fork", common)
     for name in NAMES:
         calls.clear()
+        commons.clear()
         cli.run_analysis(fx(name))
         assert calls and max(calls.values()) == 1, (name, calls)
         assert sum(k[0] == "_fork_condition" for k in calls) == 2, name
-        assert any(k[0] == "_ForkIndex" for k in calls), name
+        assert any(k[0] == "generators" for k in calls), name
+        assert len(commons) == 2, name
+        for work, rel, result in commons:
+            homs = sorted({(work.dom(f), work.cod(f)) for f, _g in rel.pairs})
+            if result.counterexample is not None:
+                f = result.counterexample[0][0]
+                homs = homs[:homs.index((work.dom(f), work.cod(f))) + 1]
+            indexed = sorted(k[2] for k in calls if k[0] == "_ForkIndex" and k[1] == id(work))
+            assert indexed == homs, (name, indexed, homs)
 
 
 def test_analyze_builds_no_witnesses(monkeypatch, tmp_path):

@@ -1,9 +1,12 @@
+import collections
+import functools
 import json
 import random
 
 import pytest
 
 from hocat import (
+    Analysis,
     CatFunctor,
     find_splits,
     load_file,
@@ -13,11 +16,18 @@ from hocat import (
     subcategory,
     validate_category,
 )
+from hocat import fincat
 from hocat.errors import FormatError, ValidationError
-from hocat.fixtures import category, load, path
+from hocat.fixtures import NAMES, category, load, path
 
 from gencat import all_functions_instance, gen_category, gen_document
-from oracles import brute_isomorphism, brute_law_violation
+from oracles import (
+    brute_close_composition,
+    brute_generated,
+    brute_isomorphism,
+    brute_law_violation,
+    brute_least_congruence,
+)
 
 
 def small_doc():
@@ -182,6 +192,138 @@ def test_validation_names_the_first_broken_law():
     assert kinds["associativity"] >= 20 and kinds["missing"] >= 100
     assert kinds["endpoint mismatch"] >= 1 and kinds["contradicts"] >= 1
     assert identity_only >= 20
+
+
+def _law_broken(raw):
+    """The kind of the first law ``raw`` breaks, or None; the error
+    ``validate_category`` raises must name the oracle's witness."""
+    found = brute_law_violation(raw)
+    if found is None:
+        return None
+    with pytest.raises(ValidationError) as err:
+        validate_category(raw)
+    assert str(err.value) == LAW_MESSAGES[found[0]].format(*found[1])
+    return found[0]
+
+
+def test_light_fallback_names_the_first_broken_triple(monkeypatch):
+    """The cyclic group {id, m0, m1} (m1 = m0∘m0) acts on m2, m3, m4:
+    o0 -> o1, m1 turning m2 into m3 into m4 into m2, with the entry
+    m3∘m0 pointed at m4 instead of m2.  The generators are m0 and m2, so
+    Light's test fails on m0, and the full scan names the first broken
+    triple, whose middle arrow m1 is not a generator."""
+    turn = {"m2": "m3", "m3": "m4", "m4": "m2"}
+    back = {v: k for k, v in turn.items()}
+    composition = [{"after": "m0", "before": "m0", "equals": "m1"},
+                   {"after": "m1", "before": "m1", "equals": "m0"},
+                   {"after": "m1", "before": "m0", "equals": "id:o0"},
+                   {"after": "m0", "before": "m1", "equals": "id:o0"}]
+    for x in turn:
+        composition.append({"after": x, "before": "m1", "equals": turn[x]})
+        composition.append({"after": x, "before": "m0",
+                            "equals": "m4" if x == "m3" else back[x]})
+    doc = {"objects": ["o0", "o1"],
+           "morphisms": [{"name": m, "dom": "o0", "cod": "o0" if m in ("m0", "m1") else "o1"}
+                         for m in ("m0", "m1", "m2", "m3", "m4")],
+           "composition": composition}
+    made = []
+    real = fincat.FinCat.generators.func
+
+    def recording(cat):
+        made.append([cat.mor_name(k) for k in real(cat)])
+        return real(cat)
+    prop = functools.cached_property(recording)
+    prop.__set_name__(fincat.FinCat, "generators")
+    monkeypatch.setattr(fincat.FinCat, "generators", prop)
+    raw = load_spec(doc)
+    assert brute_law_violation(raw) == ("associativity", ("m2", "m1", "m0"))
+    assert _law_broken(raw) == "associativity"
+    assert made == [["m0", "m2"]]
+
+
+def test_generators_are_the_greedy_generating_set(mixed_corpus, split_corpus):
+    """On the seeded corpora, the fixtures and all functions between sets
+    of sizes 1, 2 and 3, the generators reach every arrow, also in the
+    opposite, and an arrow is kept exactly when the arrows kept before
+    it do not generate it."""
+    cats = [cat for cat, _members, _doc in mixed_corpus + split_corpus]
+    cats += [category(name)[0] for name in NAMES]
+    cats.append(all_functions_instance((1, 2, 3), "all")[0])
+    for cat in cats:
+        gens = cat.generators
+        arrows = frozenset(range(len(cat.morphisms)))
+        assert brute_generated(cat, gens) == arrows
+        op = opposite(cat)
+        assert op.generators == gens and brute_generated(op, gens) == arrows
+        for f in arrows:
+            assert (f in gens) == (f not in brute_generated(cat, [k for k in gens if k < f]))
+
+
+def _declared_in(doc, order):
+    """``doc`` with its arrows declared in ``order``, a list of names."""
+    entry = {m["name"]: m for m in doc["morphisms"]}
+    return dict(doc, morphisms=[entry[name] for name in order])
+
+
+def _answers(doc):
+    """A document's answers, by name, each judged by an oracle: the kind
+    of law it breaks (the witness the error names depends on the order),
+    else both closed one-sided relations and the homotopy congruence."""
+    raw = load_spec(doc)
+    broken = _law_broken(raw)
+    if broken is not None:
+        return broken
+    cat = validate_category(raw)
+    session = Analysis(cat, doc["weak_equivalences"])
+    name = cat.mor_name
+    out = []
+    for side, one_sided in (("left", session.left), ("right", session.right)):
+        closed = session.closed(side)[1].pairs
+        assert closed == brute_close_composition(cat, one_sided.pairs)
+        out.append({frozenset((name(f), name(g))) for f, g in closed})
+    cong = session.congruence
+    if len(cat.morphisms) <= 12:
+        pairs = session.left.pairs | session.right.pairs
+        assert tuple(cong.classes[c][0] for c in cong.class_of) == \
+            brute_least_congruence(cat, pairs)
+    out.append({frozenset(map(name, cls)) for cls in cong.classes})
+    return out
+
+
+def test_answers_do_not_depend_on_declaration_order(mixed_corpus):
+    """The generating set depends on the order arrows are declared in;
+    the answers it drives do not.  All functions between sets of sizes
+    1, 2 and 3 (W every arrow) are declared with the endomorphisms of
+    least rank first, composites before their factors, and in random
+    orders; small corpus documents in random orders.  Each order, and
+    corrupted copies of each document in the same orders, give the same
+    verdicts, closures and congruence, and the exact error text."""
+    rng = random.Random(1618)
+    cat, _members, doc = all_functions_instance((1, 2, 3), "all")
+    # A point of X is an arrow out of the one-point set o0.
+    rank = {cat.mor_name(f): len({cat.table[f][x] for x in cat.hom(0, cat.dom(f))})
+            for f in range(len(cat.morphisms))}
+    names = [m["name"] for m in doc["morphisms"]]
+    adversarial = sorted(names, key=lambda m: (rank[m], cat.dom(m) != cat.cod(m)))
+    assert len(validate_category(load_spec(_declared_in(doc, adversarial))).generators) >= 20
+    documents = [(doc, [adversarial])]
+    for small, members, small_doc in mixed_corpus[:12]:
+        documents.append((dict(small_doc, weak_equivalences=[small.mor_name(w) for w in members]),
+                          []))
+    kinds = collections.Counter()
+    for base, orders in documents:
+        names = [m["name"] for m in base["morphisms"]]
+        orders = orders + [names] + [rng.sample(names, len(names)) for _ in range(3)]
+        copies = [base]
+        for _ in range(4 if base["composition"] else 0):
+            copy = json.loads(json.dumps(base))
+            _corrupt(rng, copy)
+            copies.append(copy)
+        for copy in copies:
+            answers = [_answers(_declared_in(copy, order)) for order in orders]
+            assert all(a == answers[0] for a in answers), answers
+            kinds[answers[0] if isinstance(answers[0], str) else None] += 1
+    assert kinds["associativity"] >= 5 and kinds["missing"] >= 5, kinds
 
 
 def test_load_file_missing_path_is_format_error(tmp_path):
