@@ -179,11 +179,9 @@ def least_congruence(rel: Precongruence) -> Congruence:
     """The smallest congruence containing ``rel``.
 
     Union-find per hom-set with a worklist: each newly merged pair
-    (f, g) pushes (f∘k, g∘k) and (k∘f, k∘g) for each composable k of
-    :attr:`FinCat.generators`, and transitivity inside the union-find
-    carries the consequences to a fixpoint.  Closed under composition
-    with the generators, the equivalence is closed under composition
-    with their composites, which are every arrow.
+    re-fires one-sided composition with :attr:`FinCat.generators`, which
+    compose to every arrow, and transitivity inside the union-find
+    carries the two-sided consequences to a fixpoint.
     """
     base = rel.base
     n = len(base.morphisms)
@@ -198,11 +196,10 @@ def least_congruence(rel: Precongruence) -> Congruence:
         if rf > rg:
             rf, rg = rg, rf
         parent[rg] = rf
-        d, c = morphisms[f].dom, morphisms[f].cod
         for k in base.generators:
-            if morphisms[k].cod == d:
+            if morphisms[k].cod == morphisms[f].dom:
                 work.append((table[f][k], table[g][k]))
-            if morphisms[k].dom == c:
+            if morphisms[k].dom == morphisms[f].cod:
                 work.append((table[k][f], table[k][g]))
 
     groups: dict[int, list[int]] = {}

@@ -383,10 +383,10 @@ def validate_category(raw: RawCategory) -> FinCat:
     associativity by Light's test (Clifford and Preston, *The Algebraic
     Theory of Semigroups* I, §1.2): with the table total and the
     identity laws holding, the arrows g with h∘(g∘f) = (h∘g)∘f for all
-    h and f are closed under composition, so it suffices that each of
-    :attr:`FinCat.generators` is one.  Only when one is not are all
-    triples scanned, so the error names the first witness in (g, f),
-    respectively (h, g, f), index order.
+    h and f are closed under composition, so only the triples with a
+    middle arrow in :attr:`FinCat.generators` need checking.  Only when
+    one fails are all triples scanned, so the error names the first
+    witness in (g, f), respectively (h, g, f), index order.
     """
     objects = raw.objects
     obj_index = {o: i for i, o in enumerate(objects)}

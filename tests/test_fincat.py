@@ -230,8 +230,9 @@ def test_light_fallback_names_the_first_broken_triple(monkeypatch):
     real = fincat.FinCat.generators.func
 
     def recording(cat):
-        made.append([cat.mor_name(k) for k in real(cat)])
-        return real(cat)
+        gens = real(cat)
+        made.append([cat.mor_name(k) for k in gens])
+        return gens
     prop = functools.cached_property(recording)
     prop.__set_name__(fincat.FinCat, "generators")
     monkeypatch.setattr(fincat.FinCat, "generators", prop)
