@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -135,13 +136,6 @@ class FinCat:
         """Ordered object pairs with at least one arrow."""
         return tuple(sorted(self._hom))
 
-    def parallel_pairs(self):
-        """Yield all (f, g) with f < g sharing dom and cod."""
-        for arrows in self._hom.values():
-            for i, f in enumerate(arrows):
-                for g in arrows[i + 1:]:
-                    yield f, g
-
     def composable_pairs(self):
         """Yield all (g, f) with g∘f defined, g then f ascending."""
         for g, m in enumerate(self.morphisms):
@@ -226,6 +220,20 @@ def known_name(value, pool, what: str) -> str:
     return value
 
 
+_comp_entry = itemgetter("after", "before", "equals")
+
+
+def _all_names(values, pool: set[str]) -> bool:
+    """Whether every value is a name in ``pool``, a set of strings.
+
+    An unhashable value, such as a list, is in no set of strings.
+    """
+    try:
+        return pool.issuperset(values)
+    except TypeError:
+        return False
+
+
 def load_spec(document) -> RawCategory:
     """Parse a category document into raw, structurally checked data.
 
@@ -280,21 +288,29 @@ def load_spec(document) -> RawCategory:
     morphisms = tuple(identities[o] for o in objects) + tuple(plain)
     mor_names = {m[0] for m in morphisms}
 
+    # Entries are shape-checked one by one and their names all at once.
+    # Only when either check fails does the entry-by-entry loop run; it
+    # raises on the first bad entry in document order.
     composition = document.get("composition", [])
     _require(isinstance(composition, list), "composition: list required")
-    comp_entries = []
-    for entry in composition:
-        _require(isinstance(entry, dict), "composition: entries must be objects")
-        if set(entry) != {"after", "before", "equals"}:
-            raise FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
-        for k in ("after", "before", "equals"):
-            known_name(entry[k], mor_names, "composition entry references unknown morphism")
-        comp_entries.append((entry["after"], entry["before"], entry["equals"]))
+    try:  # an entry of three keys, these among them, has exactly these
+        comp_entries = [_comp_entry(e) for e in composition if isinstance(e, dict) and len(e) == 3]
+    except KeyError:
+        comp_entries = []
+    names = chain.from_iterable(comp_entries)
+    if len(comp_entries) < len(composition) or not _all_names(names, mor_names):
+        for entry in composition:
+            _require(isinstance(entry, dict), "composition: entries must be objects")
+            if set(entry) != {"after", "before", "equals"}:
+                raise FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
+            for k in ("after", "before", "equals"):
+                known_name(entry[k], mor_names, "composition entry references unknown morphism")
 
     weqs = document.get("weak_equivalences", [])
     _require(isinstance(weqs, list), "weak_equivalences: list required")
-    for w in weqs:
-        known_name(w, mor_names, "weak_equivalences references unknown morphism")
+    if not _all_names(weqs, mor_names):
+        for w in weqs:
+            known_name(w, mor_names, "weak_equivalences references unknown morphism")
     _require(len(set(weqs)) == len(weqs), "duplicate weak equivalence name")
 
     def check_subcategory(sub, where: str):

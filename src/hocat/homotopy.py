@@ -30,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
+from operator import itemgetter
 
 from .congruence import Congruence, Precongruence, intransitive_triple, least_congruence, sigma_of
 from .errors import ValidationError
@@ -51,16 +53,42 @@ def r_left(cat: FinCat, weqs) -> Precongruence:
     """Distinct parallel pairs equalized by post-composing a member.
 
     f, g: A -> B land in the relation when w∘f = w∘g for some member
-    w: B -> C.  Degenerate pairs are not stored.
+    w: B -> C, so on each hom-set the relation is the union, over the
+    members out of B, of the kernels of w∘−.  A member's image of the
+    hom-set keys its kernel canonically (each arrow mapped to the last
+    arrow with its image), so members with equal kernels count once.
+    An injective member adds nothing, and one that collapses the
+    hom-set relates every pair in it.  Each class of each kernel gives
+    its pairs f < g; degenerate pairs are not stored.
     """
-    members = frozenset(cat.mor(w) for w in weqs)
+    # An identity is injective on every hom-set, so it relates nothing.
+    members = frozenset(cat.mor(w) for w in weqs) - cat.identity_set
     rows = [[cat.table[w] for w in out if w in members] for out in cat.outgoing]
-    pairs = []
-    for f, g in cat.parallel_pairs():
-        for row in rows[cat.morphisms[f].cod]:
-            if row[f] == row[g]:
-                pairs.append((f, g))
+    pairs = set()
+    for a, b in cat.hom_pairs():
+        if not rows[b]:
+            continue
+        arrows = cat.hom(a, b)
+        if len(arrows) < 2:
+            continue
+        image = itemgetter(*arrows)
+        kernels = set()
+        for row in rows[b]:
+            img = image(row)
+            last = dict(zip(img, arrows))
+            if len(last) == len(arrows):
+                continue
+            key = tuple(map(last.__getitem__, img))
+            if len(last) == 1:  # one class: every pair is related
+                kernels = {key}
                 break
+            kernels.add(key)
+        for key in kernels:
+            classes: dict[int, list[int]] = {}
+            for f, k in zip(arrows, key):
+                classes.setdefault(k, []).append(f)
+            for cls in classes.values():
+                pairs.update(combinations(cls, 2))
     return Precongruence.canonical(cat, pairs)
 
 

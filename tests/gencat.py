@@ -13,6 +13,8 @@ import itertools
 from hocat.fincat import load_spec, resolve_weqs, validate_category
 from hocat.weq import check_split_generated, check_weq_axioms
 
+from oracles import parallel_pairs
+
 
 def _close_functions(sizes, seeds, cap):
     """Compose seed functions to a closed arrow set, or None past cap.
@@ -89,6 +91,28 @@ def gen_document(rng, max_morphisms=12, max_objects=3, max_size=3):
         }
 
 
+def _instance(sizes, plain, name, chosen):
+    """(cat, members, doc) for the category of the functions ``plain``
+    (every arrow but the identities, closed under composition) between
+    carriers of the given sizes, named by ``name``, with ``chosen`` the
+    members."""
+    onames = [f"o{i}" for i in range(len(sizes))]
+    name = dict(name)
+    name.update(((i, i, tuple(range(n))), f"id:{onames[i]}") for i, n in enumerate(sizes))
+    composition = [{"after": name[g], "before": name[f],
+                    "equals": name[(f[0], g[1], tuple(g[2][v] for v in f[2]))]}
+                   for f in plain for g in plain if f[1] == g[0]]
+    doc = {
+        "objects": onames,
+        "morphisms": [{"name": name[a], "dom": onames[a[0]], "cod": onames[a[1]]}
+                      for a in plain],
+        "composition": composition,
+        "weak_equivalences": [name[a] for a in chosen],
+    }
+    cat = validate_category(load_spec(doc))
+    return cat, resolve_weqs(cat, doc["weak_equivalences"]), doc
+
+
 def all_functions_instance(sizes, weqs):
     """Every function between carriers of the given sizes, in a fixed
     order, with ``weqs`` "all" (every arrow) or "bijections".
@@ -100,12 +124,6 @@ def all_functions_instance(sizes, weqs):
              for d, nd in enumerate(sizes) for c, nc in enumerate(sizes)
              for graph in itertools.product(range(nc), repeat=nd)
              if (d, c, graph) not in ids]
-    onames = [f"o{i}" for i in range(len(sizes))]
-    name = {a: f"m{k}" for k, a in enumerate(plain)}
-    name.update((a, f"id:{onames[a[0]]}") for a in ids)
-    composition = [{"after": name[g], "before": name[f],
-                    "equals": name[(f[0], g[1], tuple(g[2][v] for v in f[2]))]}
-                   for f in plain for g in plain if f[1] == g[0]]
     if weqs == "all":
         chosen = plain
     elif weqs == "bijections":
@@ -113,15 +131,22 @@ def all_functions_instance(sizes, weqs):
                   if sizes[a[0]] == sizes[a[1]] and len(set(a[2])) == len(a[2])]
     else:
         raise ValueError(weqs)
-    doc = {
-        "objects": onames,
-        "morphisms": [{"name": name[a], "dom": onames[a[0]], "cod": onames[a[1]]}
-                      for a in plain],
-        "composition": composition,
-        "weak_equivalences": [name[a] for a in chosen],
-    }
-    cat = validate_category(load_spec(doc))
-    return cat, resolve_weqs(cat, doc["weak_equivalences"]), doc
+    return _instance(sizes, plain, {a: f"m{k}" for k, a in enumerate(plain)}, chosen)
+
+
+def function_instance(sizes, seeds, weqs):
+    """The functions that ``seeds``, a dict from names to arrows
+    (dom, cod, graph), generate between carriers of the given sizes,
+    with the seeds named in ``weqs`` as the members.  Other composites
+    are named m0, m1, ... in arrow order.
+
+    Returns (cat, members, doc) like the corpus generators.
+    """
+    ids = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
+    plain = sorted(_close_functions(sizes, seeds.values(), float("inf")) - ids)
+    name = {a: f"m{k}" for k, a in enumerate(plain)}
+    name.update((a, n) for n, a in seeds.items())
+    return _instance(sizes, plain, name, [seeds[n] for n in weqs])
 
 
 def _two_of_three_close(cat, members):
@@ -203,7 +228,7 @@ def gen_split_instance(rng, max_morphisms=12, max_tries=50):
 
 def sample_precongruence(rng, cat, max_pairs=4):
     """A few random distinct parallel pairs, possibly none."""
-    pool = [p for p in cat.parallel_pairs()]
+    pool = list(parallel_pairs(cat))
     rng.shuffle(pool)
     return pool[:rng.randint(0, min(max_pairs, len(pool)))]
 

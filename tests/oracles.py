@@ -15,6 +15,16 @@ from hocat.fincat import resolve_weqs
 from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, _apply, _Engine
 
 
+def parallel_pairs(cat):
+    """Yield all (f, g) with f < g sharing dom and cod, one hom-set at a
+    time in order of each hom-set's lowest arrow."""
+    hom = {}
+    for i, m in enumerate(cat.morphisms):
+        hom.setdefault((m.dom, m.cod), []).append(i)
+    for arrows in hom.values():
+        yield from itertools.combinations(arrows, 2)
+
+
 def brute_law_violation(raw):
     """The first law a parsed document breaks, or None.
 
@@ -312,7 +322,7 @@ def single_arrow_relation(cat, weqs, budget):
             else:
                 rf, rs = find_root(parent, f), find_root(parent, seen)
                 parent[max(rf, rs)] = min(rf, rs)
-    return frozenset((f, g) for f, g in cat.parallel_pairs()
+    return frozenset((f, g) for f, g in parallel_pairs(cat)
                      if find_root(parent, f) == find_root(parent, g))
 
 
@@ -333,7 +343,7 @@ def brute_left_relation(cat, members, side):
     equalized by a member on ``side`` (the right relation is the left
     relation of the opposite category)."""
     dom, cod, _hom, after = _sided(cat, side)
-    return {(f, g) for f, g in cat.parallel_pairs()
+    return {(f, g) for f, g in parallel_pairs(cat)
             if any(dom(w) == cod(f) and after(w, f) == after(w, g) for w in members)}
 
 

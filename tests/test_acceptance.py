@@ -37,7 +37,7 @@ from hocat import (
 from hocat.fixtures import NAMES, category, path
 
 from gencat import sample_precongruence
-from oracles import all_congruences, brute_isomorphism, single_arrow_relation
+from oracles import all_congruences, brute_isomorphism, parallel_pairs, single_arrow_relation
 
 
 def _passed(n, label):
@@ -122,14 +122,14 @@ def test_c04_zigzag_search_matches_algebra(split_corpus):
         cat, members, _ = category(name)
         cong = homotopy_congruence(cat, members)
         rel = single_arrow_relation(cat, members, 8)
-        for f, g in cat.parallel_pairs():
+        for f, g in parallel_pairs(cat):
             assert ((f, g) in rel) == cong.related(f, g), name
 
     mismatches = 0
     for cat, members, _doc in split_corpus:
         cong = homotopy_congruence(cat, members)
         rel = single_arrow_relation(cat, members, 8)
-        for f, g in cat.parallel_pairs():
+        for f, g in parallel_pairs(cat):
             if ((f, g) in rel) != cong.related(f, g):
                 mismatches += 1
     assert mismatches == 0

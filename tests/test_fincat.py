@@ -27,6 +27,7 @@ from oracles import (
     brute_isomorphism,
     brute_law_violation,
     brute_least_congruence,
+    parallel_pairs,
 )
 
 
@@ -78,6 +79,43 @@ def test_reserved_name_misuse_rejected():
         load_spec(doc)
 
 
+UNKNOWN_IN_COMPOSITION = "composition entry references unknown morphism "
+
+
+def unknown_name_in_last_entry(doc):
+    doc["composition"][-1]["equals"] = "zz"
+    return UNKNOWN_IN_COMPOSITION + "'zz'"
+
+
+def list_valued_equals(doc):
+    doc["composition"][2]["equals"] = ["e"]
+    return UNKNOWN_IN_COMPOSITION + "['e']"
+
+
+def two_unknown_names(doc):
+    doc["composition"][1]["before"] = "yy"
+    doc["composition"][3]["after"] = "xx"
+    return UNKNOWN_IN_COMPOSITION + "'yy'"
+
+
+def unknown_name_before_bad_shape(doc):
+    doc["composition"][1]["after"] = "yy"
+    del doc["composition"][3]["equals"]
+    return UNKNOWN_IN_COMPOSITION + "'yy'"
+
+
+def bad_shape_before_unknown_name(doc):
+    doc["composition"][1]["extra"] = "s"
+    doc["composition"][3]["after"] = "yy"
+    return ("composition entry needs exactly after/before/equals, "
+            "got ['after', 'before', 'equals', 'extra']")
+
+
+def number_in_weak_equivalences(doc):
+    doc["weak_equivalences"].insert(1, 7)
+    return "weak_equivalences references unknown morphism 7"
+
+
 @pytest.mark.parametrize("mangle, err", [
     (lambda d: d.update(objects=[]), FormatError),
     (lambda d: d.update(objects=["a", "a", "b"]), FormatError),
@@ -87,12 +125,22 @@ def test_reserved_name_misuse_rejected():
         {"after": "zz", "before": "s", "equals": "s"}), FormatError),
     (lambda d: d.update(weak_equivalences=["nope"]), FormatError),
     (lambda d: d.pop("objects"), FormatError),
+    (unknown_name_in_last_entry, FormatError),
+    (list_valued_equals, FormatError),
+    (two_unknown_names, FormatError),
+    (unknown_name_before_bad_shape, FormatError),
+    (bad_shape_before_unknown_name, FormatError),
+    (number_in_weak_equivalences, FormatError),
 ])
 def test_malformed_documents_rejected(mangle, err):
+    """A mangle that returns a string returns the exact message: the
+    first bad entry in document order."""
     doc = small_doc()
-    mangle(doc)
-    with pytest.raises(err):
+    message = mangle(doc)
+    with pytest.raises(err) as info:
         validate_category(load_spec(doc))
+    if isinstance(message, str):
+        assert str(info.value) == message
 
 
 def test_conflicting_composition_entries_rejected():
@@ -348,7 +396,7 @@ def test_hom_and_parallel_pairs_consistent():
             assert f in cat.hom(cat.dom(f), cat.cod(f))
             assert f in cat.outgoing[cat.dom(f)]
             assert f in cat.incoming[cat.cod(f)]
-        for f, g in cat.parallel_pairs():
+        for f, g in parallel_pairs(cat):
             assert f < g
             assert cat.dom(f) == cat.dom(g) and cat.cod(f) == cat.cod(g)
 

@@ -42,6 +42,7 @@ import tempfile
 
 import pytest
 from gencat import all_functions_instance, gen_any_instance, gen_split_instance
+from oracles import parallel_pairs
 
 from hocat import (Analysis, bounded_equiv, cli, check_split_generated, check_weq_axioms,
                    make_zigzag, reduce_backward_splits)
@@ -70,7 +71,7 @@ def _label(cat, steps) -> str:
 
 def _queries(cat, members, two_step):
     """Parallel single-arrow pairs, then w^-1.f and f.w^-1 against each arrow."""
-    for f, g in cat.parallel_pairs():
+    for f, g in parallel_pairs(cat):
         yield ((f, FWD),), g
     if not two_step:
         return

@@ -23,6 +23,7 @@ from hocat import homotopy
 from hocat.errors import ValidationError
 from hocat.fixtures import category
 
+from gencat import all_functions_instance, function_instance
 from oracles import (
     brute_close_composition,
     brute_common_fork,
@@ -50,8 +51,26 @@ def test_one_sided_relations_empty_without_collapse():
         assert r_right(cat, members).pairs == frozenset()
 
 
+def _member_kernels():
+    """Functions o0 (2 points), o1 (1 point) -> o2 (3 points) -> o3
+    (2 points); the members are p, w1 and w2, all out of o2.  On
+    hom(o1, o2), the points a0, a1, a2 of o2, the swap p is injective
+    and w1, w2 have the same kernel {a0, a1} | {a2}.  w1 collapses
+    hom(o0, o2) = {d0, d1}, which is scanned before hom(o1, o2), and
+    hom(o2, o2) = {id, p}."""
+    seeds = {"d0": (0, 2, (0, 2)), "d1": (0, 2, (1, 2)),
+             "a0": (1, 2, (0,)), "a1": (1, 2, (1,)), "a2": (1, 2, (2,)),
+             "p": (2, 2, (1, 0, 2)), "w1": (2, 3, (0, 0, 1)), "w2": (2, 3, (1, 1, 0))}
+    return function_instance((2, 1, 3, 2), seeds, ["p", "w1", "w2"])
+
+
 def test_one_sided_relations_match_brute_force(mixed_corpus, split_corpus):
-    for cat, members, _doc in mixed_corpus + split_corpus:
+    kernels = _member_kernels()
+    cat, members, _doc = kernels
+    pairs = {tuple(sorted(map(cat.mor, p))) for p in (("d0", "d1"), ("a0", "a1"), ("id:o2", "p"))}
+    assert Analysis(cat, members).left.pairs == pairs
+    every = [all_functions_instance((1, 2, 3), weqs) for weqs in ("all", "bijections")]
+    for cat, members, _doc in mixed_corpus + split_corpus + every + [kernels]:
         session = Analysis(cat, members)
         assert session.left.pairs == brute_left_relation(cat, members, "left")
         assert session.right.pairs == brute_left_relation(cat, members, "right")

@@ -10,7 +10,7 @@ from hocat import (
 )
 from hocat.zigzag import CANCEL, COMPOSE, FWD, OMIT
 
-from oracles import raw_reachable, single_arrow_relation
+from oracles import parallel_pairs, raw_reachable, single_arrow_relation
 
 
 def test_equivalence_traces_stay_within_raw_moves(split_corpus):
@@ -18,7 +18,7 @@ def test_equivalence_traces_stay_within_raw_moves(split_corpus):
     replayed = 0
     for cat, members, _doc in split_corpus:
         cong = homotopy_congruence(cat, members)
-        for f, g in cat.parallel_pairs():
+        for f, g in parallel_pairs(cat):
             if f >= g or not cong.related(f, g):
                 continue
             z1 = make_zigzag(cat, members, cat.dom(f), [(f, FWD)])
@@ -41,7 +41,7 @@ def test_pair_mode_sound_against_raw_search(tiny_corpus):
     """
     for cat, members, _doc in tiny_corpus:
         for budget in (1, 2):
-            for f, g in cat.parallel_pairs():
+            for f, g in parallel_pairs(cat):
                 z1 = make_zigzag(cat, members, cat.dom(f), [(f, FWD)])
                 z2 = make_zigzag(cat, members, cat.dom(g), [(g, FWD)])
                 res = bounded_equiv(cat, members, z1, z2, budget)
@@ -60,7 +60,7 @@ def test_single_arrow_relation_matches_congruence(split_corpus):
     for cat, members, doc in split_corpus:
         rel = single_arrow_relation(cat, members, 8)
         cong = homotopy_congruence(cat, members)
-        want = {(f, g) for f, g in cat.parallel_pairs() if cong.related(f, g)}
+        want = {(f, g) for f, g in parallel_pairs(cat) if cong.related(f, g)}
         if rel != want:
             mismatches.append(doc)
     assert not mismatches

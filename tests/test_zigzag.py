@@ -22,7 +22,7 @@ from hocat.errors import FormatError, MoveError, ValidationError
 from hocat.fixtures import category
 from hocat.zigzag import BWD, CANCEL, COMPOSE, FWD, OMIT, trace_to_json
 
-from oracles import raw_reachable, single_arrow_relation
+from oracles import parallel_pairs, raw_reachable, single_arrow_relation
 
 
 def test_make_zigzag_validates_chaining():
@@ -161,7 +161,7 @@ def test_single_arrow_relation_matches_congruence_on_fixtures():
         cat, members, _r = category(name)
         rel = single_arrow_relation(cat, members, 8)
         cong = homotopy_congruence(cat, members)
-        want = {(f, g) for f, g in cat.parallel_pairs() if cong.related(f, g)}
+        want = {(f, g) for f, g in parallel_pairs(cat) if cong.related(f, g)}
         assert rel == want, name
 
 
@@ -252,7 +252,7 @@ def test_explorer_traces_replay_on_corpus(split_corpus):
     checked = 0
     for cat, members, _doc in split_corpus:
         cong = homotopy_congruence(cat, members)
-        pairs = [p for p in cat.parallel_pairs() if cong.related(*p)]
+        pairs = [p for p in parallel_pairs(cat) if cong.related(*p)]
         if not pairs:
             continue
         f, g = pairs[rng.randrange(len(pairs))]
