@@ -70,12 +70,11 @@ def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
     inserted = tuple(sorted(set(cat.identity_set) - {cat.mor(w) for w in weqs}))
 
     two_ok, two_wit = True, None
-    for g, f in cat.composable_pairs():
-        gf = cat.table[g][f]
-        flags = (f in members, g in members, gf in members)
-        if sum(flags) == 2:
-            two_ok, two_wit = False, (f, g, gf)
-            break
+    g = _two_of_three_row(cat, members)
+    if g is not None:
+        f = next(f for f in cat.incoming[cat.dom(g)]
+                 if (f in members) + (g in members) + (cat.table[g][f] in members) == 2)
+        two_ok, two_wit = False, (f, g, cat.table[g][f])
 
     weak_ok, weak_wit = True, None
     if two_ok:
@@ -100,6 +99,29 @@ def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
         weak_invertibility_witness=weak_wit,
     )
     return WeqFamily(cat, frozenset(members), report)
+
+
+def _two_of_three_row(cat: FinCat, members: set[int]) -> int | None:
+    """The lowest g with some f for which two of f, g, g∘f are members.
+
+    Row g is read at the arrows into its domain, members and the rest
+    apart.  A member g fails when g∘f leaves the family for a member f
+    or enters it for any other f; any other g fails when g∘f is a member
+    for some member f.
+    """
+    into = [([], []) for _ in cat.objects]  # by codomain: members, the rest
+    for f, m in enumerate(cat.morphisms):
+        into[m.cod][f not in members].append(f)
+    for g, row in enumerate(cat.table):
+        inside, outside = into[cat.morphisms[g].dom]
+        hits = map(row.__getitem__, inside)
+        if g in members:
+            if not members.issuperset(hits) or not members.isdisjoint(
+                    map(row.__getitem__, outside)):
+                return g
+        elif not members.isdisjoint(hits):
+            return g
+    return None
 
 
 def find_splits(cat: FinCat) -> frozenset[tuple[int, int]]:

@@ -394,8 +394,21 @@ class _Engine:
             objs.append(at)
         return objs
 
-    def successors(self, state):
-        """Yield (next_state, raw_move_cost, descriptor)."""
+    def successors(self, state, room: int):
+        """Yield (next_state, raw_move_cost, descriptor) for every macro
+        whose own raw-move count fits ``room``.
+
+        ``room`` is what the budget leaves after the cost of reaching
+        ``state``.  A successor's cost is its macro's own count plus the
+        moves reducing the result, never negative, so a macro larger
+        than ``room`` can only give successors over the budget: skipping
+        it before its word and reduction are built drops exactly the
+        successors the caller would discard.  The rest come in the same
+        order as with unlimited room.  Own counts: cancel and expand 1,
+        absorb 2, replace and interior 3, bsplit 4.
+        """
+        if room < 1:
+            return
         start, steps = state
         n = len(steps)
         objs = self.boundaries(state)
@@ -411,6 +424,8 @@ class _Engine:
             nxt = steps[i + 1] if i + 1 < n else None
             if nxt is not None and (nxt >> 1) == m and (nxt & 1) != d:
                 yield finish(steps[:i] + steps[i + 2:], 1, ("cancel", i))
+            if room < 2:
+                continue
             if d == FWD and nxt is not None and (nxt & 1) == BWD:
                 w = nxt >> 1
                 for a in self.rdiv(m, w):
@@ -421,12 +436,16 @@ class _Engine:
                 for b in self.ldiv(f, m):
                     yield finish(steps[:i] + (b * 2,) + steps[i + 2:], 2,
                                  ("absorb_l", i, b))
+            if room < 3:
+                continue
             if d == BWD:
                 linv, rinv = self.inv(m)
                 for var, pool in enumerate((linv, rinv)):
                     for b in pool:
                         yield finish(steps[:i] + (b * 2,) + steps[i + 1:], 3,
                                      ("replace_bf", i, b, var))
+                if room < 4:
+                    continue
                 for a, b in self.wfact(m):
                     la, ra = self.inv(a)
                     for var, pool in enumerate((la, ra)):
@@ -520,7 +539,16 @@ class EquivResult:
 
 
 def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) -> EquivResult:
-    """Bidirectional bounded search; "equivalent" verdicts carry a trace."""
+    """Bidirectional bounded search; "equivalent" verdicts carry a trace.
+
+    States are expanded cheapest first.  A state reached at ``cost`` is
+    expanded with ``room = budget - cost``, so only macros whose own
+    raw-move count fits are built; a state at the budget builds none.
+    This prunes only successors that would exceed the budget anyway, so
+    the states visited, the meeting point and the trace are those of the
+    unpruned search.  A successor whose reduction pushes it over the
+    budget is still dropped here.
+    """
     budget = int(budget)
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
@@ -552,7 +580,7 @@ def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) ->
     while buckets and not meet:
         cost = min(buckets)
         for state, side in buckets.pop(cost):
-            for nstate, mc, desc in eng.successors(state):
+            for nstate, mc, desc in eng.successors(state, budget - cost):
                 nc = cost + mc
                 if nc > budget:
                     continue

@@ -25,6 +25,16 @@ def parallel_pairs(cat):
         yield from itertools.combinations(arrows, 2)
 
 
+def brute_two_of_three(cat, members):
+    """The first (f, g, g∘f) with exactly two members, pairs in
+    ``composable_pairs`` order, or None."""
+    for g, f in cat.composable_pairs():
+        gf = cat.table[g][f]
+        if (f in members) + (g in members) + (gf in members) == 2:
+            return f, g, gf
+    return None
+
+
 def brute_law_violation(raw):
     """The first law a parsed document breaks, or None.
 
@@ -313,7 +323,7 @@ def single_arrow_relation(cat, weqs, budget):
     # an identity arrow across a section/retraction bracketing.
     visited = {(cat.dom(f), (f * 2,)): f for f in range(len(cat.morphisms))}
     for state, f in list(visited.items()):
-        for nstate, cost, _ in eng.successors(state):
+        for nstate, cost, _ in eng.successors(state, budget):
             if cost > budget:
                 continue
             seen = visited.get(nstate)

@@ -41,12 +41,15 @@ def test_pair_mode_sound_against_raw_search(tiny_corpus):
     """
     for cat, members, _doc in tiny_corpus:
         for budget in (1, 2):
+            balls = {}  # f -> (ball, wide): both depend on f and the budget only
             for f, g in parallel_pairs(cat):
                 z1 = make_zigzag(cat, members, cat.dom(f), [(f, FWD)])
                 z2 = make_zigzag(cat, members, cat.dom(g), [(g, FWD)])
                 res = bounded_equiv(cat, members, z1, z2, budget)
-                ball = raw_reachable(cat, members, z1, budget)
-                wide = raw_reachable(cat, members, z1, 2 * budget)
+                if f not in balls:
+                    balls[f] = (raw_reachable(cat, members, z1, budget),
+                                raw_reachable(cat, members, z1, 2 * budget))
+                ball, wide = balls[f]
                 if res.equivalent:
                     assert z2 in wide
                     assert len(res.trace.moves) <= 2 * budget

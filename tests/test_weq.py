@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
 from hocat import check_split_generated, check_weq_axioms, find_splits
 from hocat.errors import FormatError, ValidationError
 from hocat.fixtures import category
+
+from gencat import gen_any_instance
+from oracles import brute_two_of_three
 
 
 def test_axioms_pass_on_split_retract():
@@ -27,6 +32,25 @@ def test_two_of_three_violation_witnessed():
     flags = (f in fam.members, g in fam.members, gf in fam.members)
     assert sum(flags) == 2
     assert cat.table[g][f] == gf
+
+
+def test_two_of_three_matches_pair_by_pair_rule():
+    """Deciding two out of three a row at a time finds the first failing
+    composable pair, on closed families with one arrow's membership
+    flipped."""
+    rng = random.Random(8)
+    failing = 0
+    for _ in range(3000):
+        cat, members, _doc = gen_any_instance(rng)
+        flip = rng.randrange(len(cat.morphisms))
+        if flip not in cat.identity_set:
+            members = members ^ {flip}
+        rep = check_weq_axioms(cat, members).report
+        want = brute_two_of_three(cat, members)
+        assert rep.two_of_three_witness == want
+        assert rep.two_of_three_ok == (want is None)
+        failing += want is not None
+    assert failing >= 500, failing
 
 
 def test_weak_invertibility_gap_does_not_gate():

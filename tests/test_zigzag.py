@@ -20,8 +20,10 @@ from hocat import (
 )
 from hocat.errors import FormatError, MoveError, ValidationError
 from hocat.fixtures import category
-from hocat.zigzag import BWD, CANCEL, COMPOSE, FWD, OMIT, trace_to_json
+from hocat.fincat import resolve_weqs
+from hocat.zigzag import BWD, CANCEL, COMPOSE, FWD, OMIT, _Engine, trace_to_json
 
+from gencat import gen_any_instance
 from oracles import parallel_pairs, raw_reachable, single_arrow_relation
 
 
@@ -142,6 +144,38 @@ def test_search_memory_does_not_grow_with_budget():
     assert res.status == "equivalent"
     assert res.trace == bounded_equiv(cat, members, z1, z2, budget=8).trace
     assert peak < 5_000_000, peak
+
+
+def test_successors_prune_exactly_what_exceeds_the_room():
+    """Building only the macros that fit ``room`` loses no successor
+    within it, and keeps their order.
+
+    States are walked two macro steps out from every one-arrow seed of
+    seeded random categories, keeping at most 40 states of each step;
+    each is expanded at every room 0..5 and compared against an
+    expansion with room to spare.  Making any one macro's guard stricter
+    by one fails here.
+    """
+    rng, pick = random.Random(31), random.Random(32)
+    checks = 0
+    for _ in range(60):
+        cat, members, _doc = gen_any_instance(rng, max_morphisms=10)
+        eng = _Engine(cat, resolve_weqs(cat, members))
+        level = sorted({eng.seed(cat.dom(f), (f * 2,))[0] for f in range(len(cat.morphisms))})
+        states = set(level)
+        for _step in range(2):
+            level = sorted({nxt for state in level for nxt, _c, _d in eng.successors(state, 99)})
+            if len(level) > 40:
+                level = sorted(pick.sample(level, 40))
+            states.update(level)
+        for state in sorted(states):
+            full = list(eng.successors(state, 99))
+            for room in range(6):
+                got = list(eng.successors(state, room))
+                assert [s for s in got if s[1] <= room] == [s for s in full if s[1] <= room]
+                assert set(got) <= set(full)
+                checks += 1
+    assert checks >= 5000, checks
 
 
 def test_equiv_trace_within_raw_move_reach():
