@@ -240,8 +240,9 @@ def quotient(cat: FinCat, congruence: Congruence) -> QuotientResult:
     Composition of classes is independent of representatives exactly
     because the congruence is closed; the Congruence constructor has
     already certified that, and CatFunctor validation of the projection
-    re-checks the resulting table exhaustively.  The result is the
-    congruence's own :attr:`Congruence.quotient`, built once.
+    re-checks the resulting table exhaustively, every composable pair,
+    a source row at a time.  The result is the congruence's own
+    :attr:`Congruence.quotient`, built once.
     """
     if congruence.base != cat:
         raise ValidationError("congruence was built over a different category")

@@ -22,8 +22,13 @@ the transitivity and saturation consequences need.
 
 An :class:`Analysis` session computes each of these once for one
 category and family, on first use, and shares it between the stages
-that build on it; the public functions below each read one stage from a
-fresh session.
+that build on it.  A category holds the last session the functions
+below served, for as long as the category lives, and they read their
+stage from it while the family stays the same: so
+``homotopy_congruence`` and then ``certify_whitehead`` build the
+opposite category and the congruence once.  ``r_left`` needs no session,
+and ``check_saturation``, which takes the congruence from a
+certificate, reads a fresh one.
 """
 
 from __future__ import annotations
@@ -98,7 +103,7 @@ def r_right(cat: FinCat, weqs) -> Precongruence:
     Computed as the left relation of the opposite category and pulled
     back; arrow indices agree, so the pullback is the identity.
     """
-    return Analysis(cat, weqs).right
+    return _held(cat, weqs).right
 
 
 def _left_closure(work: FinCat, pairs) -> Precongruence:
@@ -132,17 +137,17 @@ def _left_closure(work: FinCat, pairs) -> Precongruence:
 
 def r_left_comp(cat: FinCat, weqs) -> Precongruence:
     """Composition closure of :func:`r_left`."""
-    return Analysis(cat, weqs).closed("left")[1]
+    return _held(cat, weqs).closed("left")[1]
 
 
 def r_right_comp(cat: FinCat, weqs) -> Precongruence:
     """Dual closure: pre-compose the right relation with every mediator."""
-    return Precongruence.canonical(cat, Analysis(cat, weqs).closed("right")[1].pairs)
+    return Precongruence.canonical(cat, _held(cat, weqs).closed("right")[1].pairs)
 
 
 def homotopy_congruence(cat: FinCat, weqs) -> Congruence:
     """Least congruence containing both one-sided relations."""
-    return Analysis(cat, weqs).congruence
+    return _held(cat, weqs).congruence
 
 
 @dataclass(frozen=True)
@@ -282,7 +287,7 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     pair is good); the counterexample is the least related pair outside
     it.  ``Analysis.fork_witnesses`` names a fork and mediator per pair.
     """
-    return Analysis(cat, weqs).fork_condition(side)
+    return _held(cat, weqs).fork_condition(side)
 
 
 def _fork_condition(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
@@ -339,7 +344,7 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     A hom pair whose related pairs are all diagonal needs no index: the
     identity fork at its vertex mediates every (h, h).
     """
-    return Analysis(cat, weqs).common_fork(side)
+    return _held(cat, weqs).common_fork(side)
 
 
 def _common_fork(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
@@ -371,7 +376,7 @@ def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
     chains of distinct arrows can break transitivity.  Returns
     (ok, counterexample triple or None).
     """
-    return Analysis(cat, weqs).rc_transitive(side)
+    return _held(cat, weqs).rc_transitive(side)
 
 
 @dataclass(frozen=True)
@@ -413,13 +418,14 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     split-generated family would contradict the certified case, so that
     combination raises; a formally-connected-but-empty hom-set downgrades
     the verdict to failed, and absent any witness it stays inconclusive.
-    ``family`` and ``splitgen``, when given, are used as they are.
+    ``family`` and ``splitgen``, when given, are used as they are, in a
+    copy of the held session that shares its stages reading neither, so
+    a stage given here never stands in for one the held session
+    computes.
     """
-    session = Analysis(cat, weqs if family is None else family.members)
-    if family is not None:
-        session.family = family
-    if splitgen is not None:
-        session.splitgen = splitgen
+    session = _held(cat, weqs if family is None else family.members)
+    if family is not None or splitgen is not None:
+        session = session._given(family=family, splitgen=splitgen)
     return session.whitehead
 
 
@@ -443,6 +449,8 @@ class SaturationReport:
 
 
 def check_saturation(cat: FinCat, weqs, cert: WhiteheadCertificate) -> SaturationReport:
+    # A fresh session: the certificate's congruence must not replace the
+    # held session's own.
     session = Analysis(cat, weqs)
     session.congruence = cert.congruence
     return session.saturation
@@ -470,6 +478,22 @@ class Analysis:
         self.members = resolve_weqs(cat, self.weqs)
         # per-side stages by (function, side)
         self._sides: dict = {}
+
+    # The inputs and the stages that read neither the family check nor
+    # split generation.
+    _FAMILY_FREE = ("cat", "weqs", "members", "_sides", "op", "left", "right",
+                    "congruence", "sigma")
+
+    def _given(self, **stages) -> "Analysis":
+        """A session of the same category and family that shares this
+        one's stages reading neither ``family`` nor ``splitgen``, those
+        computed so far, and takes ``stages`` that are not None (say
+        ``family=...``) as given.  The stages the copy computes are its
+        own, the per-side ones apart."""
+        session = Analysis.__new__(Analysis)
+        vars(session).update((k, v) for k, v in vars(self).items() if k in self._FAMILY_FREE)
+        vars(session).update((k, v) for k, v in stages.items() if v is not None)
+        return session
 
     @cached_property
     def family(self) -> WeqFamily:
@@ -600,3 +624,21 @@ class Analysis:
             fork_left=fork_l,
             fork_right=fork_r,
         )
+
+
+def _held(cat: FinCat, weqs) -> Analysis:
+    """The session ``cat`` holds for the family ``weqs``.
+
+    A category holds one session, in the ``_analysis`` slot of its
+    ``vars`` (as :attr:`FinCat.generators` is kept), for as long as it
+    lives.  The session is keyed by the arrows ``weqs`` names, resolved
+    so that a name and its index agree; another family replaces it.
+    The key keeps the identities named, which the family check reports
+    on (``inserted_identities``).
+    """
+    weqs = tuple(weqs)
+    named = frozenset(map(cat.mor, weqs))
+    held = vars(cat).get("_analysis")
+    if held is None or held[0] != named:
+        held = vars(cat)["_analysis"] = (named, Analysis(cat, weqs))
+    return held[1]

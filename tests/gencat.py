@@ -13,7 +13,7 @@ import itertools
 from hocat.fincat import load_spec, resolve_weqs, validate_category
 from hocat.weq import check_split_generated, check_weq_axioms
 
-from oracles import parallel_pairs
+from oracles import composable_pairs, parallel_pairs
 
 
 def _close_functions(sizes, seeds, cap):
@@ -154,7 +154,7 @@ def _two_of_three_close(cat, members):
     changed = True
     while changed:
         changed = False
-        for g, f in cat.composable_pairs():
+        for g, f in composable_pairs(cat):
             gf = cat.table[g][f]
             flags = (f in members, g in members, gf in members)
             if sum(flags) == 2:

@@ -25,13 +25,31 @@ def parallel_pairs(cat):
         yield from itertools.combinations(arrows, 2)
 
 
+def composable_pairs(cat):
+    """Yield all (g, f) with g∘f defined, g then f ascending."""
+    for g, mg in enumerate(cat.morphisms):
+        for f, mf in enumerate(cat.morphisms):
+            if mf.cod == mg.dom:
+                yield g, f
+
+
 def brute_two_of_three(cat, members):
     """The first (f, g, g∘f) with exactly two members, pairs in
     ``composable_pairs`` order, or None."""
-    for g, f in cat.composable_pairs():
+    for g, f in composable_pairs(cat):
         gf = cat.table[g][f]
         if (f in members) + (g in members) + (gf in members) == 2:
             return f, g, gf
+    return None
+
+
+def brute_broken_composite(source, target, on_morphisms):
+    """The first (g, f) in ``composable_pairs`` order whose composite
+    the arrow map ``on_morphisms`` does not carry to the composite of
+    the images in ``target``, or None."""
+    for g, f in composable_pairs(source):
+        if on_morphisms[source.table[g][f]] != target.table[on_morphisms[g]][on_morphisms[f]]:
+            return g, f
     return None
 
 
@@ -240,6 +258,7 @@ def brute_isomorphism(a, b):
     if nobj != len(b.objects) or len(a.morphisms) != len(b.morphisms):
         return None
     homs = [(x, y) for x in range(nobj) for y in range(nobj)]
+    pairs = list(composable_pairs(a))
     for obj in itertools.permutations(range(nobj)):
         sources = [a.hom(x, y) for x, y in homs]
         targets = [b.hom(obj[x], obj[y]) for x, y in homs]
@@ -252,7 +271,7 @@ def brute_isomorphism(a, b):
                     mor[f] = g
             if all(mor[a.identity[x]] == b.identity[obj[x]] for x in range(nobj)) \
                     and all(mor[a.table[g][f]] == b.table[mor[g]][mor[f]]
-                            for g, f in a.composable_pairs()):
+                            for g, f in pairs):
                 return obj, tuple(mor)
     return None
 

@@ -16,6 +16,7 @@ from hocat.homotopy import r_left
 
 from gencat import sample_precongruence
 from oracles import (
+    composable_pairs,
     all_congruences,
     brute_intransitive_triple,
     brute_least_congruence,
@@ -191,7 +192,7 @@ def test_quotient_projection_and_kernel(mixed_corpus):
         q = quotient(cat, cong)
         proj = q.projection
         # functor laws are enforced on construction; spot-check transport
-        for g, f in cat.composable_pairs():
+        for g, f in composable_pairs(cat):
             assert (proj.on_morphisms[cat.table[g][f]]
                     == q.quotient.table[proj.on_morphisms[g]][proj.on_morphisms[f]])
         back = kernel_congruence(proj)

@@ -8,7 +8,10 @@ import pytest
 from hocat import (
     Analysis,
     CatFunctor,
+    FinCat,
+    Precongruence,
     find_splits,
+    least_congruence,
     load_file,
     load_spec,
     opposite,
@@ -20,8 +23,10 @@ from hocat import fincat
 from hocat.errors import FormatError, ValidationError
 from hocat.fixtures import NAMES, category, load, path
 
-from gencat import all_functions_instance, gen_category, gen_document
+from gencat import all_functions_instance, gen_category, gen_document, sample_precongruence
 from oracles import (
+    brute_broken_composite,
+    composable_pairs,
     brute_close_composition,
     brute_generated,
     brute_isomorphism,
@@ -405,7 +410,7 @@ def test_composition_closed_on_corpus():
     rng = random.Random(11)
     for _ in range(25):
         cat, _doc = gen_category(rng)
-        for g, f in cat.composable_pairs():
+        for g, f in composable_pairs(cat):
             c = cat.table[g][f]
             assert cat.dom(c) == cat.dom(f) and cat.cod(c) == cat.cod(g)
 
@@ -439,7 +444,7 @@ def test_opposite_swaps_and_involutes():
     op = opposite(cat)
     for f in range(len(cat.morphisms)):
         assert op.dom(f) == cat.cod(f) and op.cod(f) == cat.dom(f)
-    for g, f in cat.composable_pairs():
+    for g, f in composable_pairs(cat):
         assert op.table[f][g] == cat.table[g][f]
     back = opposite(op)
     assert back.table == cat.table
@@ -483,6 +488,44 @@ def test_functor_validates_laws():
     CatFunctor(cat, cat, (1, 0), mor_map)
     with pytest.raises(ValidationError):
         CatFunctor(cat, cat, (0, 1), mor_map)  # endpoints disagree
+
+
+def test_functor_names_the_first_broken_composite():
+    """A functor into a copy of its target with table cells changed
+    fails on the first (g, f) the oracle names.  The functors are the
+    identity and the projection onto a quotient, each target with the
+    image cell of one composable pair changed and of two; the pairs
+    include rows g whose domain only the identity enters, which the
+    check reads with a one-arrow gather."""
+    rng = random.Random(4242)
+    lone_rows = 0
+    for _ in range(40):
+        cat, _doc = gen_category(rng)
+        cells = list(composable_pairs(cat))
+        lone = [(g, f) for g, f in cells
+                if sum(m.cod == cat.morphisms[g].dom for m in cat.morphisms) == 1]
+        lone_rows += bool(lone)
+        proj = least_congruence(Precongruence(cat, sample_precongruence(rng, cat))).quotient
+        for base, on in ((cat, tuple(range(len(cat.morphisms)))),
+                         (proj.quotient, proj.projection.on_morphisms)):
+            for picks in ([rng.choice(cells)], rng.sample(cells, min(2, len(cells))),
+                          [rng.choice(lone)] if lone else []):
+                table = [list(row) for row in base.table]
+                for g, f in picks:
+                    cell = table[on[g]][on[f]]
+                    table[on[g]][on[f]] = rng.choice(
+                        [h for h in range(-1, len(base.morphisms)) if h != cell])
+                target = FinCat(base.objects, base.morphisms, base.identity, table)
+                want = brute_broken_composite(cat, target, on)
+                if want is None:  # no pair picked, or a changed cell changed back
+                    CatFunctor(cat, target, range(len(cat.objects)), on)
+                    continue
+                with pytest.raises(ValidationError) as err:
+                    CatFunctor(cat, target, range(len(cat.objects)), on)
+                g, f = want
+                assert str(err.value) == ("functor breaks composition on "
+                                          f"({cat.mor_name(g)!r}, {cat.mor_name(f)!r})")
+    assert lone_rows >= 10
 
 
 def test_brute_isomorphism_oracle():

@@ -1,14 +1,20 @@
+import collections
+import dataclasses
 import random
 
 import pytest
 
 from hocat import (
     Analysis,
+    Congruence,
+    Precongruence,
+    WhiteheadCertificate,
     certify_whitehead,
     check_common_fork,
     check_fork_condition,
     check_rc_transitive,
     check_saturation,
+    check_split_generated,
     check_weq_axioms,
     homotopy_congruence,
     least_congruence,
@@ -21,7 +27,7 @@ from hocat import (
 )
 from hocat import homotopy
 from hocat.errors import ValidationError
-from hocat.fixtures import category
+from hocat.fixtures import NAMES, category
 
 from gencat import all_functions_instance, function_instance
 from oracles import (
@@ -290,3 +296,109 @@ def test_fork_checks_match_brute_force(mixed_corpus, split_corpus):
             fork_failures += not res.ok
             common_failures += not common.ok
     assert fork_failures >= 1 and common_failures >= 1
+
+
+SIDES = ("left", "right")
+
+
+def _library_answers(cat, weqs):
+    """Every answer the functions reading the held session give."""
+    return (homotopy_congruence(cat, weqs), r_right(cat, weqs), r_left_comp(cat, weqs),
+            r_right_comp(cat, weqs), certify_whitehead(cat, weqs),
+            *(check(cat, weqs, side) for side in SIDES
+              for check in (check_fork_condition, check_common_fork, check_rc_transitive)))
+
+
+def _fresh_answers(cat, weqs):
+    """The same answers, read from a fresh session."""
+    s = Analysis(cat, weqs)
+    return (s.congruence, s.right, s.closed("left")[1],
+            Precongruence.canonical(cat, s.closed("right")[1].pairs), s.whitehead,
+            *(stage(side) for side in SIDES
+              for stage in (s.fork_condition, s.common_fork, s.rc_transitive)))
+
+
+def test_library_calls_build_the_congruence_once(monkeypatch):
+    """homotopy_congruence and then certify_whitehead, the family stages
+    given or not, build the opposite category and the congruence once;
+    the other functions that read the held session build neither again."""
+    calls = collections.Counter()
+
+    def counted(name):
+        real = getattr(homotopy, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(homotopy, name, wrapper)
+
+    counted("opposite")
+    counted("least_congruence")
+    for name in NAMES:
+        for given in (False, True):
+            cat, members, raw = category(name)
+            calls.clear()
+            cong = homotopy_congruence(cat, members)
+            stages = {}
+            if given:
+                family = check_weq_axioms(cat, raw.weak_equivalences)
+                stages = {"family": family, "splitgen": check_split_generated(family)}
+            assert certify_whitehead(cat, members, **stages).congruence is cong
+            for side in SIDES:
+                check_fork_condition(cat, members, side)
+            r_right(cat, members), r_left_comp(cat, members), r_right_comp(cat, members)
+            assert calls == {"opposite": 1, "least_congruence": 1}, (name, given)
+
+
+def test_library_calls_answer_as_a_fresh_session(mixed_corpus):
+    """On one category, the families A, B (the identities), A again and
+    A named without its identities: every answer read from the held
+    session equals a fresh session's, though the family changes."""
+    differ = 0
+    for cat, members, _doc in mixed_corpus[:60]:
+        named = sorted(cat.mor_name(w) for w in members - cat.identity_set)
+        answers = []
+        for weqs in (members, cat.identity_set, members, named):
+            answers.append(_library_answers(cat, weqs))
+            assert answers[-1] == _fresh_answers(cat, weqs)
+        differ += answers[0] != answers[1]
+        # the family check reports the identities it inserted
+        assert answers[3][4].family.report.inserted_identities == tuple(sorted(cat.identity_set))
+        assert answers[2][4].family.report.inserted_identities == ()
+    assert differ >= 10
+
+
+def test_given_stages_stay_out_of_the_held_session():
+    """certify_whitehead uses a given family and split generation as
+    they are, sharing the held session's congruence; the held session
+    goes on computing its own."""
+    cat, members, raw = category("f_retr")
+    family = check_weq_axioms(cat, raw.weak_equivalences)  # identities implicit
+    splitgen = check_split_generated(family)
+    cong = homotopy_congruence(cat, members)
+    res = certify_whitehead(cat, members, family=family, splitgen=splitgen)
+    assert res.family is family and res.split_generation is splitgen
+    assert res.congruence is cong
+    own = certify_whitehead(cat, members)
+    assert own == Analysis(cat, members).whitehead
+    assert own.family.report.inserted_identities == ()
+    assert family.report.inserted_identities != ()
+    assert own.split_generation is None  # certified: reported only if known
+
+
+def test_saturation_keeps_the_held_congruence():
+    """check_saturation takes its congruence from the certificate in a
+    session of its own, so what the held session serves is unchanged."""
+    changed = 0
+    for name in NAMES:
+        cat, members, _raw = category(name)
+        cong = homotopy_congruence(cat, members)
+        res = certify_whitehead(cat, members)
+        discrete = Congruence.discrete(cat)
+        changed += cong != discrete
+        cert = res.certificate or WhiteheadCertificate(cong, {}, ())
+        check_saturation(cat, members, dataclasses.replace(cert, congruence=discrete))
+        assert homotopy_congruence(cat, members) is cong
+        assert certify_whitehead(cat, members) is res
+        assert _library_answers(cat, members) == _fresh_answers(cat, members)
+    assert changed >= 2
