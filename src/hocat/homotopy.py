@@ -18,17 +18,16 @@ on a fork (two legs equalized by a weak equivalence collapse, with the
 common composite, the base, also a weak equivalence) plus a mediator
 sending the legs to f and g.  The fork checks below quantify over
 ordered related pairs, including degenerate ones, because that is what
-the transitivity and saturation consequences need.
+the transitivity and saturation consequences need.  They require the
+family axioms, by which the forks are read off the one-sided relation.
 
 An :class:`Analysis` session computes each of these once for one
 category and family, on first use, and shares it between the stages
 that build on it.  A category holds the last session the functions
-below served, for as long as the category lives, and they read their
-stage from it while the family stays the same: so
-``homotopy_congruence`` and then ``certify_whitehead`` build the
-opposite category and the congruence once.  ``r_left`` needs no session,
-and ``check_saturation``, which takes the congruence from a
-certificate, reads a fresh one.
+below served, for as long as the category lives, and all but ``r_left``
+read their stages from it while the family stays the same: so
+``homotopy_congruence``, ``certify_whitehead`` and ``check_saturation``,
+in any order, build the opposite category and the congruence once.
 """
 
 from __future__ import annotations
@@ -183,31 +182,28 @@ class HomotopyWitness:
     mediator: int
 
 
-def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], va: int, vb: int):
-    """Yield every left fork of weak equivalences at vertex ``va``, in
-    enumeration order, with the set of ordered pairs of hom(va, vb)
-    arrows it mediates.  ``transposed[f][h]`` is h∘f; a leg's
-    composites are gathered the first time a fork uses the leg."""
-    table = cat.table
+def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], related, va: int, vb: int):
+    """Yield the legs (l0, l1) of every left fork of weak equivalences at
+    vertex ``va``, in (apex, l0, l1) order, with the set of ordered pairs
+    of hom(va, vb) arrows it mediates.  ``transposed[f][h]`` is h∘f.
+
+    By two out of three, a member σ with σ∘l0 = σ∘l1 a member exists iff
+    l0 is a member and l0 = l1 or the one-sided relation ``related``
+    holds (min, max) of the legs: a member equalizing them is such a σ."""
     for apex in range(len(cat.objects)):
-        legs_pool = cat.hom(va, apex)
+        legs_pool = [leg for leg in cat.hom(va, apex) if leg in members]
         if not legs_pool:
             continue
         mediators = cat.hom(apex, vb)
         image = {}
-        collapses = [(sigma, table[sigma]) for sigma in cat.outgoing[apex] if sigma in members]
         for l0 in legs_pool:
             for l1 in legs_pool:
-                for sigma, row in collapses:
-                    base = row[l0]
-                    if base != row[l1] or base not in members:
-                        continue
-                    for leg in (l0, l1):
-                        if leg not in image:
-                            image[leg] = tuple(map(transposed[leg].__getitem__, mediators))
-                    fork = Fork("left", va, apex, (l0, l1), sigma, base)
-                    yield fork, frozenset(zip(image[l0], image[l1]))
-                    break  # further collapses mediate the same pairs
+                if l0 != l1 and (min(l0, l1), max(l0, l1)) not in related:
+                    continue
+                for leg in (l0, l1):
+                    if leg not in image:
+                        image[leg] = tuple(map(transposed[leg].__getitem__, mediators))
+                yield (l0, l1), frozenset(zip(image[l0], image[l1]))
 
 
 class _ForkIndex:
@@ -223,8 +219,9 @@ class _ForkIndex:
     every pair has bit i is set i), so the sets themselves are not kept.
     """
 
-    def __init__(self, cat: FinCat, transposed, members: frozenset[int], va: int, vb: int):
-        self._unread = _left_weq_forks(cat, transposed, members, va, vb)
+    def __init__(self, cat: FinCat, transposed, members: frozenset[int], related,
+                 va: int, vb: int):
+        self._unread = _left_weq_forks(cat, transposed, members, related, va, vb)
         self._sets = 0
         self.masks: dict[tuple[int, int], int] = {}
         # the numbers of the sets with each (hash, size)
@@ -235,7 +232,7 @@ class _ForkIndex:
         item = next(self._unread, None)
         if item is None:
             return False
-        _fork, mediated = item
+        _legs, mediated = item
         masks = self.masks
         same = self._by_key.setdefault((hash(mediated), len(mediated)), [])
         for i in same:
@@ -282,34 +279,35 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
 
     Decided without reading a fork: a weq fork with legs (l0, l1)
     exists iff some member σ has σ∘l0 = σ∘l1 a member, and it mediates
-    exactly the pairs (h∘l0, h∘l1).  So forks mediate the closure of
-    these good pairs (all of the closed relation when every one-sided
-    pair is good); the counterexample is the least related pair outside
-    it.  ``Analysis.fork_witnesses`` names a fork and mediator per pair.
+    exactly the pairs (h∘l0, h∘l1).  By two out of three, a one-sided
+    pair (f, g) has such a σ iff f is a member, so forks mediate the
+    closure of these good pairs; the counterexample is the least related
+    pair outside it.  ``Analysis.fork_witnesses`` names a fork and
+    mediator per pair.  Raises ``ValidationError`` unless the family
+    axioms hold.
     """
     return _held(cat, weqs).fork_condition(side)
 
 
-def _fork_condition(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
-                    side: str, base: Precongruence) -> ForkConditionResult:
-    # Every good pair is in the one-sided relation ``base`` that ``rel`` closes.
-    table, morphisms = work.table, work.morphisms
-    collapses = [[table[sigma] for sigma in out if sigma in members] for out in work.outgoing]
-    good = {(f, g) for f, g in base.pairs
-            if any(row[f] == row[g] and row[f] in members for row in collapses[morphisms[f].cod])}
-    if len(good) == len(base.pairs):  # both close to ``rel``; always so with W every arrow
+def _fork_condition(work: FinCat, transposed, members: frozenset[int], related,
+                    rel: Precongruence, side: str) -> ForkConditionResult:
+    # A pair (f, g) of ``related``, the relation ``rel`` closes, is good when
+    # a member σ has σ∘f = σ∘g a member: by two out of three, when f is one.
+    good = {(f, g) for f, g in related if f in members}
+    if len(good) == len(related):  # both close to ``rel``; always so with W every arrow
         return ForkConditionResult(side, True, None)
     missing = rel.pairs - _left_closure(work, good).pairs
     return ForkConditionResult(side, not missing, min(missing) if missing else None)
 
 
-def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
-                    side: str, cut: tuple[int, int] | None) -> dict:
+def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
+                    rel: Precongruence, side: str, cut: tuple[int, int] | None) -> dict:
     """A homotopy witness for each related pair before ``cut`` (every
     pair when None), in pair order: the earliest fork mediating (f, g)
     or (g, f), legs in (f, g) order and the unswapped pair on a tie,
-    with its lowest-index mediator.  Each hom pair's forks are read once,
-    in order, until all its pairs are met."""
+    with its lowest-index mediator.  The fork's collapse is the lowest
+    member out of the apex equalizing its legs.  Each hom pair's forks
+    are read once, in order, until all its pairs are met."""
     table = work.table
     pairs = sorted(p for p in rel.pairs if cut is None or p < cut)
     unmet: dict = {}
@@ -317,15 +315,21 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], rel: Prec
         unmet.setdefault((work.dom(f), work.cod(f)), set()).add((f, g))
     found = {}
     for (va, vb), left in unmet.items():
-        forks = _left_weq_forks(work, transposed, members, va, vb)
+        forks = _left_weq_forks(work, transposed, members, related, va, vb)
         while left:
-            fork, mediated = next(forks)
-            for f, g in [p for p in left if p in mediated or p[::-1] in mediated]:
-                l0, l1 = fork.legs if (f, g) in mediated else fork.legs[::-1]
-                mediator = next(h for h in work.hom(fork.apex, vb)
+            legs, mediated = next(forks)
+            met = [p for p in left if p in mediated or p[::-1] in mediated]
+            if not met:
+                continue
+            apex = work.cod(legs[0])
+            collapse = next(sigma for sigma in work.outgoing[apex]
+                            if sigma in members and table[sigma][legs[0]] == table[sigma][legs[1]])
+            for f, g in met:
+                l0, l1 = legs if (f, g) in mediated else legs[::-1]
+                mediator = next(h for h in work.hom(apex, vb)
                                 if table[h][l0] == f and table[h][l1] == g)
-                found[f, g] = HomotopyWitness(side, f, g, Fork(
-                    side, fork.vertex, fork.apex, (l0, l1), fork.collapse, fork.base), mediator)
+                fork = Fork(side, va, apex, (l0, l1), collapse, table[collapse][l0])
+                found[f, g] = HomotopyWitness(side, f, g, fork, mediator)
                 left.discard((f, g))
     return {p: found[p] for p in pairs}
 
@@ -342,13 +346,14 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     mediated set holds both: iff their bitmasks meet.  The index reads
     forks only until they do, and to the end only for a counterexample.
     A hom pair whose related pairs are all diagonal needs no index: the
-    identity fork at its vertex mediates every (h, h).
+    identity fork at its vertex mediates every (h, h).  The forks are
+    read off the one-sided relation, so the family axioms must hold.
     """
     return _held(cat, weqs).common_fork(side)
 
 
-def _common_fork(work: FinCat, transposed, members: frozenset[int], rel: Precongruence,
-                 side: str) -> CommonForkResult:
+def _common_fork(work: FinCat, transposed, members: frozenset[int], related,
+                 rel: Precongruence, side: str) -> CommonForkResult:
     for va, vb in work.hom_pairs():
         # The ordered related pairs of hom(va, vb), diagonal included.
         arrows = work.hom(va, vb)
@@ -356,7 +361,7 @@ def _common_fork(work: FinCat, transposed, members: frozenset[int], rel: Precong
                  if f == g or (min(f, g), max(f, g)) in rel.pairs]
         if len(pairs) == len(arrows):
             continue  # the identity fork at va mediates every (h, h)
-        forks = _ForkIndex(work, transposed, members, va, vb)
+        forks = _ForkIndex(work, transposed, members, related, va, vb)
         # Masks copied from the index only gain bits as it reads on, so
         # a miss is asked of the index again before it counts.
         masks = [0] * len(pairs)
@@ -418,15 +423,14 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     split-generated family would contradict the certified case, so that
     combination raises; a formally-connected-but-empty hom-set downgrades
     the verdict to failed, and absent any witness it stays inconclusive.
-    ``family`` and ``splitgen``, when given, are used as they are, in a
-    copy of the held session that shares its stages reading neither, so
-    a stage given here never stands in for one the held session
-    computes.
+    ``family`` and ``splitgen``, when given, are used as they are, on the
+    congruence of the held session, which keeps its own family check and
+    split generation.
     """
     session = _held(cat, weqs if family is None else family.members)
-    if family is not None or splitgen is not None:
-        session = session._given(family=family, splitgen=splitgen)
-    return session.whitehead
+    if family is None and splitgen is None:
+        return session.whitehead
+    return session._certify(family or session.family, splitgen)
 
 
 @dataclass(frozen=True)
@@ -449,11 +453,9 @@ class SaturationReport:
 
 
 def check_saturation(cat: FinCat, weqs, cert: WhiteheadCertificate) -> SaturationReport:
-    # A fresh session: the certificate's congruence must not replace the
-    # held session's own.
-    session = Analysis(cat, weqs)
-    session.congruence = cert.congruence
-    return session.saturation
+    """Saturation of the quotient by ``cert.congruence``, with the held
+    session's family, split generation and fork conditions."""
+    return _held(cat, weqs)._saturation(cert.congruence)
 
 
 class Analysis:
@@ -466,10 +468,9 @@ class Analysis:
     condition, set of fork witnesses, common-fork and transitivity
     verdict.  Leg composites come from the transposed table the session
     holds anyway: the opposite's on the left, the category's on the
-    right.  No fork index outlives the check that reads it.  A stage
-    assigned before its first use (``session.family = ...``) is taken
-    as given.  ``weqs`` may name arrows or index them; identities are
-    implicit, as in documents.
+    right.  No fork index outlives the check that reads it.  The fork
+    stages require the family axioms.  ``weqs`` may name arrows or index
+    them; identities are implicit, as in documents.
     """
 
     def __init__(self, cat: FinCat, weqs):
@@ -478,22 +479,6 @@ class Analysis:
         self.members = resolve_weqs(cat, self.weqs)
         # per-side stages by (function, side)
         self._sides: dict = {}
-
-    # The inputs and the stages that read neither the family check nor
-    # split generation.
-    _FAMILY_FREE = ("cat", "weqs", "members", "_sides", "op", "left", "right",
-                    "congruence", "sigma")
-
-    def _given(self, **stages) -> "Analysis":
-        """A session of the same category and family that shares this
-        one's stages reading neither ``family`` nor ``splitgen``, those
-        computed so far, and takes ``stages`` that are not None (say
-        ``family=...``) as given.  The stages the copy computes are its
-        own, the per-side ones apart."""
-        session = Analysis.__new__(Analysis)
-        vars(session).update((k, v) for k, v in vars(self).items() if k in self._FAMILY_FREE)
-        vars(session).update((k, v) for k, v in stages.items() if v is not None)
-        return session
 
     @cached_property
     def family(self) -> WeqFamily:
@@ -544,15 +529,12 @@ class Analysis:
         relation there."""
         work = self._work(side)[0]
         key = (_left_closure, side)
-        if key not in self._sides:
-            self._sides[key] = _left_closure(work, self._one_sided(side).pairs)
+        if key not in self._sides:  # the one-sided relation is self.left or self.right
+            self._sides[key] = _left_closure(work, getattr(self, side).pairs)
         return work, self._sides[key]
 
-    def _one_sided(self, side: str) -> Precongruence:
-        return self.left if side == "left" else self.right
-
     def fork_condition(self, side: str = "left") -> ForkConditionResult:
-        return self._per_side(_fork_condition, side, self._one_sided(side))
+        return self._per_side(_fork_condition, side)
 
     def fork_witnesses(self, side: str = "left") -> dict:
         """A :class:`HomotopyWitness` for each related pair (f, g) before
@@ -574,14 +556,21 @@ class Analysis:
 
     def _per_side(self, check, side: str, *args):
         if (check, side) not in self._sides:
+            self.axioms_hold("family axioms must hold before the fork checks")
             work, rel = self.closed(side)
-            self._sides[check, side] = check(work, self._work(side)[1], self.members, rel,
-                                             side, *args)
+            self._sides[check, side] = check(work, self._work(side)[1], self.members,
+                                             getattr(self, side).pairs, rel, side, *args)
         return self._sides[check, side]
 
     @cached_property
     def whitehead(self) -> WhiteheadResult:
-        family = self.axioms_hold("family axioms must hold before certification")
+        return self._certify(self.family, vars(self).get("splitgen"))
+
+    def _certify(self, family: WeqFamily, splitgen: SplitGenResult | None) -> WhiteheadResult:
+        """Whitehead on this session's congruence with ``family``; a None
+        ``splitgen`` is computed from ``family`` if certification fails."""
+        if not family.report.axioms_ok:
+            raise ValidationError("family axioms must hold before certification")
         cat, members, cong = self.cat, self.members, self.congruence
         if members <= self.sigma:
             # An inverse class is unique, so its lowest member is the
@@ -591,21 +580,28 @@ class Analysis:
                              for w in sorted(members)}
             cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
             # Certification needs no split generation: report it only if known.
-            return WhiteheadResult("certified", cong, cert, None, family,
-                                   vars(self).get("splitgen"))
+            return WhiteheadResult("certified", cong, cert, None, family, splitgen)
 
-        if self.splitgen.generated:
+        if splitgen is None:
+            own = family is vars(self).get("family")
+            splitgen = self.splitgen if own else check_split_generated(family)
+        if splitgen.generated:
             raise RuntimeError(
                 "internal inconsistency: split-generated family failed certification")
 
         witness = nonfullness_witness(cat, members)
         status = "failed" if witness is not None else "inconclusive"
-        return WhiteheadResult(status, cong, None, witness, family, self.splitgen)
+        return WhiteheadResult(status, cong, None, witness, family, splitgen)
 
     @cached_property
     def saturation(self) -> SaturationReport:
+        return self._saturation(None)
+
+    def _saturation(self, congruence: Congruence | None) -> SaturationReport:
+        """Saturation of the quotient by ``congruence``, or this session's."""
         family = self.axioms_hold("family axioms must hold")
-        violations = sorted(self.sigma - self.members)
+        sigma = self.sigma if congruence is None else sigma_of(self.cat, congruence)
+        violations = sorted(sigma - self.members)
         weak_inv = family.report.weak_invertibility_ok
         split_ok = self.splitgen.generated
         fork_l = self.fork_condition("left").ok

@@ -307,10 +307,10 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     counted(homotopy, "opposite", lambda cat: cat)
     counted(homotopy, "least_congruence", lambda rel: rel.base)
     counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
-    counted(homotopy, "_fork_condition", lambda work, transposed, members, rel, side, base: work,
-            lambda work, transposed, members, rel, side, base: side)
-    counted(homotopy, "_ForkIndex", lambda work, transposed, members, va, vb: work,
-            lambda work, transposed, members, va, vb: (va, vb))
+    counted(homotopy, "_fork_condition", lambda work, transposed, members, related, rel, side: work,
+            lambda work, transposed, members, related, rel, side: side)
+    counted(homotopy, "_ForkIndex", lambda work, transposed, members, related, va, vb: work,
+            lambda work, transposed, members, related, va, vb: (va, vb))
     real_generators = fincat.FinCat.generators.func
 
     def generators(cat):
@@ -323,8 +323,8 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     commons = []
     real_common = homotopy._common_fork
 
-    def common(work, *args):
-        commons.append((work, args[2], real_common(work, *args)))
+    def common(work, transposed, members, related, rel, side):
+        commons.append((work, rel, real_common(work, transposed, members, related, rel, side)))
         return commons[-1][2]
     monkeypatch.setattr(homotopy, "_common_fork", common)
     for name in NAMES:

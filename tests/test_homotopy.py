@@ -31,6 +31,8 @@ from hocat.fixtures import NAMES, category
 
 from gencat import all_functions_instance, function_instance
 from oracles import (
+    _brute_forks,
+    _sided,
     brute_close_composition,
     brute_common_fork,
     brute_fork_condition,
@@ -274,6 +276,56 @@ def test_certify_requires_axioms():
         certify_whitehead(cat, ["u"])  # two-of-three fails for {u}
 
 
+def test_fork_checks_require_axioms():
+    """The fork stages read the forks off the one-sided relation, which
+    takes two out of three: {u} in f_iso breaks it and every fork stage
+    refuses it, while the relation stages still answer."""
+    cat, _members, _r = category("f_iso")
+    assert not check_weq_axioms(cat, ["u"]).report.axioms_ok
+    session = Analysis(cat, ["u"])
+    members = session.members
+    for side in SIDES:
+        for stage in (lambda: check_fork_condition(cat, ["u"], side),
+                      lambda: check_common_fork(cat, ["u"], side),
+                      lambda: session.fork_witnesses(side)):
+            with pytest.raises(ValidationError) as exc:
+                stage()
+            assert str(exc.value) == "family axioms must hold before the fork checks"
+        rel = brute_one_sided_relation(cat, members, side)
+        assert session.closed(side)[1].distinct_pairs == rel
+        triple = brute_intransitive_triple(rel)
+        assert session.rc_transitive(side) == (triple is None, triple)
+        assert check_rc_transitive(cat, ["u"], side) == (triple is None, triple)
+
+
+def test_left_weq_forks_match_brute_forks(mixed_corpus, split_corpus):
+    """With the family axioms, the forks read off the one-sided relation
+    are those of the definition, one per leg pair and in its order, each
+    with the pairs its mediators into vb give."""
+    fixtures = [category(name) for name in NAMES]
+    forks_seen = 0
+    for cat, members, _doc in mixed_corpus + split_corpus + fixtures:
+        session = Analysis(cat, members)
+        nobj = len(cat.objects)
+        for side in SIDES:
+            work, transposed = session._work(side)
+            related = getattr(session, side).pairs
+            _dom, _cod, hom, after = _sided(cat, side)
+            brute = _brute_forks(cat, members, side)
+            for va in range(nobj):
+                # one entry per leg pair, in the definition's order
+                legs = list(dict.fromkeys(legs for v, _apex, legs, _s, _b in brute if v == va))
+                for vb in range(nobj):
+                    want = [((l0, l1), frozenset((after(h, l0), after(h, l1))
+                                                 for h in hom(work.cod(l0), vb)))
+                            for l0, l1 in legs]
+                    got = list(homotopy._left_weq_forks(work, transposed, members, related,
+                                                        va, vb))
+                    assert got == want, (side, va, vb)
+                    forks_seen += len(got)
+    assert forks_seen > 0
+
+
 def test_fork_checks_match_brute_force(mixed_corpus, split_corpus):
     """Both fork checks agree with the definitions, failures included,
     and every witness they return replays."""
@@ -319,9 +371,10 @@ def _fresh_answers(cat, weqs):
 
 
 def test_library_calls_build_the_congruence_once(monkeypatch):
-    """homotopy_congruence and then certify_whitehead, the family stages
-    given or not, build the opposite category and the congruence once;
-    the other functions that read the held session build neither again."""
+    """homotopy_congruence and certify_whitehead, in either order and the
+    family stages given or not, build the opposite category and the
+    congruence once; check_saturation and the other functions that read
+    the held session build neither again, nor a second fork condition."""
     calls = collections.Counter()
 
     def counted(name):
@@ -334,20 +387,31 @@ def test_library_calls_build_the_congruence_once(monkeypatch):
 
     counted("opposite")
     counted("least_congruence")
+    counted("_fork_condition")
     for name in NAMES:
         for given in (False, True):
-            cat, members, raw = category(name)
-            calls.clear()
-            cong = homotopy_congruence(cat, members)
-            stages = {}
-            if given:
-                family = check_weq_axioms(cat, raw.weak_equivalences)
-                stages = {"family": family, "splitgen": check_split_generated(family)}
-            assert certify_whitehead(cat, members, **stages).congruence is cong
-            for side in SIDES:
-                check_fork_condition(cat, members, side)
-            r_right(cat, members), r_left_comp(cat, members), r_right_comp(cat, members)
-            assert calls == {"opposite": 1, "least_congruence": 1}, (name, given)
+            for congruence_first in (True, False):
+                cat, members, raw = category(name)
+                stages = {}
+                if given:
+                    family = check_weq_axioms(cat, raw.weak_equivalences)
+                    stages = {"family": family, "splitgen": check_split_generated(family)}
+                calls.clear()
+                if congruence_first:
+                    cong = homotopy_congruence(cat, members)
+                    res = certify_whitehead(cat, members, **stages)
+                else:
+                    res = certify_whitehead(cat, members, **stages)
+                    cong = homotopy_congruence(cat, members)
+                assert res.congruence is cong
+                assert calls == {"opposite": 1, "least_congruence": 1}, (name, given)
+                cert = res.certificate or WhiteheadCertificate(cong, {}, ())
+                check_saturation(cat, members, cert)
+                for side in SIDES:
+                    check_fork_condition(cat, members, side)
+                r_right(cat, members), r_left_comp(cat, members), r_right_comp(cat, members)
+                assert calls == {"opposite": 1, "least_congruence": 1, "_fork_condition": 2}, \
+                    (name, given, congruence_first)
 
 
 def test_library_calls_answer_as_a_fresh_session(mixed_corpus):
@@ -387,8 +451,9 @@ def test_given_stages_stay_out_of_the_held_session():
 
 
 def test_saturation_keeps_the_held_congruence():
-    """check_saturation takes its congruence from the certificate in a
-    session of its own, so what the held session serves is unchanged."""
+    """check_saturation reads the held session but takes its congruence
+    from the certificate without keeping it, so what the held session
+    serves is unchanged."""
     changed = 0
     for name in NAMES:
         cat, members, _raw = category(name)
