@@ -29,7 +29,7 @@ from .deformation import (build_ho_cr, check_conjugation, check_inverts_w,
 from .errors import FormatError, MoveError, ValidationError
 from .fincat import (FinCat, known_name, load_file, read_json, resolve_weqs,
                      subcategory, validate_category)
-from .homotopy import Analysis, certify_whitehead
+from .homotopy import Analysis
 from .zigzag import bounded_equiv, connect, trace_to_json, zigzag_from_json, zigzag_to_json
 
 __all__ = ["AnalysisReport", "run_analysis", "render_report", "main", "STAGES"]
@@ -74,20 +74,19 @@ def _hom_listing(cat: FinCat) -> dict:
     return homs
 
 
-def run_analysis(path, options=None) -> AnalysisReport:
+def run_analysis(path, *, budget=None, stages=None) -> AnalysisReport:
     """Analyze one file and collect the report.
 
-    options: budget (int, default from HOCAT_BUDGET or 8) and stages (a
-    subset of STAGES to report; unselected stages read "skipped").  One
+    ``budget`` is the zigzag move budget (default from HOCAT_BUDGET or
+    8) and ``stages`` a subset of STAGES to report (default all;
+    unselected stages read "skipped").  One
     :class:`Analysis` session serves every selected stage, so each
     intermediate is computed once and only when a selected stage needs
     it.  When the family axioms fail, the stages after them read
     "skipped".  The validate timing includes loading the file.
     """
-    opts = dict(options or {})
-    budget = budget_of(opts.get("budget"))
-    selected = opts.get("stages")
-    selected = STAGES if selected is None else tuple(selected)
+    budget = budget_of(budget)
+    selected = STAGES if stages is None else tuple(stages)
     unknown = [s for s in selected if s not in STAGES]
     if unknown:
         raise FormatError(f"unknown stage {unknown[0]!r}; stages are {', '.join(STAGES)}")
@@ -225,7 +224,7 @@ def _deformation_report(session, raw, budget):
 
     sub = chain.target
     sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    c0_res = certify_whitehead(sub.cat, sub_members)
+    c0_res = Analysis(sub.cat, sub_members).whitehead
     cert0 = c0_res.certificate if c0_res.certified else None
     wres = session.whitehead
     ambient_cert = wres.certificate if wres.certified else None
@@ -355,13 +354,13 @@ def _cmd_analyze(args) -> int:
     stages = None
     if args.stages:
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
-    report = run_analysis(args.file, {"budget": args.budget, "stages": stages})
+    report = run_analysis(args.file, budget=args.budget, stages=stages)
     sys.stdout.write(render_report(report, args.format))
     return 0
 
 
 def _cmd_quotient(args) -> int:
-    report = run_analysis(args.file, {"budget": args.budget, "stages": ("whitehead",)})
+    report = run_analysis(args.file, budget=args.budget, stages=("whitehead",))
     doc = {"input": report.path,
            "whitehead": report.data["whitehead"],
            "quotient": report.data["quotient"]}
@@ -394,8 +393,7 @@ def _cmd_zigzag(args) -> int:
 
 
 def _cmd_deform(args) -> int:
-    report = run_analysis(args.file, {"budget": args.budget,
-                                      "stages": ("whitehead", "deformation")})
+    report = run_analysis(args.file, budget=args.budget, stages=("whitehead", "deformation"))
     doc = {"input": report.path,
            "whitehead": report.data["whitehead"],
            "deformation": report.data["deformation"],

@@ -12,8 +12,10 @@ entries.  Identity arrows carry the reserved name ``id:<object>`` and are
 synthesized when a document omits them; they always occupy the lowest
 indices, in object order.
 
-Everything here is immutable after construction, so values can be shared
-freely between threads or cached without copying.
+A category's objects, arrows and table never change after construction.
+It caches in its ``vars``, on first use, its ``generators`` and the
+:class:`~hocat.homotopy.Analysis` the homotopy functions hold for its
+last family; two threads filling a cache at once may each compute it.
 """
 
 from __future__ import annotations

@@ -24,10 +24,11 @@ family axioms, by which the forks are read off the one-sided relation.
 An :class:`Analysis` session computes each of these once for one
 category and family, on first use, and shares it between the stages
 that build on it.  A category holds the last session the functions
-below served, for as long as the category lives, and all but ``r_left``
-read their stages from it while the family stays the same: so
-``homotopy_congruence``, ``certify_whitehead`` and ``check_saturation``,
-in any order, build the opposite category and the congruence once.
+below served, keyed by its members, for as long as the category lives,
+and all but ``r_left`` answer with one of its stages: so the answers
+depend only on the members, and ``homotopy_congruence``,
+``certify_whitehead`` and ``check_saturation``, in any order, build the
+opposite category and the congruence once.
 """
 
 from __future__ import annotations
@@ -400,13 +401,13 @@ class WhiteheadCertificate:
 
 @dataclass(frozen=True)
 class WhiteheadResult:
-    """certified / failed (with an emptiness witness) / inconclusive."""
+    """certified / failed (with an emptiness witness) / inconclusive; only
+    the last two carry the split generation that ruled out certification."""
 
     status: str
     congruence: Congruence
     certificate: WhiteheadCertificate | None
     witness: object | None
-    family: WeqFamily
     split_generation: SplitGenResult | None
 
     @property
@@ -423,13 +424,15 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     split-generated family would contradict the certified case, so that
     combination raises; a formally-connected-but-empty hom-set downgrades
     the verdict to failed, and absent any witness it stays inconclusive.
-    ``family`` and ``splitgen``, when given, are used as they are, on the
-    congruence of the held session, which keeps its own family check and
-    split generation.
+    A given ``family`` must have the members ``weqs`` resolves to, or
+    ``ValidationError`` is raised; it stands in for the held session's
+    axiom check, and a given ``splitgen`` for its split generation.
     """
-    session = _held(cat, weqs if family is None else family.members)
+    session = _held(cat, weqs)
     if family is None and splitgen is None:
         return session.whitehead
+    if family is not None and family.members != session.members:
+        raise ValidationError("the given family has other members than the weak equivalences")
     return session._certify(family or session.family, splitgen)
 
 
@@ -453,9 +456,12 @@ class SaturationReport:
 
 
 def check_saturation(cat: FinCat, weqs, cert: WhiteheadCertificate) -> SaturationReport:
-    """Saturation of the quotient by ``cert.congruence``, with the held
-    session's family, split generation and fork conditions."""
-    return _held(cat, weqs)._saturation(cert.congruence)
+    """The held session's saturation report.  ``cert`` must certify the
+    session's homotopy congruence, or ``ValidationError`` is raised."""
+    session = _held(cat, weqs)
+    if cert.congruence is not session.congruence and cert.congruence != session.congruence:
+        raise ValidationError("the certificate is not on the homotopy congruence of the family")
+    return session.saturation
 
 
 class Analysis:
@@ -564,11 +570,12 @@ class Analysis:
 
     @cached_property
     def whitehead(self) -> WhiteheadResult:
-        return self._certify(self.family, vars(self).get("splitgen"))
+        return self._certify(self.family, None)
 
     def _certify(self, family: WeqFamily, splitgen: SplitGenResult | None) -> WhiteheadResult:
-        """Whitehead on this session's congruence with ``family``; a None
-        ``splitgen`` is computed from ``family`` if certification fails."""
+        """Whitehead on this session's congruence, gated by the axiom check
+        of ``family`` (one with this session's members); a failed or
+        inconclusive result carries ``splitgen``, else the session's."""
         if not family.report.axioms_ok:
             raise ValidationError("family axioms must hold before certification")
         cat, members, cong = self.cat, self.members, self.congruence
@@ -579,29 +586,22 @@ class Analysis:
             inverse_table = {w: cong.classes[q.inverse(cong.class_of[w])][0]
                              for w in sorted(members)}
             cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
-            # Certification needs no split generation: report it only if known.
-            return WhiteheadResult("certified", cong, cert, None, family, splitgen)
+            return WhiteheadResult("certified", cong, cert, None, None)
 
         if splitgen is None:
-            own = family is vars(self).get("family")
-            splitgen = self.splitgen if own else check_split_generated(family)
+            splitgen = self.splitgen
         if splitgen.generated:
             raise RuntimeError(
                 "internal inconsistency: split-generated family failed certification")
 
         witness = nonfullness_witness(cat, members)
         status = "failed" if witness is not None else "inconclusive"
-        return WhiteheadResult(status, cong, None, witness, family, splitgen)
+        return WhiteheadResult(status, cong, None, witness, splitgen)
 
     @cached_property
     def saturation(self) -> SaturationReport:
-        return self._saturation(None)
-
-    def _saturation(self, congruence: Congruence | None) -> SaturationReport:
-        """Saturation of the quotient by ``congruence``, or this session's."""
         family = self.axioms_hold("family axioms must hold")
-        sigma = self.sigma if congruence is None else sigma_of(self.cat, congruence)
-        violations = sorted(sigma - self.members)
+        violations = sorted(self.sigma - self.members)
         weak_inv = family.report.weak_invertibility_ok
         split_ok = self.splitgen.generated
         fork_l = self.fork_condition("left").ok
@@ -627,14 +627,12 @@ def _held(cat: FinCat, weqs) -> Analysis:
 
     A category holds one session, in the ``_analysis`` slot of its
     ``vars`` (as :attr:`FinCat.generators` is kept), for as long as it
-    lives.  The session is keyed by the arrows ``weqs`` names, resolved
-    so that a name and its index agree; another family replaces it.
-    The key keeps the identities named, which the family check reports
-    on (``inserted_identities``).
+    lives.  The session is keyed by its members: names, indices and
+    identities left implicit or named all reach the same one, and
+    another set of members replaces it.
     """
-    weqs = tuple(weqs)
-    named = frozenset(map(cat.mor, weqs))
+    members = resolve_weqs(cat, weqs)
     held = vars(cat).get("_analysis")
-    if held is None or held[0] != named:
-        held = vars(cat)["_analysis"] = (named, Analysis(cat, weqs))
-    return held[1]
+    if held is None or held.members != members:
+        held = vars(cat)["_analysis"] = Analysis(cat, members)
+    return held

@@ -388,7 +388,7 @@ def test_single_stage_matches_full_report(tmp_path):
     for file in [fx(name) for name in NAMES] + [str(failing)]:
         full = cli.run_analysis(file).data
         for stage in cli.STAGES:
-            part = cli.run_analysis(file, {"stages": [stage]}).data
+            part = cli.run_analysis(file, stages=[stage]).data
             assert part.keys() == full.keys()
             for key, value in full.items():
                 want = value if key in cli._STAGES[stage][0] else "skipped"
@@ -422,7 +422,7 @@ def test_text_report_timings(monkeypatch):
         return real_load(path)
 
     monkeypatch.setattr(cli, "load_file", slow_load)
-    report = cli.run_analysis(fx("f_retr"), {"budget": 8})
+    report = cli.run_analysis(fx("f_retr"), budget=8)
     assert report.timings["validate"] >= 50.0
     lines = cli.render_report(report, "text").splitlines()
     for stage in report.timings:

@@ -388,7 +388,7 @@ def test_load_file_missing_path_is_format_error(tmp_path):
 def test_load_file_reads_fixture(tmp_path):
     raw = load("f_retr")
     target = tmp_path / "copy.json"
-    target.write_text(json.dumps(json.load(open(path("f_retr")))))
+    target.write_text(json.dumps(json.loads(path("f_retr").read_text(encoding="utf-8"))))
     assert load_file(target).objects == raw.objects
 
 

@@ -46,6 +46,7 @@ from oracles import parallel_pairs
 
 from hocat import (Analysis, bounded_equiv, cli, check_split_generated, check_weq_axioms,
                    make_zigzag, reduce_backward_splits)
+from hocat import homotopy
 from hocat.fixtures import NAMES, category, path
 from hocat.zigzag import BWD, FWD, trace_to_json
 
@@ -63,6 +64,22 @@ def test_json_output_matches_golden(command, name, monkeypatch, capsys):
     assert cli.main([command, f"{name}.json", "--format", "json"]) == 0
     got = capsys.readouterr().out
     assert got == (GOLDEN / f"{command}-{name}.json").read_text(encoding="utf-8")
+
+
+def test_commands_call_no_homotopy_wrapper(monkeypatch, capsys):
+    """The commands read their own session: none reaches the session a
+    category holds for the homotopy wrappers, and every report is the
+    golden one."""
+    def refuse(*_args):
+        raise AssertionError("a command called a homotopy wrapper")
+
+    monkeypatch.setattr(homotopy, "_held", refuse)
+    for name in NAMES:
+        monkeypatch.chdir(pathlib.Path(str(path(name))).parent)
+        for command in COMMANDS:
+            assert cli.main([command, f"{name}.json", "--format", "json"]) == 0, (command, name)
+            got = capsys.readouterr().out
+            assert got == (GOLDEN / f"{command}-{name}.json").read_text(encoding="utf-8")
 
 
 def _label(cat, steps) -> str:

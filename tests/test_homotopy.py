@@ -29,7 +29,7 @@ from hocat import homotopy
 from hocat.errors import ValidationError
 from hocat.fixtures import NAMES, category
 
-from gencat import all_functions_instance, function_instance
+from gencat import all_functions_instance, function_instance, gen_split_instance
 from oracles import (
     _brute_forks,
     _sided,
@@ -370,11 +370,20 @@ def _fresh_answers(cat, weqs):
               for stage in (s.fork_condition, s.common_fork, s.rc_transitive)))
 
 
+def _spellings(cat, members):
+    """The family ``members`` named four ways."""
+    plain = sorted(members - cat.identity_set)
+    return {"names": [cat.mor_name(w) for w in plain], "indices": plain,
+            "members": members,
+            "names with identities": [cat.mor_name(w) for w in sorted(members)]}
+
+
 def test_library_calls_build_the_congruence_once(monkeypatch):
-    """homotopy_congruence and certify_whitehead, in either order and the
-    family stages given or not, build the opposite category and the
-    congruence once; check_saturation and the other functions that read
-    the held session build neither again, nor a second fork condition."""
+    """homotopy_congruence and certify_whitehead, in either order, the
+    family named any way in each and the family stages given or not,
+    build the opposite category and the congruence once;
+    check_saturation and the other functions that read the held session
+    build neither again, nor a second fork condition."""
     calls = collections.Counter()
 
     def counted(name):
@@ -389,35 +398,42 @@ def test_library_calls_build_the_congruence_once(monkeypatch):
     counted("least_congruence")
     counted("_fork_condition")
     for name in NAMES:
-        for given in (False, True):
-            for congruence_first in (True, False):
-                cat, members, raw = category(name)
-                stages = {}
-                if given:
-                    family = check_weq_axioms(cat, raw.weak_equivalences)
-                    stages = {"family": family, "splitgen": check_split_generated(family)}
-                calls.clear()
-                if congruence_first:
-                    cong = homotopy_congruence(cat, members)
-                    res = certify_whitehead(cat, members, **stages)
-                else:
-                    res = certify_whitehead(cat, members, **stages)
-                    cong = homotopy_congruence(cat, members)
-                assert res.congruence is cong
-                assert calls == {"opposite": 1, "least_congruence": 1}, (name, given)
-                cert = res.certificate or WhiteheadCertificate(cong, {}, ())
-                check_saturation(cat, members, cert)
-                for side in SIDES:
-                    check_fork_condition(cat, members, side)
-                r_right(cat, members), r_left_comp(cat, members), r_right_comp(cat, members)
-                assert calls == {"opposite": 1, "least_congruence": 1, "_fork_condition": 2}, \
-                    (name, given, congruence_first)
+        cat, members, _raw = category(name)
+        spellings = list(_spellings(cat, members).values())
+        for first in spellings:
+            for second in spellings:
+                for given in (False, True):
+                    for congruence_first in (True, False):
+                        case = (name, first, second, given, congruence_first)
+                        cat = category(name)[0]
+                        stages = {}
+                        if given:
+                            family = check_weq_axioms(cat, second)
+                            stages = {"family": family,
+                                      "splitgen": check_split_generated(family)}
+                        calls.clear()
+                        if congruence_first:
+                            cong = homotopy_congruence(cat, first)
+                            res = certify_whitehead(cat, second, **stages)
+                        else:
+                            res = certify_whitehead(cat, second, **stages)
+                            cong = homotopy_congruence(cat, first)
+                        assert res.congruence is cong
+                        assert calls == {"opposite": 1, "least_congruence": 1}, case
+                        cert = res.certificate or WhiteheadCertificate(cong, {}, ())
+                        check_saturation(cat, first, cert)
+                        for side in SIDES:
+                            check_fork_condition(cat, second, side)
+                        r_right(cat, first), r_left_comp(cat, second), r_right_comp(cat, first)
+                        assert calls == {"opposite": 1, "least_congruence": 1,
+                                         "_fork_condition": 2}, case
 
 
 def test_library_calls_answer_as_a_fresh_session(mixed_corpus):
     """On one category, the families A, B (the identities), A again and
     A named without its identities: every answer read from the held
-    session equals a fresh session's, though the family changes."""
+    session equals a fresh session's, though the family changes, and A
+    named either way reaches one session."""
     differ = 0
     for cat, members, _doc in mixed_corpus[:60]:
         named = sorted(cat.mor_name(w) for w in members - cat.identity_set)
@@ -426,44 +442,117 @@ def test_library_calls_answer_as_a_fresh_session(mixed_corpus):
             answers.append(_library_answers(cat, weqs))
             assert answers[-1] == _fresh_answers(cat, weqs)
         differ += answers[0] != answers[1]
-        # the family check reports the identities it inserted
-        assert answers[3][4].family.report.inserted_identities == tuple(sorted(cat.identity_set))
-        assert answers[2][4].family.report.inserted_identities == ()
+        assert homotopy._held(cat, members) is homotopy._held(cat, named)
+        assert answers[3] == answers[2] == answers[0]
     assert differ >= 10
 
 
-def test_given_stages_stay_out_of_the_held_session():
-    """certify_whitehead uses a given family and split generation as
-    they are, sharing the held session's congruence; the held session
-    goes on computing its own."""
+def test_whitehead_does_not_depend_on_earlier_calls():
+    """certify_whitehead answers alike on a fresh category, after
+    check_saturation and after the held session's split generation; a
+    certified result carries no split generation."""
+    for name in NAMES:
+        cat, members, _raw = category(name)
+        fresh = certify_whitehead(cat, members)
+        cat = category(name)[0]
+        cong = homotopy_congruence(cat, members)
+        check_saturation(cat, members, WhiteheadCertificate(cong, {}, ()))
+        after_saturation = certify_whitehead(cat, members)
+        cat = category(name)[0]
+        homotopy._held(cat, members).splitgen
+        after_splitgen = certify_whitehead(cat, members)
+        assert fresh == after_saturation == after_splitgen, name
+        assert fresh.certified == (fresh.split_generation is None), name
+
+
+def test_given_stages_stay_out_of_the_held_session(monkeypatch):
+    """certify_whitehead takes a given family's axiom check instead of
+    its own and carries a given split generation on a failed result; a
+    certified result is the held session's either way, and the held
+    session computes neither."""
     cat, members, raw = category("f_retr")
     family = check_weq_axioms(cat, raw.weak_equivalences)  # identities implicit
     splitgen = check_split_generated(family)
     cong = homotopy_congruence(cat, members)
+
+    def refuse(*_args):
+        raise AssertionError("the held session checked the family again")
+    monkeypatch.setattr(homotopy, "check_weq_axioms", refuse)
+    monkeypatch.setattr(homotopy, "check_split_generated", refuse)
     res = certify_whitehead(cat, members, family=family, splitgen=splitgen)
-    assert res.family is family and res.split_generation is splitgen
-    assert res.congruence is cong
-    own = certify_whitehead(cat, members)
-    assert own == Analysis(cat, members).whitehead
-    assert own.family.report.inserted_identities == ()
-    assert family.report.inserted_identities != ()
-    assert own.split_generation is None  # certified: reported only if known
+    assert res.congruence is cong and res.split_generation is None
+    assert res == certify_whitehead(cat, members, family=family)
+    assert "family" not in vars(homotopy._held(cat, members))
+    monkeypatch.undo()
+    assert res == certify_whitehead(cat, members) == Analysis(cat, members).whitehead
+
+    cat, members, raw = category("f_span")
+    family = check_weq_axioms(cat, raw.weak_equivalences)
+    splitgen = check_split_generated(family)
+    res = certify_whitehead(cat, members, family=family, splitgen=splitgen)
+    assert res.status == "failed" and res.split_generation is splitgen
+    assert res == certify_whitehead(cat, members)
+
+
+def test_given_family_must_have_the_members():
+    """A family given to certify_whitehead with other members than the
+    weak equivalences named is refused."""
+    refused = 0
+    for name in NAMES:
+        cat, members, _raw = category(name)
+        other = check_weq_axioms(cat, cat.identity_set)
+        if other.members == members:
+            continue
+        with pytest.raises(ValidationError) as exc:
+            certify_whitehead(cat, members, family=other)
+        assert str(exc.value) == "the given family has other members than the weak equivalences"
+        refused += 1
+    assert refused >= 3
+
+
+FOREIGN = "the certificate is not on the homotopy congruence of the family"
 
 
 def test_saturation_keeps_the_held_congruence():
-    """check_saturation reads the held session but takes its congruence
-    from the certificate without keeping it, so what the held session
-    serves is unchanged."""
-    changed = 0
+    """check_saturation returns the held session's report for a
+    certificate on its congruence (equal or the same object) and refuses
+    one on another congruence, leaving what the held session serves
+    unchanged."""
+    refused = 0
     for name in NAMES:
         cat, members, _raw = category(name)
         cong = homotopy_congruence(cat, members)
         res = certify_whitehead(cat, members)
-        discrete = Congruence.discrete(cat)
-        changed += cong != discrete
         cert = res.certificate or WhiteheadCertificate(cong, {}, ())
-        check_saturation(cat, members, dataclasses.replace(cert, congruence=discrete))
+        report = check_saturation(cat, members, cert)
+        equal = dataclasses.replace(cert, congruence=Congruence(cat, cong.classes))
+        assert check_saturation(cat, members, equal) is report
+        discrete = Congruence.discrete(cat)
+        if cong != discrete:
+            with pytest.raises(ValidationError, match=FOREIGN):
+                check_saturation(cat, members, dataclasses.replace(cert, congruence=discrete))
+            refused += 1
         assert homotopy_congruence(cat, members) is cong
         assert certify_whitehead(cat, members) is res
         assert _library_answers(cat, members) == _fresh_answers(cat, members)
-    assert changed >= 2
+    assert refused >= 2
+
+
+def test_saturation_refuses_a_foreign_certificate():
+    """On a split instance whose homotopy congruence is discrete, a
+    certificate on the congruence with one class per hom-set is refused
+    by name rather than read as an internal inconsistency."""
+    cat, members, _doc = gen_split_instance(random.Random(3))
+    assert len(cat.morphisms) == 3
+    res = certify_whitehead(cat, members)
+    before = _library_answers(cat, members), check_saturation(cat, members, res.certificate)
+    homs: dict = {}
+    for f in range(len(cat.morphisms)):
+        homs.setdefault((cat.dom(f), cat.cod(f)), []).append(f)
+    coarse = Congruence(cat, homs.values())
+    assert coarse != res.congruence
+    with pytest.raises(ValidationError) as exc:
+        check_saturation(cat, members, dataclasses.replace(res.certificate, congruence=coarse))
+    assert str(exc.value) == FOREIGN
+    assert (_library_answers(cat, members),
+            check_saturation(cat, members, res.certificate)) == before
