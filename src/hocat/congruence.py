@@ -11,13 +11,14 @@ nothing changes.
 Pairs are stored unordered as (min index, max index); symmetry is free.
 A precongruence keeps whatever pairs it was given, including degenerate
 (f, f) ones.  A congruence stores a partition instead, where reflexivity
-is implicit, and builds its quotient category once.  ``sigma_of`` reads
-that quotient for the arrows invertible up to the congruence.
+is implicit, and is certified through its quotient category: the check
+that the projection is a functor is the closure check.  ``sigma_of``
+reads that quotient for the arrows invertible up to the congruence.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import ValidationError
@@ -79,7 +80,8 @@ class Congruence:
     """A certified congruence, stored as a partition of each hom-set.
 
     The constructor checks that the classes partition hom-sets into
-    parallel blocks and that the relation is closed under composition on
+    parallel blocks, then builds :attr:`quotient`, whose projection
+    functor certifies that the relation is closed under composition on
     both sides; invalid input raises.  Classes are numbered by their
     lowest member, so equal congruences compare equal structurally.
     """
@@ -112,42 +114,13 @@ class Congruence:
             for m in cls:
                 class_of[m] = ci
         self.class_of = tuple(class_of)
-        self._check_closure()
-
-    def _check_closure(self):
-        # Closure against the representative suffices: transitivity carries
-        # it to every pair in the class.  The two sides can be checked
-        # apart, because the classes partition each hom-set: from
-        # m∘u ~ rep∘u, post-composing within the class of rep∘u gives
-        # v∘m∘u ~ v∘rep∘u.
-        base, class_of, table = self.base, self.class_of, self.base.table
-        for cls in self.classes:
-            rep = cls[0]
-            d, c = base.dom(rep), base.cod(rep)
-            for m in cls[1:]:
-                for u in base.incoming[d]:
-                    if class_of[table[rep][u]] != class_of[table[m][u]]:
-                        self._not_closed(rep, m, u, base.identity[c])
-                for v in base.outgoing[c]:
-                    if class_of[table[v][rep]] != class_of[table[v][m]]:
-                        self._not_closed(rep, m, base.identity[d], v)
-
-    def _not_closed(self, rep, m, u, v):
-        name = self.base.mor_name
-        raise ValidationError(
-            "relation is not closed under composition: "
-            f"({name(rep)!r}, {name(m)!r}) composed with u={name(u)!r}, v={name(v)!r}")
+        self.quotient = QuotientResult(self)
 
     def related(self, f, g) -> bool:
         return self.class_of[self.base.mor(f)] == self.class_of[self.base.mor(g)]
 
     def nonsingleton_classes(self) -> tuple[tuple[int, ...], ...]:
         return tuple(cls for cls in self.classes if len(cls) > 1)
-
-    @cached_property
-    def quotient(self) -> "QuotientResult":
-        """The quotient category, built on first use and then kept."""
-        return QuotientResult(self)
 
     @staticmethod
     def discrete(base: FinCat) -> "Congruence":
@@ -209,40 +182,52 @@ def least_congruence(rel: Precongruence) -> Congruence:
 
 
 class QuotientResult:
-    """A quotient category together with its projection functor."""
+    """A quotient category together with its projection functor.
+
+    Classes compose through their lowest members, rep.  The projection
+    is a functor iff [g∘f] = [rep(g)∘rep(f)] for every composable
+    (g, f), that is iff the relation is closed under composition.  The
+    first (g, f) it breaks on names a related pair whose composites
+    part: (rep(g), g) after f when [g∘f] differs from [rep(g)∘f], else
+    (rep(f), f) before rep(g).
+    """
 
     def __init__(self, congruence: Congruence):
-        base = congruence.base
-        self.congruence = congruence
-        classes = congruence.classes
-        obj_count = len(base.objects)
-        morphisms = tuple(
-            Mor(f"[{base.mor_name(cls[0])}]", base.dom(cls[0]), base.cod(cls[0]))
-            for cls in classes)
-        identity = tuple(congruence.class_of[base.identity[x]] for x in range(obj_count))
-        k = len(classes)
-        table = [[-1] * k for _ in range(k)]
-        for gi, gcls in enumerate(classes):
-            for fi, fcls in enumerate(classes):
-                c = base.table[gcls[0]][fcls[0]]
-                if c >= 0:
-                    table[gi][fi] = congruence.class_of[c]
-        self.quotient = FinCat(base.objects, morphisms, identity, table)
-        self.projection = CatFunctor(
-            base, self.quotient,
-            on_objects=tuple(range(obj_count)),
-            on_morphisms=congruence.class_of)
+        base, class_of, table = congruence.base, congruence.class_of, congruence.base.table
+        reps = [cls[0] for cls in congruence.classes]
+        objects = range(len(base.objects))
+        morphisms = tuple(Mor(f"[{base.mor_name(r)}]", base.dom(r), base.cod(r)) for r in reps)
+        identity = tuple(class_of[base.identity[x]] for x in objects)
+        # Each representative's row read at every representative; a
+        # non-composable -1 reads the appended -1.  A lone class is the
+        # one arrow of a one-object quotient.
+        ext, gather = class_of + (-1,), itemgetter(*reps)
+        qtable = [itemgetter(*gather(table[g]))(ext) for g in reps] if reps[1:] else [[0]]
+        self.quotient = FinCat(base.objects, morphisms, identity, qtable)
+        try:
+            self.projection = CatFunctor(base, self.quotient, tuple(objects), class_of)
+        except ValidationError:
+            g, f = next((g, f) for g in range(len(class_of)) for f in base.incoming[base.dom(g)]
+                        if class_of[table[g][f]] != qtable[class_of[g]][class_of[f]])
+            rg, rf = reps[class_of[g]], reps[class_of[f]]
+            if class_of[table[g][f]] != class_of[table[rg][f]]:
+                pair, u, v = (rg, g), f, base.identity[base.cod(g)]
+            else:
+                pair, u, v = (rf, f), base.identity[base.dom(f)], rg
+            name = base.mor_name
+            raise ValidationError(
+                "relation is not closed under composition: "
+                f"({name(pair[0])!r}, {name(pair[1])!r}) composed with "
+                f"u={name(u)!r}, v={name(v)!r}") from None
 
 
 def quotient(cat: FinCat, congruence: Congruence) -> QuotientResult:
     """Quotient ``cat`` by a certified congruence.
 
-    Composition of classes is independent of representatives exactly
-    because the congruence is closed; the Congruence constructor has
-    already certified that, and CatFunctor validation of the projection
-    re-checks the resulting table exhaustively, every composable pair,
-    a source row at a time.  The result is the congruence's own
-    :attr:`Congruence.quotient`, built once.
+    The result is the congruence's own :attr:`Congruence.quotient`,
+    built with it: composition of classes is independent of
+    representatives exactly because the congruence is closed, and the
+    projection functor it carries is what certified that.
     """
     if congruence.base != cat:
         raise ValidationError("congruence was built over a different category")

@@ -243,15 +243,19 @@ class HoCr:
     classes: tuple[tuple[int, ...], ...]
 
 
-def _route_classes(cat, chain, class_of, classes):
-    """Build Ho(C, r) and gamma from one congruence on the parent's arrows.
+def _route_classes(cat, chain, cong: Congruence, arrows):
+    """Build Ho(C, r) and gamma from one certified congruence.
 
-    ``class_of`` maps each target arrow (a parent index) to its class and
-    ``classes`` lists each class's parent arrows, lowest first.  The
-    arrows X -> Y are the classes met by the target arrows rX -> rY, each
-    named after its lowest arrow and holding its members in the target.
+    ``arrows`` maps each arrow of the congruence's base to its parent
+    index.  The arrows X -> Y are the classes met by the target arrows
+    rX -> rY, each named after its lowest arrow and holding its members
+    in the target.  They compose as the congruence's quotient composes
+    the classes: a certified congruence composes classes independently
+    of the members chosen.
     """
     tgt = set(chain.target.morphisms)
+    class_of = dict(zip(arrows, cong.class_of))
+    classes = [tuple(map(arrows.__getitem__, cls)) for cls in cong.classes]
     n_obj = len(cat.objects)
     index: dict[tuple[int, int, int], int] = {}
     entries = []
@@ -268,19 +272,13 @@ def _route_classes(cat, chain, class_of, classes):
     identity = tuple(index[(x, x, class_of[cat.identity[chain.on_objects[x]]])]
                      for x in range(n_obj))
 
+    qtable = cong.quotient.quotient.table
     k = len(entries)
     table = [[-1] * k for _ in range(k)]
     for gi, (y2, z, c2) in enumerate(entries):
         for fi, (x, y1, c1) in enumerate(entries):
-            if y1 != y2:
-                continue
-            got = {class_of[cat.table[b][a]]
-                   for a in memberships[fi] for b in memberships[gi]}
-            if len(got) != 1:
-                raise RuntimeError(
-                    "internal inconsistency: composite class depends on "
-                    "the chosen representatives")
-            table[gi][fi] = index[(x, z, got.pop())]
+            if y1 == y2:
+                table[gi][fi] = index[(x, z, qtable[c2][c1])]
 
     hocat = FinCat(cat.objects, mors, identity, table)
     gamma_mors = tuple(
@@ -300,8 +298,10 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
     ``cert0``, a certificate over the target subcategory, whose classes
     are read back onto the parent's arrows.  With only ``ambient_cert``
     ("ambient-classes") the ambient congruence is cut to the target
-    instead, which also covers non-functorial chains.  Either way one
-    congruence on the parent's arrows feeds :func:`_route_classes`.
+    instead, which also covers non-functorial chains.  The routes differ
+    only in the certified congruence and the parent indices of its
+    arrows they pass to :func:`_route_classes`, which composes classes
+    through that congruence's quotient.
     """
     if len(chain.on_objects) != len(cat.objects):
         raise ValidationError("the chain must start from the whole category")
@@ -310,15 +310,11 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
         sub = chain.target
         if cert0.congruence.base != sub.cat:
             raise ValidationError("target certificate is not over the target subcategory")
-        cong = cert0.congruence
-        route = "target-classes"
-        class_of = dict(zip(sub.morphisms, cong.class_of))
-        classes = tuple(tuple(sub.morphisms[i] for i in cls) for cls in cong.classes)
+        route, cong, arrows = "target-classes", cert0.congruence, sub.morphisms
     elif ambient_cert is not None:
         if ambient_cert.congruence.base != cat:
             raise ValidationError("ambient certificate is not over the ambient category")
-        route = "ambient-classes"
-        class_of, classes = ambient_cert.congruence.class_of, ambient_cert.congruence.classes
+        route, cong, arrows = "ambient-classes", ambient_cert.congruence, range(len(cat.morphisms))
     elif cert0 is not None:
         raise ValidationError(
             "requires functorial chain or ambient certificate: the chain does not "
@@ -328,7 +324,7 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
             "requires functorial chain or ambient certificate: no usable certificate "
             "was given")
 
-    hocat, gamma, memberships = _route_classes(cat, chain, class_of, classes)
+    hocat, gamma, memberships = _route_classes(cat, chain, cong, arrows)
     return HoCr(category=hocat, gamma=gamma, chain=chain, route=route,
                 classes=memberships)
 

@@ -426,13 +426,20 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     the verdict to failed, and absent any witness it stays inconclusive.
     A given ``family`` must have the members ``weqs`` resolves to, or
     ``ValidationError`` is raised; it stands in for the held session's
-    axiom check, and a given ``splitgen`` for its split generation.
+    axiom check.  A given ``splitgen`` stands in for its split
+    generation and must be of those members too: a generated one
+    decomposes exactly them, a failed one names one of them missing.
     """
     session = _held(cat, weqs)
     if family is None and splitgen is None:
         return session.whitehead
     if family is not None and family.members != session.members:
         raise ValidationError("the given family has other members than the weak equivalences")
+    if splitgen is not None and (
+            splitgen.certificate.decompositions.keys() != session.members if splitgen.generated
+            else splitgen.missing not in session.members):
+        raise ValidationError(
+            "the given split generation has other members than the weak equivalences")
     return session._certify(family or session.family, splitgen)
 
 

@@ -246,6 +246,27 @@ def brute_sigma(cat, class_of):
     return frozenset(out)
 
 
+def brute_ho_cr_table(hocr, class_of):
+    """Ho(C, r)'s composition table recomputed from every member.
+
+    For composable arrows f, g of ``hocr.category`` the entry is the
+    arrow dom f -> cod g holding the class of b∘a, for every member a
+    of f and b of g, or None when those composites fall in more than
+    one class.  ``class_of`` maps each target arrow, a parent index, to
+    its class.
+    """
+    cat, hq, members = hocr.chain.cat, hocr.category, hocr.classes
+    k = len(hq.morphisms)
+    arrow = {(hq.dom(i), hq.cod(i), class_of[members[i][0]]): i for i in range(k)}
+    table = [[-1] * k for _ in range(k)]
+    for g in range(k):
+        for f in range(k):
+            if hq.cod(f) == hq.dom(g):
+                got = {class_of[cat.table[b][a]] for a in members[f] for b in members[g]}
+                table[g][f] = arrow[(hq.dom(f), hq.cod(g), got.pop())] if len(got) == 1 else None
+    return table
+
+
 def brute_isomorphism(a, b):
     """An isomorphism of categories a -> b as (object map, morphism map)
     of index tuples, or None.

@@ -1,4 +1,7 @@
+import gc
 import random
+import re
+import weakref
 
 import pytest
 
@@ -146,6 +149,48 @@ def test_congruence_rejects_each_side_alone():
     closed = least_congruence(Precongruence(cat, {("p", "q")}))
     assert closed.nonsingleton_classes() == ((cat.mor("p"), cat.mor("q")),
                                              (cat.mor("a"), cat.mor("b")))
+
+
+CLOSURE_WITNESS = re.compile(r"relation is not closed under composition: "
+                             r"\('(.+)', '(.+)'\) composed with u='(.+)', v='(.+)'")
+
+
+def test_congruence_names_a_closure_witness(tiny_corpus):
+    """On every partition of each hom-set the constructor rejects, the
+    message names a pair (rep, m) in one class and arrows u, v with
+    v∘rep∘u and v∘m∘u composed, by the table, into different classes."""
+    rejected = 0
+    for cat, _members, _doc in tiny_corpus:
+        table = cat.table
+        for part in hom_partitions(cat):
+            try:
+                Congruence(cat, part)
+                continue
+            except ValidationError as exc:
+                message = str(exc)
+            rep, m, u, v = map(cat.mor, CLOSURE_WITNESS.fullmatch(message).groups())
+            block = {x: i for i, cls in enumerate(part) for x in cls}
+            assert rep != m and block[rep] == block[m], message
+            assert cat.cod(u) == cat.dom(rep) and cat.dom(v) == cat.cod(rep), message
+            assert block[table[table[v][rep]][u]] != block[table[table[v][m]][u]], message
+            rejected += 1
+    assert rejected >= 40
+
+
+def test_congruence_is_freed_without_the_collector():
+    """A congruence keeps its quotient but the quotient does not point
+    back, so a congruence is no reference cycle: it is freed as soon as
+    its last reference goes, with the cyclic collector off."""
+    cat, members, _r = category("f_retr")
+    cong = least_congruence(r_left(cat, members))
+    assert cong.quotient.quotient.mor_name(cong.class_of[cat.mor("e")]) == "[id:b]"
+    freed = weakref.ref(cong)
+    gc.disable()
+    try:
+        del cong
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def _random_relation(rng, shape):

@@ -18,6 +18,8 @@ from hocat.errors import ValidationError
 from hocat.fixtures import category
 from hocat.zigzag import BWD, FWD
 
+from oracles import brute_ho_cr_table
+
 ALL_RETR_W = ["s", "r", "e", "id:a", "id:b"]
 
 
@@ -285,6 +287,56 @@ def test_ho_cr_routes_agree_when_sub_and_parent_indices_differ():
     assert by_target.classes == by_ambient.classes == ((idb, e),) * 4
     for hocr in (by_target, by_ambient):
         assert check_conjugation(cat, members, chain, hocr, cert=ambient).status == "verified"
+
+
+def identity_deformation(cat, members):
+    """The chain of the deformation of ``cat`` onto itself by the identity."""
+    names = range(len(cat.objects))
+    block = {"direction": "left", "on_objects": {x: x for x in names},
+             "on_morphisms": {f: f for f in range(len(cat.morphisms))},
+             "theta": {x: cat.identity[x] for x in names}}
+    return compose_chain([validate_deformation(cat, members, subcategory(cat, names), block)])
+
+
+def test_ho_cr_table_is_every_member_composite(mixed_corpus):
+    """Ho(C, r) composes through the congruence's quotient; its table
+    equals the class of every member composite, by each route available
+    on f_def, f_retr_def, the product above, the non-functorial
+    deformation of f_retr_def, and the identity deformations of 60
+    random categories, where Ho(C, r) is Ho(C)."""
+    raw = load_spec(two_iso_objects_times_idempotent())
+    cat = validate_category(raw)
+    docs = [category("f_def"), category("f_retr_def"),
+            (cat, resolve_weqs(cat, raw.weak_equivalences), raw)]
+    chains = [(cat, members, compose_chain([validate_deformation(
+        cat, members, subcategory(cat, raw.subcategory["objects"]), raw.deformation[0])]))
+        for cat, members, raw in docs]
+    rcat, d = non_functorial_deformation()
+    chains.append((rcat, resolve_weqs(rcat, ALL_RETR_W), compose_chain([d])))
+    chains += [(cat, members, identity_deformation(cat, members))
+               for cat, members, _doc in mixed_corpus[:60]]
+    routes, crowded = [], 0
+    for cat, members, chain in chains:
+        sub = chain.target
+        cert0 = certify_whitehead(sub.cat, [i for i, m in enumerate(sub.morphisms)
+                                            if m in members]).certificate
+        ambient = certify_whitehead(cat, members).certificate
+        built = []
+        if chain.functorial and cert0 is not None:
+            built.append((build_ho_cr(cat, members, chain, cert0=cert0),
+                          dict(zip(sub.morphisms, cert0.congruence.class_of))))
+        if ambient is not None:
+            built.append((build_ho_cr(cat, members, chain, ambient_cert=ambient),
+                          ambient.congruence.class_of))
+        for hocr, class_of in built:
+            hq = hocr.category
+            table = [list(row) for row in hq.table]
+            assert table == brute_ho_cr_table(hocr, class_of), hocr.route
+            routes.append(hocr.route)
+            crowded += any(len(hq.hom(hq.dom(f), hq.cod(f))) > 1 for f in range(len(hq.morphisms)))
+    assert routes[:6] == ["target-classes"] * 2 + ["ambient-classes", "target-classes"] \
+        + ["ambient-classes"] * 2
+    assert crowded >= 60
 
 
 def test_check_inverts_w_on_deformed_quotient():

@@ -28,6 +28,7 @@ from hocat import (
 from hocat import homotopy
 from hocat.errors import ValidationError
 from hocat.fixtures import NAMES, category
+from hocat.weq import SplitGenResult
 
 from gencat import all_functions_instance, function_instance, gen_split_instance
 from oracles import (
@@ -508,6 +509,24 @@ def test_given_family_must_have_the_members():
         assert str(exc.value) == "the given family has other members than the weak equivalences"
         refused += 1
     assert refused >= 3
+
+
+def test_given_split_generation_must_have_the_members():
+    """A split generation given to certify_whitehead must be of the weak
+    equivalences named.  On f_span its own (failed, missing f) is taken;
+    f_retr's (generated, decomposing one arrow more) and a failed one
+    missing g, which is no member, are refused."""
+    span, members, _raw = category("f_span")
+    own = check_split_generated(check_weq_axioms(span, members))
+    assert own.missing == span.mor("f")
+    assert certify_whitehead(span, members, splitgen=own).split_generation is own
+    retr = check_split_generated(check_weq_axioms(*category("f_retr")[:2]))
+    assert retr.generated and set(retr.certificate.decompositions) > members
+    for foreign in (retr, SplitGenResult(None, span.mor("g"))):
+        with pytest.raises(ValidationError) as exc:
+            certify_whitehead(span, members, splitgen=foreign)
+        assert str(exc.value) == (
+            "the given split generation has other members than the weak equivalences")
 
 
 FOREIGN = "the certificate is not on the homotopy congruence of the family"
