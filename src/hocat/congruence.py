@@ -154,26 +154,32 @@ def least_congruence(rel: Precongruence) -> Congruence:
     Union-find per hom-set with a worklist: each newly merged pair
     re-fires one-sided composition with :attr:`FinCat.generators`, which
     compose to every arrow, and transitivity inside the union-find
-    carries the two-sided consequences to a fixpoint.
+    carries the two-sided consequences to a fixpoint.  A merge of f and
+    g is pushed only through the generators into dom f or out of cod f.
     """
     base = rel.base
     n = len(base.morphisms)
     table, morphisms = base.table, base.morphisms
+    into: list[list[int]] = [[] for _ in base.objects]   # generators by codomain
+    rows: list[list[tuple]] = [[] for _ in base.objects]  # generator rows by domain
+    for k in base.generators:
+        into[morphisms[k].cod].append(k)
+        rows[morphisms[k].dom].append(table[k])
     parent = list(range(n))
     work = list(rel.pairs)
     while work:
         f, g = work.pop()
+        if parent[f] == parent[g]:  # already one tree, as most pairs are
+            continue
         rf, rg = find_root(parent, f), find_root(parent, g)
         if rf == rg:
             continue
         if rf > rg:
             rf, rg = rg, rf
         parent[rg] = rf
-        for k in base.generators:
-            if morphisms[k].cod == morphisms[f].dom:
-                work.append((table[f][k], table[g][k]))
-            if morphisms[k].dom == morphisms[f].cod:
-                work.append((table[k][f], table[k][g]))
+        work.extend(zip(map(table[f].__getitem__, into[morphisms[f].dom]),
+                        map(table[g].__getitem__, into[morphisms[f].dom])))
+        work.extend((row[f], row[g]) for row in rows[morphisms[f].cod])
 
     groups: dict[int, list[int]] = {}
     for m in range(n):
@@ -199,10 +205,12 @@ class QuotientResult:
         morphisms = tuple(Mor(f"[{base.mor_name(r)}]", base.dom(r), base.cod(r)) for r in reps)
         identity = tuple(class_of[base.identity[x]] for x in objects)
         # Each representative's row read at every representative; a
-        # non-composable -1 reads the appended -1.  A lone class is the
-        # one arrow of a one-object quotient.
+        # non-composable -1 reads the appended -1.  A discrete partition's
+        # class map is the identity, so its table is the base table; a
+        # lone class is the one arrow of a one-object quotient.
         ext, gather = class_of + (-1,), itemgetter(*reps)
-        qtable = [itemgetter(*gather(table[g]))(ext) for g in reps] if reps[1:] else [[0]]
+        qtable = (table if len(reps) == len(class_of)
+                  else [itemgetter(*gather(table[g]))(ext) for g in reps] if reps[1:] else [[0]])
         self.quotient = FinCat(base.objects, morphisms, identity, qtable)
         try:
             self.projection = CatFunctor(base, self.quotient, tuple(objects), class_of)

@@ -8,9 +8,10 @@ reports, error messages).
 Composition convention: ``table[g][f]`` is "f first, then g", i.e. the
 usual g∘f, and is -1 unless ``cod(f) == dom(g)``.  Input documents use
 the same convention through ``{"after": g, "before": f, "equals": h}``
-entries.  Identity arrows carry the reserved name ``id:<object>`` and are
-synthesized when a document omits them; they always occupy the lowest
-indices, in object order.
+entries, whose names parsing resolves to arrow indices once, a column
+at a time.  Identity arrows carry the reserved name ``id:<object>`` and
+are synthesized when a document omits them; they always occupy the
+lowest indices, in object order.
 
 A category's objects, arrows and table never change after construction.
 It caches in its ``vars``, on first use, its ``generators`` and the
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import chain
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -184,17 +185,19 @@ class FinCat:
 
 @dataclass(frozen=True)
 class RawCategory:
-    """Parsed but unvalidated category document, by name throughout.
+    """Parsed but unvalidated category document.
 
-    ``morphisms`` lists identities first (object order, reserved names),
-    then the declared arrows in declaration order.  ``subcategory`` and
-    ``deformation`` are the document's blocks as given, or None.  Where
-    the document came from is the caller's to keep.
+    Objects and arrows are by name.  ``morphisms`` lists identities first
+    (object order, reserved names), then the declared arrows in
+    declaration order.  ``composition`` is three columns of indices into
+    ``morphisms``, after, before and equals, in document order.
+    ``subcategory`` and ``deformation`` are the document's blocks as
+    given, or None.  Where the document came from is the caller's.
     """
 
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]     # (name, dom, cod)
-    composition: tuple[tuple[str, str, str], ...]   # (after, before, equals)
+    composition: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
     weak_equivalences: tuple[str, ...]
     subcategory: dict | None
     deformation: tuple[dict, ...] | None
@@ -214,9 +217,6 @@ def known_name(value, pool, what: str) -> str:
     if not (isinstance(value, str) and value in pool):
         raise FormatError(f"{what} {value!r}")
     return value
-
-
-_comp_entry = itemgetter("after", "before", "equals")
 
 
 def _all_names(values, pool: set[str]) -> bool:
@@ -284,23 +284,26 @@ def load_spec(document) -> RawCategory:
     morphisms = tuple(identities[o] for o in objects) + tuple(plain)
     mor_names = {m[0] for m in morphisms}
 
-    # Entries are shape-checked one by one and their names all at once.
-    # Only when either check fails does the entry-by-entry loop run; it
-    # raises on the first bad entry in document order.
+    # Each name is resolved to its arrow index once, a column at a time.
+    # Only when an entry is not a three-key object, or a name is unknown
+    # or unhashable, does the entry-by-entry loop run; it raises on the
+    # first bad entry in document order.
     composition = document.get("composition", [])
     _require(isinstance(composition, list), "composition: list required")
+    index = {m[0]: i for i, m in enumerate(morphisms)}.__getitem__
     try:  # an entry of three keys, these among them, has exactly these
-        comp_entries = [_comp_entry(e) for e in composition if isinstance(e, dict) and len(e) == 3]
-    except KeyError:
-        comp_entries = []
-    names = chain.from_iterable(comp_entries)
-    if len(comp_entries) < len(composition) or not _all_names(names, mor_names):
+        if not all(map(isinstance, composition, repeat(dict))) or set(map(len, composition)) - {3}:
+            raise KeyError
+        columns = tuple(tuple(map(index, map(itemgetter(k), composition)))
+                        for k in ("after", "before", "equals"))
+    except (KeyError, TypeError):
         for entry in composition:
             _require(isinstance(entry, dict), "composition: entries must be objects")
             if set(entry) != {"after", "before", "equals"}:
                 raise FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
             for k in ("after", "before", "equals"):
                 known_name(entry[k], mor_names, "composition entry references unknown morphism")
+        raise  # not reached: the loop names the entry the columns missed
 
     weqs = document.get("weak_equivalences", [])
     _require(isinstance(weqs, list), "weak_equivalences: list required")
@@ -356,7 +359,7 @@ def load_spec(document) -> RawCategory:
     return RawCategory(
         objects=tuple(objects),
         morphisms=morphisms,
-        composition=tuple(comp_entries),
+        composition=columns,
         weak_equivalences=tuple(weqs),
         subcategory=subcat,
         deformation=deformation,
@@ -403,28 +406,28 @@ def validate_category(raw: RawCategory) -> FinCat:
     objects = raw.objects
     obj_index = {o: i for i, o in enumerate(objects)}
     morphisms = tuple(Mor(n, obj_index[d], obj_index[c]) for n, d, c in raw.morphisms)
-    mor_index = {m.name: i for i, m in enumerate(morphisms)}
     n = len(morphisms)
-    identity = tuple(mor_index[id_name(o)] for o in objects)
+    identity = tuple(range(len(objects)))  # listed first, in object order
+    dom, cod = [m.dom for m in morphisms], [m.cod for m in morphisms]
+    name = lambda i: morphisms[i].name  # for messages only
 
     table = [[-1] * n for _ in range(n)]
     # Identity laws fill the derivable entries first.
-    for f, m in enumerate(morphisms):
-        table[f][identity[m.dom]] = f
-        table[identity[m.cod]][f] = f
-    for after, before, equals in raw.composition:
-        g, f, h = mor_index[after], mor_index[before], mor_index[equals]
-        if morphisms[g].dom != morphisms[f].cod:
+    for f in range(n):
+        table[f][dom[f]] = f
+        table[cod[f]][f] = f
+    for g, f, h in zip(*raw.composition):
+        if dom[g] != cod[f]:
+            raise ValidationError(f"composition entry {name(g)!r} after {name(f)!r}: not composable")
+        if dom[h] != dom[f] or cod[h] != cod[g]:
             raise ValidationError(
-                f"composition entry {after!r} after {before!r}: not composable")
-        if morphisms[h].dom != morphisms[f].dom or morphisms[h].cod != morphisms[g].cod:
+                f"composition entry {name(g)!r} after {name(f)!r} = {name(h)!r}: endpoint mismatch")
+        row = table[g]
+        if row[f] >= 0 and row[f] != h:
             raise ValidationError(
-                f"composition entry {after!r} after {before!r} = {equals!r}: endpoint mismatch")
-        if table[g][f] >= 0 and table[g][f] != h:
-            raise ValidationError(
-                f"composition entry {after!r} after {before!r} = {equals!r} contradicts "
-                f"{morphisms[table[g][f]].name!r} (identity law or duplicate entry)")
-        table[g][f] = h
+                f"composition entry {name(g)!r} after {name(f)!r} = {name(h)!r} contradicts "
+                f"{name(row[f])!r} (identity law or duplicate entry)")
+        row[f] = h
 
     # The laws are checked on the table form.  The fill writes only
     # composable cells, so a row is total exactly when its -1 count is
@@ -512,6 +515,8 @@ class CatFunctor:
         # one-arrow gather yields a scalar on both sides, whose image is
         # read directly.  Only a failing row is scanned for its first f.
         on, table, ttable = self.on_morphisms, source.table, target.table
+        if on == tuple(range(len(on))) and ttable == table:  # identity between equal tables
+            return
         gathers = [(itemgetter(*into), itemgetter(*map(on.__getitem__, into)), len(into) == 1)
                    for into in source.incoming]
         for g, m in enumerate(source.morphisms):

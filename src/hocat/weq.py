@@ -161,10 +161,10 @@ def check_split_generated(family: WeqFamily) -> SplitGenResult:
     """Decide whether every member factors through split members.
 
     Breadth-first saturation over the composition table restricted to
-    the family: start from the split members, append one split member at
-    a time, and memoize the first (hence shortest) factorization of each
-    composite reached.  The family axioms keep every such composite
-    inside the family, so at most |family| rounds happen.
+    the family: start from the split members, append one composable
+    split member at a time, and memoize the first (hence shortest)
+    factorization of each composite reached.  The family axioms keep
+    every such composite in the family, so at most |family| rounds happen.
     """
     if not family.report.axioms_ok:
         raise ValidationError("split generation needs the family axioms to hold")
@@ -182,14 +182,16 @@ def check_split_generated(family: WeqFamily) -> SplitGenResult:
 
     decomp: dict[int, tuple[int, ...]] = {}
     frontier = []
+    out: list[list[int]] = [[] for _ in cat.objects]  # split members by domain
     for s in split_members:
         decomp[s] = (s,)
         frontier.append(s)
+        out[cat.morphisms[s].dom].append(s)
     while frontier:
         nxt = []
         for x in frontier:
-            for s in split_members:
-                c = cat.table[s][x]  # -1 when not composable: never a member
+            for s in out[cat.morphisms[x].cod]:
+                c = cat.table[s][x]
                 if c in members and c not in decomp:
                     decomp[c] = decomp[x] + (s,)
                     nxt.append(c)

@@ -71,8 +71,8 @@ def brute_law_violation(raw):
     for i in range(len(names)):
         comp[i, index["id:" + dom[i]]] = i
         comp[index["id:" + cod[i]], i] = i
-    for after, before, equals in raw.composition:
-        g, f, h = index[after], index[before], index[equals]
+    for g, f, h in zip(*raw.composition):
+        after, before, equals = names[g], names[f], names[h]
         if dom[g] != cod[f]:
             return "not composable", (after, before)
         if (dom[h], cod[h]) != (dom[f], cod[g]):

@@ -13,13 +13,14 @@ from hocat import (
 )
 from hocat.congruence import Congruence, Precongruence, intransitive_triple
 from hocat.errors import ValidationError
-from hocat.fincat import opposite
-from hocat.fixtures import category
+from hocat.fincat import FinCat, Mor, opposite
+from hocat.fixtures import NAMES, category
 from hocat.homotopy import r_left
 
 from gencat import sample_precongruence
 from oracles import (
     composable_pairs,
+    brute_broken_composite,
     all_congruences,
     brute_intransitive_triple,
     brute_least_congruence,
@@ -242,6 +243,24 @@ def test_quotient_projection_and_kernel(mixed_corpus):
                     == q.quotient.table[proj.on_morphisms[g]][proj.on_morphisms[f]])
         back = kernel_congruence(proj)
         assert back.class_of == cong.class_of
+
+
+def test_discrete_quotient_is_the_gathered_one(tiny_corpus):
+    """A discrete congruence's quotient, which takes the base table as
+    it stands, is the one built by reading each representative's row at
+    every representative through the class map, and its projection
+    carries every composite."""
+    cats = [category(name)[0] for name in NAMES] + [cat for cat, _m, _d in tiny_corpus]
+    for cat in cats:
+        cong = Congruence.discrete(cat)
+        reps, class_of = [cls[0] for cls in cong.classes], cong.class_of
+        morphisms = [Mor(f"[{cat.mor_name(r)}]", cat.dom(r), cat.cod(r)) for r in reps]
+        identity = [class_of[i] for i in cat.identity]
+        table = [[class_of[cat.table[g][f]] if cat.table[g][f] >= 0 else -1 for f in reps]
+                 for g in reps]
+        q = cong.quotient
+        assert q.quotient == FinCat(cat.objects, morphisms, identity, table)
+        assert brute_broken_composite(cat, q.quotient, q.projection.on_morphisms) is None
 
 
 def test_quotient_names_use_lowest_representative():

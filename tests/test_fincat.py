@@ -2,6 +2,7 @@ import collections
 import functools
 import json
 import random
+import types
 
 import pytest
 
@@ -121,6 +122,34 @@ def number_in_weak_equivalences(doc):
     return "weak_equivalences references unknown morphism 7"
 
 
+def list_entry(doc):
+    doc["composition"][2] = ["e", "e", "e"]
+    return "composition: entries must be objects"
+
+
+def mapping_proxy_entry(doc):
+    """A read-only mapping is not a decoded JSON object."""
+    doc["composition"][2] = types.MappingProxyType(doc["composition"][2])
+    return "composition: entries must be objects"
+
+
+def number_as_name(doc):
+    doc["composition"][3]["before"] = 3
+    return UNKNOWN_IN_COMPOSITION + "3"
+
+
+def unknown_name_after_endpoint_mismatch(doc):
+    """Names are all checked at parse time, before any law."""
+    doc["composition"][0]["equals"] = "s"
+    doc["composition"][4]["after"] = "zz"
+    return UNKNOWN_IN_COMPOSITION + "'zz'"
+
+
+def empty_composition(doc):
+    doc["composition"] = []
+    return "missing composite: 's' after 'r'"
+
+
 @pytest.mark.parametrize("mangle, err", [
     (lambda d: d.update(objects=[]), FormatError),
     (lambda d: d.update(objects=["a", "a", "b"]), FormatError),
@@ -136,6 +165,11 @@ def number_in_weak_equivalences(doc):
     (unknown_name_before_bad_shape, FormatError),
     (bad_shape_before_unknown_name, FormatError),
     (number_in_weak_equivalences, FormatError),
+    (list_entry, FormatError),
+    (mapping_proxy_entry, FormatError),
+    (number_as_name, FormatError),
+    (unknown_name_after_endpoint_mismatch, FormatError),
+    (empty_composition, ValidationError),
 ])
 def test_malformed_documents_rejected(mangle, err):
     """A mangle that returns a string returns the exact message: the
@@ -146,6 +180,25 @@ def test_malformed_documents_rejected(mangle, err):
         validate_category(load_spec(doc))
     if isinstance(message, str):
         assert str(info.value) == message
+
+
+def test_dict_subclass_entries_accepted():
+    doc = small_doc()
+    want = validate_category(load_spec(doc))
+    doc["composition"] = [collections.OrderedDict(e) for e in doc["composition"]]
+    assert validate_category(load_spec(doc)) == want
+
+
+def test_composition_columns_round_trip():
+    """The index columns, read through ``morphisms``, give back each
+    entry's names in document order."""
+    rng = random.Random(2121)
+    for doc in [small_doc()] + [gen_document(rng) for _ in range(30)]:
+        raw = load_spec(doc)
+        names = [raw.morphisms[i][0] for column in raw.composition for i in column]
+        n = len(doc["composition"])
+        assert len(raw.composition) == 3 and all(len(c) == n for c in raw.composition)
+        assert names == [e[k] for k in ("after", "before", "equals") for e in doc["composition"]]
 
 
 def test_conflicting_composition_entries_rejected():
