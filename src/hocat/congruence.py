@@ -8,16 +8,20 @@ produces the smallest congruence containing a given precongruence via
 union-find plus a worklist that re-fires composition closure until
 nothing changes.
 
-Pairs are stored unordered as (min index, max index); symmetry is free.
-A precongruence keeps whatever pairs it was given, including degenerate
-(f, f) ones.  A congruence stores a partition instead, where reflexivity
-is implicit, and is certified through its quotient category: the check
-that the projection is a functor is the closure check.  ``sigma_of``
-reads that quotient for the arrows invertible up to the congruence.
+A precongruence is stored as blocks, ascending tuples of parallel
+arrows it relates pairwise, so a kernel class is one block, not its
+quadratically many pairs (f, g), f <= g, which are read off the blocks
+on demand; given pairs, degenerate ones included, are two-arrow blocks.
+A congruence stores a partition instead, where reflexivity is implicit,
+and is certified through its quotient category: the check that the
+projection is a functor is the closure check.  ``sigma_of`` reads that
+quotient for the arrows invertible up to the congruence.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+from itertools import chain, combinations, repeat
 from operator import itemgetter
 from typing import Iterable
 
@@ -32,7 +36,9 @@ __all__ = [
 
 
 class Precongruence:
-    """Unordered parallel-pair relations over a fixed base category."""
+    """Unordered parallel-pair relations over a fixed base category,
+    kept as :attr:`blocks`: the union of cliques, each an ascending
+    tuple of two or more parallel arrows."""
 
     def __init__(self, base: FinCat, pairs: Iterable[tuple[int, int]] = ()):
         self.base = base
@@ -43,17 +49,25 @@ class Precongruence:
             if mf.dom != mg.dom or mf.cod != mg.cod:
                 raise ValidationError(f"pair ({mf.name!r}, {mg.name!r}) is not parallel")
             canon.add((fi, gi) if fi < gi else (gi, fi))
-        self.pairs = frozenset(canon)
+        self.blocks = self.pairs = frozenset(canon)
 
     @classmethod
-    def canonical(cls, base: FinCat, pairs: Iterable[tuple[int, int]]) -> "Precongruence":
-        """Trust ``pairs`` as already canonical: parallel index pairs
-        (f, g) with f <= g.  For relations built from ``base``'s own
-        tables, which need no resolving or endpoint check."""
+    def canonical(cls, base: FinCat, blocks: Iterable[tuple[int, ...]]) -> "Precongruence":
+        """Trust ``blocks`` as already canonical: ascending tuples of two
+        or more parallel arrow indices, such as pairs (f, g) with f <= g.
+        For relations built from ``base``'s own tables, which need no
+        resolving or endpoint check."""
         rel = cls.__new__(cls)
         rel.base = base
-        rel.pairs = frozenset(pairs)
+        rel.blocks = frozenset(blocks)
+        if max(map(len, rel.blocks), default=2) == 2:  # the blocks are the pairs
+            rel.pairs = rel.blocks
         return rel
+
+    @cached_property
+    def pairs(self) -> frozenset[tuple[int, int]]:
+        """Every pair (f, g), f <= g, that some block relates."""
+        return frozenset(chain.from_iterable(map(combinations, self.blocks, repeat(2))))
 
     @property
     def distinct_pairs(self) -> frozenset[tuple[int, int]]:
@@ -62,7 +76,7 @@ class Precongruence:
     def union(self, other: "Precongruence") -> "Precongruence":
         if other.base is not self.base and other.base != self.base:
             raise ValidationError("cannot union relations over different categories")
-        return Precongruence.canonical(self.base, self.pairs | other.pairs)
+        return Precongruence.canonical(self.base, self.blocks | other.blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Precongruence):
@@ -154,8 +168,9 @@ def least_congruence(rel: Precongruence) -> Congruence:
     Union-find per hom-set with a worklist: each newly merged pair
     re-fires one-sided composition with :attr:`FinCat.generators`, which
     compose to every arrow, and transitivity inside the union-find
-    carries the two-sided consequences to a fixpoint.  A merge of f and
-    g is pushed only through the generators into dom f or out of cod f.
+    carries the two-sided consequences to a fixpoint.  Each block seeds
+    its lowest arrow paired with each other one, and a merge of f and g
+    is pushed only through the generators into dom f or out of cod f.
     """
     base = rel.base
     n = len(base.morphisms)
@@ -166,7 +181,7 @@ def least_congruence(rel: Precongruence) -> Congruence:
         into[morphisms[k].cod].append(k)
         rows[morphisms[k].dom].append(table[k])
     parent = list(range(n))
-    work = list(rel.pairs)
+    work = [(b[0], x) for b in rel.blocks for x in b[1:]]
     while work:
         f, g = work.pop()
         if parent[f] == parent[g]:  # already one tree, as most pairs are

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from operator import itemgetter
 
 from .congruence import Congruence, Precongruence, intransitive_triple, least_congruence, sigma_of
@@ -63,23 +62,27 @@ def r_left(cat: FinCat, weqs) -> Precongruence:
     hom-set keys its kernel canonically (each arrow mapped to the last
     arrow with its image), so members with equal kernels count once.
     An injective member adds nothing, and one that collapses the
-    hom-set relates every pair in it.  Each class of each kernel gives
-    its pairs f < g; degenerate pairs are not stored.
+    hom-set relates every pair in it: one into C with hom(A, C) a
+    single arrow does so unread.  The relation is returned as blocks,
+    one per class of two or more arrows of each distinct kernel.
     """
     # An identity is injective on every hom-set, so it relates nothing.
     members = frozenset(cat.mor(w) for w in weqs) - cat.identity_set
-    rows = [[cat.table[w] for w in out if w in members] for out in cat.outgoing]
-    pairs = set()
+    outs = [[w for w in out if w in members] for out in cat.outgoing]
+    blocks = []
     for a, b in cat.hom_pairs():
-        if not rows[b]:
+        if not outs[b]:
             continue
         arrows = cat.hom(a, b)
         if len(arrows) < 2:
             continue
+        if any(len(cat.hom(a, c)) == 1 for c in {cat.morphisms[w].cod for w in outs[b]}):
+            blocks.append(arrows)  # w∘− is constant: one class
+            continue
         image = itemgetter(*arrows)
         kernels = set()
-        for row in rows[b]:
-            img = image(row)
+        for w in outs[b]:
+            img = image(cat.table[w])
             last = dict(zip(img, arrows))
             if len(last) == len(arrows):
                 continue
@@ -92,9 +95,8 @@ def r_left(cat: FinCat, weqs) -> Precongruence:
             classes: dict[int, list[int]] = {}
             for f, k in zip(arrows, key):
                 classes.setdefault(k, []).append(f)
-            for cls in classes.values():
-                pairs.update(combinations(cls, 2))
-    return Precongruence.canonical(cat, pairs)
+            blocks.extend(tuple(cls) for cls in classes.values() if len(cls) > 1)
+    return Precongruence.canonical(cat, blocks)
 
 
 def r_right(cat: FinCat, weqs) -> Precongruence:
@@ -142,7 +144,7 @@ def r_left_comp(cat: FinCat, weqs) -> Precongruence:
 
 def r_right_comp(cat: FinCat, weqs) -> Precongruence:
     """Dual closure: pre-compose the right relation with every mediator."""
-    return Precongruence.canonical(cat, _held(cat, weqs).closed("right")[1].pairs)
+    return Precongruence.canonical(cat, _held(cat, weqs).closed("right")[1].blocks)
 
 
 def homotopy_congruence(cat: FinCat, weqs) -> Congruence:
@@ -319,7 +321,10 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
         forks = _left_weq_forks(work, transposed, members, related, va, vb)
         while left:
             legs, mediated = next(forks)
-            met = [p for p in left if p in mediated or p[::-1] in mediated]
+            # Scan the smaller side; ``left`` holds (min, max) pairs only.
+            met = ({(f, g) if f < g else (g, f) for f, g in mediated} & left
+                   if len(mediated) < len(left) else
+                   [p for p in left if p in mediated or p[::-1] in mediated])
             if not met:
                 continue
             apex = work.cod(legs[0])
@@ -391,7 +396,7 @@ class WhiteheadCertificate:
 
     ``inverse_table`` maps each member to its lowest-index homotopy
     inverse; ``basis`` keeps the two seed relations that generated the
-    congruence.
+    congruence, as blocks: their pairs are built only when read.
     """
 
     congruence: Congruence
@@ -517,7 +522,7 @@ class Analysis:
 
     @cached_property
     def right(self) -> Precongruence:
-        return Precongruence.canonical(self.cat, r_left(self.op, self.members).pairs)
+        return Precongruence.canonical(self.cat, r_left(self.op, self.members).blocks)
 
     @cached_property
     def congruence(self) -> Congruence:

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -83,6 +84,32 @@ def test_one_sided_relations_match_brute_force(mixed_corpus, split_corpus):
         session = Analysis(cat, members)
         assert session.left.pairs == brute_left_relation(cat, members, "left")
         assert session.right.pairs == brute_left_relation(cat, members, "right")
+
+
+def test_blocks_seed_the_same_congruence(mixed_corpus):
+    """Random ascending parallel blocks seed the congruence their pairs
+    seed; the one-sided relations come as such blocks, of two or more
+    arrows each."""
+    rng = random.Random(4412)
+    cliques = 0
+    for cat, _members, _doc in mixed_corpus:
+        homs = [cat.hom(a, b) for a, b in cat.hom_pairs() if len(cat.hom(a, b)) > 1]
+        if not homs:
+            continue
+        blocks = [tuple(sorted(rng.sample(arrows, rng.randint(2, len(arrows)))))
+                  for arrows in (rng.choice(homs) for _ in range(rng.randint(1, 3)))]
+        cliques += sum(len(b) > 2 for b in blocks)
+        pairs = [p for b in blocks for p in itertools.combinations(b, 2)]
+        rel = Precongruence.canonical(cat, blocks)
+        assert rel.pairs == Precongruence(cat, pairs).pairs
+        assert least_congruence(rel) == least_congruence(Precongruence(cat, pairs))
+    assert cliques >= 20
+    every = [all_functions_instance((1, 2, 3), weqs) for weqs in ("all", "bijections")]
+    for cat, members, _doc in mixed_corpus + every:
+        session = Analysis(cat, members)
+        for block in session.left.blocks | session.right.blocks:
+            assert len(block) > 1 and list(block) == sorted(set(block))
+            assert len({(cat.dom(f), cat.cod(f)) for f in block}) == 1
 
 
 def test_composition_closure_matches_package_closure(split_corpus):
@@ -190,6 +217,21 @@ def test_whitehead_certified_on_retract():
     left, right = cert.basis
     assert left.pairs == r_left(cat, members).pairs
     assert right.pairs == r_right(cat, members).pairs
+
+
+def test_quotient_path_builds_no_pair_set():
+    """The stages `hocat quotient` reports, through the library, read the
+    one-sided relations as blocks; the certificate's basis gives its
+    pairs when asked."""
+    cat, members, _doc = all_functions_instance((1, 2, 3), "all")
+    family = check_weq_axioms(cat, members)
+    splitgen = check_split_generated(family)
+    homotopy_congruence(cat, members)
+    cert = certify_whitehead(cat, members, family=family, splitgen=splitgen).certificate
+    session = homotopy._held(cat, members)
+    assert "pairs" not in vars(session.left) and "pairs" not in vars(session.right)
+    assert cert.basis[0] is session.left and cert.basis[1] is session.right
+    assert cert.basis[0].pairs == r_left(cat, members).pairs
 
 
 def test_whitehead_failed_on_span():
