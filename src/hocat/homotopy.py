@@ -210,44 +210,38 @@ def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], related, v
 
 
 class _ForkIndex:
-    """The left weq forks at ``va`` towards ``vb`` for the common-fork
-    check, read from the enumeration only until the pairs asked about
-    share a fork (to the end only when they share none).
+    """The left weq forks at ``va`` towards ``vb``, read from the
+    enumeration only until the question asked of them is answered (to
+    the end only when it is no).
 
-    The distinct sets of hom(va, vb) pairs that forks mediate are
-    numbered in the order they first appear; ``masks`` maps each ordered
-    pair (f, g) to the bitmask of the sets read so far that contain it,
-    so reading on only adds bits.  A set is recognized again by its
-    hash, its size and the masks of its pairs (a set of that size whose
-    every pair has bit i is set i), so the sets themselves are not kept.
+    Each distinct set of hom(va, vb) pairs that forks mediate is
+    recognized by the set itself and numbered in the order it first
+    appears, in ``sets``; ``legs[i]`` are the legs of the first fork
+    with set i.  ``masks`` maps each ordered pair (f, g) to the bitmask
+    of the sets read so far that contain it, so reading on only adds
+    bits, and the lowest bit of a pair's mask names its earliest fork.
     """
 
     def __init__(self, cat: FinCat, transposed, members: frozenset[int], related,
                  va: int, vb: int):
         self._unread = _left_weq_forks(cat, transposed, members, related, va, vb)
-        self._sets = 0
+        self.sets: dict[frozenset, int] = {}
+        self.legs: list[tuple[int, int]] = []
         self.masks: dict[tuple[int, int], int] = {}
-        # the numbers of the sets with each (hash, size)
-        self._by_key: dict[tuple[int, int], list[int]] = {}
 
     def _read(self) -> bool:
         """Read the next fork in; False once every fork is read."""
         item = next(self._unread, None)
         if item is None:
             return False
-        _legs, mediated = item
-        masks = self.masks
-        same = self._by_key.setdefault((hash(mediated), len(mediated)), [])
-        for i in same:
-            bit = 1 << i
-            if all(masks.get(p, 0) & bit for p in mediated):
-                return True
-        i = self._sets
-        self._sets += 1
-        same.append(i)
-        bit = 1 << i
-        for p in mediated:
-            masks[p] = masks.get(p, 0) | bit
+        legs, mediated = item
+        if mediated not in self.sets:
+            bit = 1 << len(self.legs)
+            self.sets[mediated] = len(self.legs)
+            self.legs.append(legs)
+            masks = self.masks
+            for p in mediated:
+                masks[p] = masks.get(p, 0) | bit
         return True
 
     def share(self, p, q) -> tuple[int, int]:
@@ -309,34 +303,31 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
     pair when None), in pair order: the earliest fork mediating (f, g)
     or (g, f), legs in (f, g) order and the unswapped pair on a tie,
     with its lowest-index mediator.  The fork's collapse is the lowest
-    member out of the apex equalizing its legs.  Each hom pair's forks
-    are read once, in order, until all its pairs are met."""
+    member out of the apex equalizing its legs.  Each hom pair's fork
+    index reads until the masks of (f, g) and (g, f) have a bit; the
+    lowest names the earliest fork."""
     table = work.table
     pairs = sorted(p for p in rel.pairs if cut is None or p < cut)
-    unmet: dict = {}
+    homs: dict = {}
     for f, g in pairs:
-        unmet.setdefault((work.dom(f), work.cod(f)), set()).add((f, g))
+        homs.setdefault((work.dom(f), work.cod(f)), []).append((f, g))
     found = {}
-    for (va, vb), left in unmet.items():
-        forks = _left_weq_forks(work, transposed, members, related, va, vb)
-        while left:
-            legs, mediated = next(forks)
-            # Scan the smaller side; ``left`` holds (min, max) pairs only.
-            met = ({(f, g) if f < g else (g, f) for f, g in mediated} & left
-                   if len(mediated) < len(left) else
-                   [p for p in left if p in mediated or p[::-1] in mediated])
-            if not met:
-                continue
-            apex = work.cod(legs[0])
-            collapse = next(sigma for sigma in work.outgoing[apex]
-                            if sigma in members and table[sigma][legs[0]] == table[sigma][legs[1]])
-            for f, g in met:
-                l0, l1 = legs if (f, g) in mediated else legs[::-1]
-                mediator = next(h for h in work.hom(apex, vb)
-                                if table[h][l0] == f and table[h][l1] == g)
-                fork = Fork(side, va, apex, (l0, l1), collapse, table[collapse][l0])
-                found[f, g] = HomotopyWitness(side, f, g, fork, mediator)
-                left.discard((f, g))
+    for (va, vb), hom_pairs in homs.items():
+        index = _ForkIndex(work, transposed, members, related, va, vb)
+        masks, collapses = index.masks, {}
+        for f, g in hom_pairs:
+            while not (both := masks.get((f, g), 0) | masks.get((g, f), 0)) and index._read():
+                pass
+            i = (both & -both).bit_length() - 1
+            l0, l1 = index.legs[i] if masks.get((f, g), 0) >> i & 1 else index.legs[i][::-1]
+            apex = work.cod(l0)
+            if i not in collapses:
+                collapses[i] = next(sigma for sigma in work.outgoing[apex] if sigma in members
+                                    and table[sigma][l0] == table[sigma][l1])
+            mediator = next(h for h in work.hom(apex, vb)
+                            if table[h][l0] == f and table[h][l1] == g)
+            fork = Fork(side, va, apex, (l0, l1), collapses[i], table[collapses[i]][l0])
+            found[f, g] = HomotopyWitness(side, f, g, fork, mediator)
     return {p: found[p] for p in pairs}
 
 
@@ -486,9 +477,10 @@ class Analysis:
     condition, set of fork witnesses, common-fork and transitivity
     verdict.  Leg composites come from the transposed table the session
     holds anyway: the opposite's on the left, the category's on the
-    right.  No fork index outlives the check that reads it.  The fork
-    stages require the family axioms.  ``weqs`` may name arrows or index
-    them; identities are implicit, as in documents.
+    right.  The fork witnesses and the common fork read the forks
+    through one fork index per hom pair, which goes when its hom pair
+    is done.  The fork stages require the family axioms.  ``weqs`` may
+    name arrows or index them; identities are implicit, as in documents.
     """
 
     def __init__(self, cat: FinCat, weqs):

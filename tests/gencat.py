@@ -244,3 +244,71 @@ def gen_any_instance(rng, max_morphisms=12, max_tries=50):
         if family.report.axioms_ok:
             return cat, members, doc
     raise RuntimeError("generator failed to produce a valid instance")
+
+
+def monoid_tables(order):
+    """Every monoid of the given order up to isomorphism, each as its
+    least multiplication table (a tuple of rows over range(order), 0
+    the unit) among the relabellings that fix the unit, ascending.
+
+    The products of non-units are filled in row by row, and a partial
+    table is dropped as soon as a fully defined triple is not
+    associative."""
+    units = tuple(range(order))
+    rows = [[x if a == 0 else (a if x == 0 else None) for x in units] for a in units]
+    cells = [(a, b) for a in units[1:] for b in units[1:]]
+    tables = set()
+
+    def associative():
+        for x, y, z in itertools.product(units, repeat=3):
+            xy, yz = rows[x][y], rows[y][z]
+            if None not in (xy, yz) and None not in (rows[xy][z], rows[x][yz]) \
+                    and rows[xy][z] != rows[x][yz]:
+                return False
+        return True
+
+    def relabelled(label):
+        # element a becomes label[a]; ``named[k]`` is the element labelled k
+        named = sorted(units, key=label.__getitem__)
+        return tuple(tuple(label[rows[a][b]] for b in named) for a in named)
+
+    def fill(k):
+        if k == len(cells):
+            tables.add(min(relabelled((0,) + rest)
+                           for rest in itertools.permutations(units[1:])))
+            return
+        a, b = cells[k]
+        for v in units:
+            rows[a][b] = v
+            if associative():
+                fill(k + 1)
+        rows[a][b] = None
+
+    fill(0)
+    return sorted(tables)
+
+
+def monoid_corpus(max_order=4):
+    """(cat, members, doc) for every monoid of order at most
+    ``max_order`` up to isomorphism, as a category on one object whose
+    arrows are the elements (``id:o`` the unit, ``m<k>`` element k and
+    a∘b the product ab), once with each family that passes the axioms.
+    """
+    out = []
+    for order in range(1, max_order + 1):
+        for table in monoid_tables(order):
+            name = ["id:o"] + [f"m{k}" for k in range(1, order)]
+            doc = {
+                "objects": ["o"],
+                "morphisms": [{"name": n, "dom": "o", "cod": "o"} for n in name[1:]],
+                "composition": [{"after": name[a], "before": name[b], "equals": name[table[a][b]]}
+                                for a in range(1, order) for b in range(1, order)],
+                "weak_equivalences": [],
+            }
+            cat = validate_category(load_spec(doc))
+            for k in range(order):
+                for chosen in itertools.combinations(name[1:], k):
+                    if check_weq_axioms(cat, chosen).report.axioms_ok:
+                        out.append((cat, resolve_weqs(cat, chosen),
+                                    dict(doc, weak_equivalences=list(chosen))))
+    return out

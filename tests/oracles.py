@@ -12,6 +12,7 @@ import itertools
 from hocat.congruence import find_root
 from hocat.errors import MoveError
 from hocat.fincat import resolve_weqs
+from hocat.homotopy import Fork, HomotopyWitness
 from hocat.zigzag import FWD, BWD, CANCEL, COMPOSE, OMIT, Zigzag, _apply, _Engine
 
 
@@ -443,6 +444,36 @@ def brute_fork_condition(cat, members, side):
     missing = sorted(p for p in brute_one_sided_relation(cat, members, side)
                      if p not in realized)
     return (not missing, missing[0] if missing else None)
+
+
+def brute_fork_witnesses(cat, members, side, cut):
+    """A homotopy witness for each related pair f < g before ``cut``
+    (every pair when None), keyed and ordered by pair.
+
+    Read off :func:`_brute_forks` in its (vertex, apex, l0, l1, σ)
+    order: each pair takes the first fork mediating (f, g) or (g, f),
+    with the legs in (f, g) order (unswapped when the fork mediates
+    both), that fork's lowest collapse σ and the lowest mediator.
+    """
+    members = frozenset(members)
+    dom, _cod, _hom, after = _sided(cat, side)
+    pending = {p for p in brute_one_sided_relation(cat, members, side)
+               if cut is None or p < cut}
+    found, seen = {}, set()
+    for fork in _brute_forks(cat, members, side):
+        va, apex, (l0, l1), sigma, base = fork
+        if (va, l0, l1) in seen:
+            continue  # a higher collapse of a fork already read
+        seen.add((va, l0, l1))
+        mediated = _mediated(cat, side, fork)
+        for f, g in pending & {(min(p), max(p)) for p in mediated}:
+            legs = (l0, l1) if (f, g) in mediated else (l1, l0)
+            mediator = min(h for h in range(len(cat.morphisms)) if dom(h) == apex
+                           and after(h, legs[0]) == f and after(h, legs[1]) == g)
+            found[f, g] = HomotopyWitness(side, f, g, Fork(side, va, apex, legs, sigma, base),
+                                          mediator)
+        pending -= found.keys()
+    return {p: found[p] for p in sorted(found)}
 
 
 def brute_common_fork(cat, members, side):

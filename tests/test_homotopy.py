@@ -38,11 +38,14 @@ from oracles import (
     brute_close_composition,
     brute_common_fork,
     brute_fork_condition,
+    brute_fork_witnesses,
     brute_intransitive_triple,
     brute_left_relation,
     brute_one_sided_relation,
     replays_homotopy,
 )
+
+SIDES = ("left", "right")
 
 
 def test_one_sided_relations_on_retract():
@@ -187,20 +190,56 @@ def test_rc_transitive_matches_brute_force(mixed_corpus, split_corpus):
     assert failures >= 1
 
 
+class _Colliding(frozenset):
+    """A mediated set that hashes like every other."""
+
+    def __hash__(self):
+        return 0
+
+
 def test_fork_index_tells_colliding_sets_apart(monkeypatch, mixed_corpus, split_corpus):
-    """The fork index recognizes a mediated set again by its size and
-    its pairs' masks, not by its hash alone: with every set hashing
-    alike, both fork checks give the same answers and witnesses."""
+    """The fork index recognizes a mediated set by the set itself, not
+    by its hash: with every set hashing alike, both fork checks give
+    the same answers and witnesses."""
     instances = mixed_corpus[:60] + split_corpus[:60]
 
     def answers():
         return [(s.fork_condition(side), s.fork_witnesses(side), s.common_fork(side))
                 for s in (Analysis(cat, members) for cat, members, _doc in instances)
-                for side in ("left", "right")]
+                for side in SIDES]
     want = answers()
-    monkeypatch.setattr(homotopy, "hash", lambda obj: 0, raising=False)
+    real = homotopy._left_weq_forks
+    monkeypatch.setattr(homotopy, "_left_weq_forks", lambda *args: (
+        (legs, _Colliding(mediated)) for legs, mediated in real(*args)))
     got = answers()
     assert got == want
+
+
+def test_fork_index_numbers_sets_by_first_fork(mixed_corpus, split_corpus):
+    """Read to the end, the index holds one bit per distinct mediated
+    set, numbered in order of first appearance, with the legs of the
+    first fork that yields it; each pair's mask holds the bits of the
+    sets that contain it."""
+    distinct = 0
+    for cat, members, _doc in mixed_corpus[:80] + split_corpus[:80]:
+        session = Analysis(cat, members)
+        for side in SIDES:
+            work, transposed = session._work(side)
+            related = getattr(session, side).pairs
+            for va, vb in work.hom_pairs():
+                args = (work, transposed, members, related, va, vb)
+                first = {}
+                for legs, mediated in homotopy._left_weq_forks(*args):
+                    first.setdefault(mediated, legs)
+                index = homotopy._ForkIndex(*args)
+                while index._read():
+                    pass
+                assert index.legs == list(first.values())
+                assert index.sets == {s: i for i, s in enumerate(first)}
+                assert index.masks == {p: sum(1 << i for i, s in enumerate(first) if p in s)
+                                       for p in set().union(*first)}
+                distinct += len(first)
+    assert distinct > 0
 
 
 def test_whitehead_certified_on_retract():
@@ -393,7 +432,21 @@ def test_fork_checks_match_brute_force(mixed_corpus, split_corpus):
     assert fork_failures >= 1 and common_failures >= 1
 
 
-SIDES = ("left", "right")
+def test_fork_witnesses_match_brute_force(mixed_corpus, split_corpus):
+    """Each side's witnesses are those read off the definition's forks
+    in order: earliest fork, legs in pair order, lowest collapse and
+    lowest mediator, up to the fork condition's counterexample."""
+    every = [all_functions_instance((1, 2, 3), weqs) for weqs in ("all", "bijections")]
+    witnesses = 0
+    for cat, members, _doc in mixed_corpus + split_corpus + every:
+        session = Analysis(cat, members)
+        for side in SIDES:
+            cut = brute_fork_condition(cat, members, side)[1]
+            got = session.fork_witnesses(side)
+            assert list(got.items()) == \
+                list(brute_fork_witnesses(cat, members, side, cut).items()), side
+            witnesses += len(got)
+    assert witnesses > 1000
 
 
 def _library_answers(cat, weqs):
