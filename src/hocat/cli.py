@@ -352,8 +352,10 @@ def _emit(doc: dict, fmt: str) -> None:
 
 def _cmd_analyze(args) -> int:
     stages = None
-    if args.stages:
+    if args.stages is not None:
         stages = [s.strip() for s in args.stages.split(",") if s.strip()]
+        if not stages:
+            raise FormatError(f"--stages names no stage; stages are {', '.join(STAGES)}")
     report = run_analysis(args.file, budget=args.budget, stages=stages)
     sys.stdout.write(render_report(report, args.format))
     return 0

@@ -281,37 +281,47 @@ def sigma_of(cat: FinCat, cong: Congruence) -> frozenset[int]:
     return frozenset(f for f, c in enumerate(cong.class_of) if invertible[c])
 
 
-def intransitive_triple(pairs) -> tuple[int, int, int] | None:
+def intransitive_triple(blocks) -> tuple[int, int, int] | None:
     """First (f, g, h) in index order with f~g and g~h but not f~h.
 
-    ``pairs`` are the distinct unordered pairs of a reflexive,
-    symmetric relation; None means the relation is transitive.
+    ``blocks`` are ascending tuples of distinct arrows a reflexive,
+    symmetric relation relates pairwise, such as its distinct pairs;
+    None means the relation is transitive.
 
     The relation is transitive iff each class of its union-find closure
-    is a clique, that is, holds C(k, 2) pairs on its k arrows.  A class
-    holds at most that many, so it suffices that the pairs number
-    Σ C(k, 2) over the classes; only when they fall short are the chains
-    scanned for the triple.  Pairs are counted once each, as (f, g)
-    with f < g.
+    over the blocks is a clique: iff each arrow is related to all k
+    arrows of its class, itself included.  A class that one block spans
+    is one.  Otherwise the first triple starts at the least f related
+    to fewer; g is the least arrow related to f and to some h that f is
+    not, and h the least such.
     """
-    parent = {x: x for pair in pairs for x in pair}
-    for f, g in pairs:
-        rf, rg = find_root(parent, f), find_root(parent, g)
-        if rf != rg:
-            parent[rg] = rf
+    parent: dict[int, int] = {}
+    for block in blocks:
+        root = find_root(parent, parent.setdefault(block[0], block[0]))
+        for x in block[1:]:
+            rx = find_root(parent, parent.setdefault(x, x))
+            if rx != root:
+                parent[rx] = root
     size: dict[int, int] = {}
     for x in parent:
         root = find_root(parent, x)
         size[root] = size.get(root, 0) + 1
-    if sum(f < g for f, g in pairs) == sum(k * (k - 1) // 2 for k in size.values()):
-        return None
-    adj: dict[int, set[int]] = {}
-    for f, g in pairs:
-        adj.setdefault(f, set()).add(g)
-        adj.setdefault(g, set()).add(f)
-    for f in sorted(adj):
-        for g in sorted(adj[f]):
-            for h in sorted(adj[g]):
-                if h != f and h not in adj[f]:
-                    return f, g, h
+    spanned = {root for block in blocks
+               if len(block) == size[root := find_root(parent, block[0])]}
+    held: dict[int, list] = {}  # arrow -> the blocks holding it, in unspanned classes
+    for block in blocks:
+        if find_root(parent, block[0]) not in spanned:
+            for x in block:
+                held.setdefault(x, []).append(block)
+    near: dict[int, set[int]] = {}
+
+    def related_to(x: int) -> set[int]:
+        if x not in near:
+            near[x] = set().union(*held[x])
+        return near[x]
+
+    for f in sorted(held):
+        if len(related_to(f)) < size[find_root(parent, f)]:
+            g = next(g for g in sorted(near[f]) if not related_to(g) <= near[f])
+            return f, g, min(near[g] - near[f])
     return None

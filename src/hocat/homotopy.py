@@ -63,26 +63,54 @@ def r_left(cat: FinCat, weqs) -> Precongruence:
     arrow with its image), so members with equal kernels count once.
     An injective member adds nothing, and one that collapses the
     hom-set relates every pair in it: one into C with hom(A, C) a
-    single arrow does so unread.  The relation is returned as blocks,
-    one per class of two or more arrows of each distinct kernel.
+    single arrow does so unread.
+
+    A member w: B -> C is not read either when the lowest member
+    u: C -> T has u∘w a member, for a target T that B fixes: u∘w∘− has
+    the coarser kernel and is read, being a member B -> T.  T is the
+    member codomain out of B with fewest other member codomains that no
+    member leads into T, then fewest members B -> T, then lowest.  The
+    relation is returned as blocks, one per class of two or more arrows
+    of each distinct kernel read.
     """
     # An identity is injective on every hom-set, so it relates nothing.
     members = frozenset(cat.mor(w) for w in weqs) - cat.identity_set
-    outs = [[w for w in out if w in members] for out in cat.outgoing]
+    table, morphisms = cat.table, cat.morphisms
+    between: dict[tuple[int, int], list[int]] = {}  # members by (dom, cod)
+    for w in members:
+        m = morphisms[w]
+        between.setdefault((m.dom, m.cod), []).append(w)
+    cods: list[list[int]] = [[] for _ in cat.objects]
+    for b, c in between:
+        cods[b].append(c)
+
+    def read(b: int) -> list[int]:
+        """The members out of b whose kernels are read."""
+        cs = cods[b]
+        if len(cs) < 2:
+            return between[b, cs[0]]
+        t = min(cs, key=lambda t: (sum((c, t) not in between for c in cs if c != t),
+                                   len(between[b, t]), t))
+        return [w for c in cs for w in between[b, c] if c == t or (c, t) not in between
+                or table[min(between[c, t])][w] not in members]
+
+    reads: dict[int, list[int]] = {}
     blocks = []
     for a, b in cat.hom_pairs():
-        if not outs[b]:
+        if not cods[b]:
             continue
         arrows = cat.hom(a, b)
         if len(arrows) < 2:
             continue
-        if any(len(cat.hom(a, c)) == 1 for c in {cat.morphisms[w].cod for w in outs[b]}):
+        if any(len(cat.hom(a, c)) == 1 for c in cods[b]):
             blocks.append(arrows)  # w∘− is constant: one class
             continue
+        if b not in reads:
+            reads[b] = read(b)
         image = itemgetter(*arrows)
         kernels = set()
-        for w in outs[b]:
-            img = image(cat.table[w])
+        for w in reads[b]:
+            img = image(table[w])
             last = dict(zip(img, arrows))
             if len(last) == len(arrows):
                 continue
@@ -108,32 +136,35 @@ def r_right(cat: FinCat, weqs) -> Precongruence:
     return _held(cat, weqs).right
 
 
-def _left_closure(work: FinCat, pairs) -> Precongruence:
-    """Composition closure of a left relation on ``work``.
+def _left_closure(work: FinCat, blocks) -> Precongruence:
+    """Composition closure of a left relation on ``work``, as blocks.
 
     The left relation is already stable under pre-composition (the same
     equalizing member works), so post-composing with every mediator
-    h: B -> B' alone reaches the full two-sided closure.  Each mediator
-    is a composite of :attr:`FinCat.generators`, so a worklist that
-    post-composes each new pair with the generators out of its codomain
-    reaches the same pairs.  A pair that becomes degenerate stays so
-    and is dropped.  An empty relation is closed as it is.
+    h: B -> B' alone reaches the full two-sided closure.  The image of
+    a block under h is a block again: h∘f and h∘g are related for any
+    two of its arrows.  Each mediator is a composite of
+    :attr:`FinCat.generators`, so a worklist that maps each new block
+    by the generators out of its codomain reaches every image.  An
+    image of one arrow relates nothing and is dropped.  An empty
+    relation is closed as it is.
     """
     table, morphisms = work.table, work.morphisms
-    out = set(pairs)
+    out = set(blocks)
     todo = list(out)
     # the rows of the generators out of each object
     after = [[table[k] for k in work.generators if morphisms[k].dom == x]
              for x in range(len(work.objects))] if todo else ()
     while todo:
-        f, g = todo.pop()
-        for row in after[morphisms[f].cod]:
-            hf, hg = row[f], row[g]
-            if hf != hg:
-                p = (hf, hg) if hf < hg else (hg, hf)
-                if p not in out:
-                    out.add(p)
-                    todo.append(p)
+        block = todo.pop()
+        image = itemgetter(*block)
+        for row in after[morphisms[block[0]].cod]:
+            img = set(image(row))
+            if len(img) > 1:
+                img = tuple(sorted(img))
+                if img not in out:
+                    out.add(img)
+                    todo.append(img)
     return Precongruence.canonical(work, out)
 
 
@@ -211,8 +242,7 @@ def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], related, v
 
 class _ForkIndex:
     """The left weq forks at ``va`` towards ``vb``, read from the
-    enumeration only until the question asked of them is answered (to
-    the end only when it is no).
+    enumeration only until the witnesses asked of them are found.
 
     Each distinct set of hom(va, vb) pairs that forks mediate is
     recognized by the set itself and numbered in the order it first
@@ -244,12 +274,80 @@ class _ForkIndex:
                 masks[p] = masks.get(p, 0) | bit
         return True
 
-    def share(self, p, q) -> tuple[int, int]:
-        """The masks of pairs p and q, read until they meet."""
-        masks = self.masks
-        while not masks.get(p, 0) & masks.get(q, 0) and self._read():
-            pass
-        return masks.get(p, 0), masks.get(q, 0)
+
+class _LegFibres:
+    """The column fibres of the member legs out of ``va``, over the
+    mediators towards ``vb``: everything a weq fork at ``va`` can
+    mediate in hom(va, vb), with no fork enumerated.
+
+    Per apex x, leg k's column lists h∘leg over the mediators
+    h: x -> ``vb``, and its fibre over an arrow f is the bitmask of the
+    mediators h with h∘leg = f.  ``partners[k]`` is the bitmask of leg
+    k and the legs that a block of the one-sided relation ``related``
+    relates it to: by two out of three, legs (l0, l1) carry a weq fork
+    iff l0 is a member and l0 = l1 or they are related, and a block is
+    all members or none.  Which legs' columns hold an arrow, and each
+    leg's fibres, are found when first asked for.
+    """
+
+    def __init__(self, work: FinCat, transposed, members: frozenset[int],
+                 related: Precongruence, va: int, vb: int):
+        self.apexes = []  # per apex: (columns, their value sets, partners)
+        for x in range(len(work.objects)):
+            legs = [leg for leg in work.hom(va, x) if leg in members]
+            mediators = work.hom(x, vb)
+            if not legs or not mediators:
+                continue
+            columns = [tuple(map(transposed[leg].__getitem__, mediators)) for leg in legs]
+            where = {leg: k for k, leg in enumerate(legs)}
+            partners = [1 << k for k in range(len(legs))]
+            for block in related.blocks:
+                if block[0] in where:
+                    bits = sum(1 << where[leg] for leg in block)
+                    for leg in block:
+                        partners[where[leg]] |= bits
+            self.apexes.append((columns, list(map(frozenset, columns)), partners))
+        self._hits: list[dict[int, int]] = [{} for _ in self.apexes]
+        self._fibres: list[dict[int, dict[int, int]]] = [{} for _ in self.apexes]
+
+    def _hit(self, a: int, f: int) -> int:
+        """The bitmask of apex a's legs whose column holds f."""
+        hits = self._hits[a]
+        if f not in hits:
+            hits[f] = sum(1 << k for k, values in enumerate(self.apexes[a][1]) if f in values)
+        return hits[f]
+
+    def _fibre(self, a: int, k: int) -> dict[int, int]:
+        """Apex a's leg k's fibres, by the arrow they lie over."""
+        fibres = self._fibres[a]
+        if k not in fibres:
+            fibre: dict[int, int] = {}
+            for i, f in enumerate(self.apexes[a][0][k]):
+                fibre[f] = fibre.get(f, 0) | 1 << i
+            fibres[k] = fibre
+        return fibres[k]
+
+    def shared(self, p, q):
+        """The columns of the legs (l0, l1) of a weq fork that mediates
+        both ordered pairs p and q, or None when no fork does: legs
+        with mediators h, h' such that h∘l0, h∘l1 is p and h'∘l0, h'∘l1
+        is q."""
+        (f, g), (f2, g2) = p, q
+        hit, fibre = self._hit, self._fibre
+        for a, (columns, _values, partners) in enumerate(self.apexes):
+            firsts = hit(a, f) & hit(a, f2)
+            seconds = firsts and hit(a, g) & hit(a, g2)
+            while firsts and seconds:
+                k0 = (firsts & -firsts).bit_length() - 1
+                firsts ^= 1 << k0
+                at_p, at_q = fibre(a, k0)[f], fibre(a, k0)[f2]
+                both = seconds & partners[k0]
+                while both:
+                    k1 = (both & -both).bit_length() - 1
+                    both ^= 1 << k1
+                    if at_p & fibre(a, k1)[g] and at_q & fibre(a, k1)[g2]:
+                        return columns[k0], columns[k1]
+        return None
 
 
 @dataclass(frozen=True)
@@ -279,9 +377,10 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     exactly the pairs (h∘l0, h∘l1).  By two out of three, a one-sided
     pair (f, g) has such a σ iff f is a member, so forks mediate the
     closure of these good pairs; the counterexample is the least related
-    pair outside it.  ``Analysis.fork_witnesses`` names a fork and
-    mediator per pair.  Raises ``ValidationError`` unless the family
-    axioms hold.
+    pair outside it.  A one-sided block is a class of one member's
+    kernel, so it is good or not as a whole.  ``Analysis.fork_witnesses``
+    names a fork and mediator per pair.  Raises ``ValidationError``
+    unless the family axioms hold.
     """
     return _held(cat, weqs).fork_condition(side)
 
@@ -290,8 +389,9 @@ def _fork_condition(work: FinCat, transposed, members: frozenset[int], related,
                     rel: Precongruence, side: str) -> ForkConditionResult:
     # A pair (f, g) of ``related``, the relation ``rel`` closes, is good when
     # a member σ has σ∘f = σ∘g a member: by two out of three, when f is one.
-    good = {(f, g) for f, g in related if f in members}
-    if len(good) == len(related):  # both close to ``rel``; always so with W every arrow
+    # The arrows of a block share σ∘f, so they are members or none is.
+    good = [block for block in related.blocks if block[0] in members]
+    if len(good) == len(related.blocks):  # both close to ``rel``; always so with W every arrow
         return ForkConditionResult(side, True, None)
     missing = rel.pairs - _left_closure(work, good).pairs
     return ForkConditionResult(side, not missing, min(missing) if missing else None)
@@ -313,7 +413,7 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
         homs.setdefault((work.dom(f), work.cod(f)), []).append((f, g))
     found = {}
     for (va, vb), hom_pairs in homs.items():
-        index = _ForkIndex(work, transposed, members, related, va, vb)
+        index = _ForkIndex(work, transposed, members, related.pairs, va, vb)
         masks, collapses = index.masks, {}
         for f, g in hom_pairs:
             while not (both := masks.get((f, g), 0) | masks.get((g, f), 0)) and index._read():
@@ -338,11 +438,13 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     transitivity argument consumes, which chains one pair against a
     degenerate one on the dual side.
 
-    Each hom pair with a distinct related pair gets one fork index,
-    with one bit per mediated set, and two pairs share a fork iff some
-    mediated set holds both: iff their bitmasks meet.  The index reads
-    forks only until they do, and to the end only for a counterexample.
-    A hom pair whose related pairs are all diagonal needs no index: the
+    Any two pairs of a hom pair are decided exactly from the column
+    fibres of the member legs, with no fork enumerated: some apex has
+    weq fork legs (l0, l1) and mediators h, h' with (h∘l0, h∘l1) the
+    one pair and (h'∘l0, h'∘l1) the other, or none does.  Each fork a
+    "yes" names gets one bit, set in the mask of every pair it
+    mediates, so two pairs whose masks meet need no test.  A hom pair
+    whose related pairs are all diagonal needs none either: the
     identity fork at its vertex mediates every (h, h).  The forks are
     read off the one-sided relation, so the family axioms must hold.
     """
@@ -351,23 +453,32 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
 
 def _common_fork(work: FinCat, transposed, members: frozenset[int], related,
                  rel: Precongruence, side: str) -> CommonForkResult:
+    held: dict[int, list] = {}  # each arrow's closed blocks
+    for block in rel.blocks:
+        for f in block:
+            held.setdefault(f, []).append(block)
     for va, vb in work.hom_pairs():
-        # The ordered related pairs of hom(va, vb), diagonal included.
         arrows = work.hom(va, vb)
-        pairs = [(f, g) for f in arrows for g in arrows
-                 if f == g or (min(f, g), max(f, g)) in rel.pairs]
-        if len(pairs) == len(arrows):
+        if not any(f in held for f in arrows):
             continue  # the identity fork at va mediates every (h, h)
-        forks = _ForkIndex(work, transposed, members, related, va, vb)
-        # Masks copied from the index only gain bits as it reads on, so
-        # a miss is asked of the index again before it counts.
-        masks = [0] * len(pairs)
-        for i, p1 in enumerate(pairs):
+        # The ordered related pairs of hom(va, vb), diagonal included.
+        pairs = [(f, g) for f in arrows
+                 for g in (sorted(set().union(*held[f])) if f in held else (f,))]
+        forks = _LegFibres(work, transposed, members, related, va, vb)
+        masks: dict[tuple[int, int], int] = {}
+        bit = 1
+        for i, p in enumerate(pairs):
+            mask = masks.get(p, 0)
             for j in range(i, len(pairs)):
-                if not masks[i] & masks[j]:
-                    masks[i], masks[j] = forks.share(p1, pairs[j])
-                    if not masks[i] & masks[j]:
-                        return CommonForkResult(side, False, (p1, pairs[j]))
+                q = pairs[j]
+                if not mask & masks.get(q, 0):
+                    legs = forks.shared(p, q)
+                    if legs is None:
+                        return CommonForkResult(side, False, (p, q))
+                    for r in zip(*legs):
+                        masks[r] = masks.get(r, 0) | bit
+                    mask |= bit
+                    bit <<= 1
     return CommonForkResult(side, True, None)
 
 
@@ -375,8 +486,8 @@ def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
     """Exhaustive transitivity check of the closed one-sided relation.
 
     The relation is reflexive and symmetric by construction, so only
-    chains of distinct arrows can break transitivity.  Returns
-    (ok, counterexample triple or None).
+    chains of distinct arrows can break transitivity; it is decided on
+    the relation's blocks.  Returns (ok, counterexample triple or None).
     """
     return _held(cat, weqs).rc_transitive(side)
 
@@ -475,12 +586,15 @@ class Analysis:
     category, one homotopy congruence (which keeps its quotient), one
     set of invertible arrows, and per side one closed relation, fork
     condition, set of fork witnesses, common-fork and transitivity
-    verdict.  Leg composites come from the transposed table the session
-    holds anyway: the opposite's on the left, the category's on the
-    right.  The fork witnesses and the common fork read the forks
-    through one fork index per hom pair, which goes when its hom pair
-    is done.  The fork stages require the family axioms.  ``weqs`` may
-    name arrows or index them; identities are implicit, as in documents.
+    verdict.  The one-sided and closed relations stay blocks, which the
+    fork condition, the common fork and transitivity read as they are.
+    Leg composites come from the transposed table the session holds
+    anyway: the opposite's on the left, the category's on the right.
+    The common fork reads them as column fibres, one set per hom pair;
+    only the fork witnesses read forks, through one fork index per hom
+    pair.  Each goes when its hom pair is done.  The fork stages
+    require the family axioms.  ``weqs`` may name arrows or index them;
+    identities are implicit, as in documents.
     """
 
     def __init__(self, cat: FinCat, weqs):
@@ -536,11 +650,11 @@ class Analysis:
 
     def closed(self, side: str) -> tuple[FinCat, Precongruence]:
         """The category a side's forks live in and the closed one-sided
-        relation there."""
+        relation there, as blocks."""
         work = self._work(side)[0]
         key = (_left_closure, side)
         if key not in self._sides:  # the one-sided relation is self.left or self.right
-            self._sides[key] = _left_closure(work, getattr(self, side).pairs)
+            self._sides[key] = _left_closure(work, getattr(self, side).blocks)
         return work, self._sides[key]
 
     def fork_condition(self, side: str = "left") -> ForkConditionResult:
@@ -560,7 +674,7 @@ class Analysis:
         intransitive triple when it is not."""
         key = (intransitive_triple, side)
         if key not in self._sides:
-            triple = intransitive_triple(self.closed(side)[1].distinct_pairs)
+            triple = intransitive_triple(self.closed(side)[1].blocks)
             self._sides[key] = (triple is None, triple)
         return self._sides[key]
 
@@ -569,7 +683,7 @@ class Analysis:
             self.axioms_hold("family axioms must hold before the fork checks")
             work, rel = self.closed(side)
             self._sides[check, side] = check(work, self._work(side)[1], self.members,
-                                             getattr(self, side).pairs, rel, side, *args)
+                                             getattr(self, side), rel, side, *args)
         return self._sides[check, side]
 
     @cached_property

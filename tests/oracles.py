@@ -476,6 +476,16 @@ def brute_fork_witnesses(cat, members, side, cut):
     return {p: found[p] for p in sorted(found)}
 
 
+def brute_shared_forks(cat, members, side):
+    """Every (p1, p2) of ordered pairs that one weq fork on ``side``
+    mediates both of."""
+    shared = set()
+    for fork in _brute_forks(cat, frozenset(members), side):
+        mediated = _mediated(cat, side, fork)
+        shared |= {(p1, p2) for p1 in mediated for p2 in mediated}
+    return shared
+
+
 def brute_common_fork(cat, members, side):
     """(ok, first two ordered related pairs no single weq fork mediates).
 
@@ -486,10 +496,7 @@ def brute_common_fork(cat, members, side):
     members = frozenset(members)
     _dom, _cod, hom, _after = _sided(cat, side)
     rel = brute_one_sided_relation(cat, members, side)
-    shared = set()
-    for fork in _brute_forks(cat, members, side):
-        mediated = _mediated(cat, side, fork)
-        shared |= {(p1, p2) for p1 in mediated for p2 in mediated}
+    shared = brute_shared_forks(cat, members, side)
     nobj = len(cat.objects)
     for va in range(nobj):
         for vb in range(nobj):

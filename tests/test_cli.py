@@ -80,6 +80,18 @@ def test_analyze_stage_selection(tmp_path):
     assert "nonsense" in bad.stderr
 
 
+def test_stages_naming_no_stage_exit_2(capsys):
+    """--stages with no stage named in it is refused, not read as every
+    stage or as none."""
+    for spec in ("", ",", " , "):
+        assert cli.main(["analyze", fx("f_retr"), "--stages", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --stages names no stage; stages are validate, axioms, splits,"
+            " homotopy, whitehead, forks, saturation, deformation\n")
+
+
 def test_budget_env_override():
     proc = run_cli("analyze", fx("f_retr"), "--format", "json",
                    env_extra={"HOCAT_BUDGET": "3"})
@@ -286,9 +298,7 @@ def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
 def test_analyze_computes_each_intermediate_once(monkeypatch):
     """Per category, one analyze finds the generating set, checks the
     family, builds the opposite, the congruence and the quotient at most
-    once, and runs each side's fork condition at most once.  A side's
-    common fork indexes exactly the hom pairs that hold a distinct
-    related pair, each once, up to the one with its counterexample.
+    once, and runs each side's fork condition and common fork once.
     Quotients are counted where they are built, whoever asks for them."""
     calls = collections.Counter()
     keep = []  # keeps every counted category alive, so ids stay unique
@@ -309,8 +319,6 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
     counted(homotopy, "_fork_condition", lambda work, transposed, members, related, rel, side: work,
             lambda work, transposed, members, related, rel, side: side)
-    counted(homotopy, "_ForkIndex", lambda work, transposed, members, related, va, vb: work,
-            lambda work, transposed, members, related, va, vb: (va, vb))
     real_generators = fincat.FinCat.generators.func
 
     def generators(cat):
@@ -320,28 +328,15 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     prop = functools.cached_property(generators)
     prop.__set_name__(fincat.FinCat, "generators")
     monkeypatch.setattr(fincat.FinCat, "generators", prop)
-    commons = []
-    real_common = homotopy._common_fork
-
-    def common(work, transposed, members, related, rel, side):
-        commons.append((work, rel, real_common(work, transposed, members, related, rel, side)))
-        return commons[-1][2]
-    monkeypatch.setattr(homotopy, "_common_fork", common)
+    counted(homotopy, "_common_fork", lambda work, transposed, members, related, rel, side: work,
+            lambda work, transposed, members, related, rel, side: side)
     for name in NAMES:
         calls.clear()
-        commons.clear()
         cli.run_analysis(fx(name))
         assert calls and max(calls.values()) == 1, (name, calls)
         assert sum(k[0] == "_fork_condition" for k in calls) == 2, name
+        assert sum(k[0] == "_common_fork" for k in calls) == 2, name
         assert any(k[0] == "generators" for k in calls), name
-        assert len(commons) == 2, name
-        for work, rel, result in commons:
-            homs = sorted({(work.dom(f), work.cod(f)) for f, _g in rel.pairs})
-            if result.counterexample is not None:
-                f = result.counterexample[0][0]
-                homs = homs[:homs.index((work.dom(f), work.cod(f))) + 1]
-            indexed = sorted(k[2] for k in calls if k[0] == "_ForkIndex" and k[1] == id(work))
-            assert indexed == homs, (name, indexed, homs)
 
 
 def test_analyze_builds_no_witnesses(monkeypatch, tmp_path):
@@ -358,25 +353,20 @@ def test_analyze_builds_no_witnesses(monkeypatch, tmp_path):
         assert report.data["forks"] != "skipped", document
 
 
-def test_analyze_reads_only_the_forks_it_needs(monkeypatch, tmp_path):
-    """On all functions between sets of sizes 1, 2 and 3 with W every
-    arrow, one analyze reads fewer weq forks than there are at the hom
-    pairs it indexes: each fork question stops at its answer."""
-    real = homotopy._left_weq_forks
-    asked, read = [], collections.Counter()
+def test_analyze_reads_only_the_forks_it_needs(monkeypatch, tmp_path, capsys):
+    """analyze enumerates no weq fork, on every fixture and on all
+    functions between sets of sizes 1, 2 and 3 with W every arrow: the
+    fork condition is read off the closure of the good pairs, and the
+    common fork off the column fibres of the member legs."""
+    def refuse(*_args):
+        raise AssertionError("analyze enumerated the weq forks")
 
-    def counting(*args):
-        asked.append(args)
-        for item in real(*args):
-            read["forks"] += 1
-            yield item
-
-    monkeypatch.setattr(homotopy, "_left_weq_forks", counting)
+    monkeypatch.setattr(homotopy, "_left_weq_forks", refuse)
     file = tmp_path / "fun123.json"
     file.write_text(json.dumps(all_functions_instance((1, 2, 3), "all")[2]))
-    assert cli.main(["analyze", str(file), "--format", "json"]) == 0
-    full = sum(sum(1 for _ in real(*args)) for args in asked)
-    assert 0 < read["forks"] < full, (read["forks"], full)
+    for document in [fx(name) for name in NAMES] + [str(file)]:
+        assert cli.main(["analyze", document, "--format", "json"]) == 0, document
+        assert json.loads(capsys.readouterr().out)["forks"] != "skipped", document
 
 
 def test_single_stage_matches_full_report(tmp_path):
@@ -402,7 +392,7 @@ def test_quotient_skips_fork_work(monkeypatch, capsys):
         raise AssertionError("fork work for an unselected stage")
 
     for name in ("_fork_condition", "_fork_witnesses", "_common_fork", "_ForkIndex",
-                 "_left_weq_forks", "_left_closure", "intransitive_triple"):
+                 "_LegFibres", "_left_weq_forks", "_left_closure", "intransitive_triple"):
         monkeypatch.setattr(homotopy, name, refuse)
     monkeypatch.setattr(homotopy.Analysis, "saturation", property(refuse))
     assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0
