@@ -23,7 +23,7 @@ from .congruence import Congruence, quotient
 from .errors import ValidationError
 from .fincat import DIRECTIONS, CatFunctor, FinCat, Mor, Subcategory, resolve_weqs, subcategory
 from .homotopy import WhiteheadCertificate
-from .zigzag import BWD, FWD, Zigzag, bounded_equiv, make_zigzag
+from .zigzag import BWD, FWD, Zigzag, bounded_equiv, localized_value, make_zigzag
 
 __all__ = [
     "Deformation", "DeformationChain", "HoCr", "InversionReport",
@@ -365,19 +365,6 @@ class ConjugationReport:
     psi: CatFunctor | None
 
 
-def _theta_class(qcat, cong: Congruence, z: Zigzag):
-    """Class of a theta zigzag in the homotopy quotient, or None."""
-    cur = qcat.identity[z.source]
-    for m, dr in z.steps:
-        cls = cong.class_of[m]
-        if dr != FWD:
-            cls = qcat.inverse(cls)
-            if cls is None:
-                return None
-        cur = qcat.table[cls][cur]
-    return cur
-
-
 def _reverse(cat, weqs, z: Zigzag) -> Zigzag:
     steps = [(m, BWD if dr == FWD else FWD) for m, dr in reversed(z.steps)]
     return make_zigzag(cat, weqs, z.target, steps)
@@ -418,7 +405,7 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
         theta_cls = {}
         theta_inv = {}
         for x in range(len(cat.objects)):
-            t = _theta_class(qcat, cong, chain.thetas[x])
+            t = localized_value(qcat, cong.class_of, chain.thetas[x])
             inv = None if t is None else qcat.inverse(t)
             if inv is None:
                 return failed("theta class is not invertible", x)

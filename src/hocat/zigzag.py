@@ -6,9 +6,16 @@ finite sequence of three moves (and their inverses) links them: omit an
 identity, compose two adjacent same-direction arrows, cancel a weak
 equivalence that immediately reverses itself.
 
-``bounded_equiv`` searches that move graph bidirectionally with a
-per-side raw-move budget.  An "equivalent" verdict always carries a
-``MoveTrace`` that replays; "unknown" only means the budget ran out.
+Each move is an equality in any category where the members are
+invertible, so a zigzag has one value there however it is rewritten
+(:func:`localized_value`).  ``bounded_equiv`` first compares the two
+values, in the category itself when every member has a two-sided
+inverse there, else in the homotopy quotient of a Whitehead
+certificate: different values can never be linked, and it answers
+"unknown" at once, as the search would at any budget.  Otherwise it
+searches the move graph bidirectionally with a per-side raw-move
+budget.  An "equivalent" verdict always carries a ``MoveTrace`` that
+replays; "unknown" means the values differ or the budget ran out.
 The search itself walks reduced zigzags (alternating directions, no
 identity steps) connected by short macro rewrites, each accounted at
 its exact raw-move cost, so budgets stay honest while the state space
@@ -22,9 +29,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import FormatError, MoveError, ValidationError
 from .fincat import FinCat, known_name, resolve_weqs
+
+if TYPE_CHECKING:
+    from .homotopy import WhiteheadCertificate
 
 __all__ = [
     "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
@@ -528,6 +539,43 @@ class _Engine:
         return z, moves + tail
 
 
+# -- values in a category where every member is invertible ------------------
+
+
+def localized_value(target: FinCat, image, z: Zigzag) -> int | None:
+    """The arrow of ``target`` that ``z`` names when each arrow m of its
+    category goes to ``image[m]``: a forward step composes its image, a
+    backward step the inverse of its image.  None when a backward
+    step's image has no two-sided inverse in ``target``."""
+    cur = target.identity[z.source]
+    for m, d in z.steps:
+        step = image[m]
+        if d == BWD:
+            step = target.inverse(step)
+            if step is None:
+                return None
+        cur = target.table[step][cur]
+    return cur
+
+
+def _localization(cat: FinCat, members: frozenset[int], cert: WhiteheadCertificate | None):
+    """``(target, image)`` of a functor out of ``cat`` that inverts every
+    member, or None: the homotopy quotient of ``cert`` when one is
+    given, else ``cat`` itself.  None when some member's image has no
+    two-sided inverse there, a one-sided inverse not being enough for a
+    cancel move to hold as an equality."""
+    if cert is None:
+        target, image = cat, range(len(cat.morphisms))
+    else:
+        cong = cert.congruence
+        if cong.base is not cat and cong.base != cat:
+            raise ValidationError("certificate is not over this category")
+        target, image = cong.quotient.quotient, cong.class_of
+    if any(target.inverse(image[w]) is None for w in members):
+        return None
+    return target, image
+
+
 @dataclass(frozen=True)
 class EquivResult:
     status: str                     # "equivalent" or "unknown"
@@ -538,8 +586,18 @@ class EquivResult:
         return self.status == "equivalent"
 
 
-def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) -> EquivResult:
+def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8,
+                  *, cert: WhiteheadCertificate | None = None) -> EquivResult:
     """Bidirectional bounded search; "equivalent" verdicts carry a trace.
+
+    Before searching, both zigzags are valued where every member is
+    invertible: in the homotopy quotient of ``cert``, a Whitehead
+    certificate over ``cat``, when one is given, else in ``cat`` itself.
+    Every move keeps that value, so when the values differ no budget
+    links the zigzags and the answer is "unknown" at once, the search's
+    own answer.  With no such category (a member without a two-sided
+    inverse in ``cat`` and no certificate) the search runs as it is.
+    ``budget`` must be a nonnegative ``int``; a bool is refused too.
 
     States are expanded cheapest first.  A state reached at ``cost`` is
     expanded with ``room = budget - cost``, so only macros whose own
@@ -549,7 +607,8 @@ def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) ->
     unpruned search.  A successor whose reduction pushes it over the
     budget is still dropped here.
     """
-    budget = int(budget)
+    if isinstance(budget, bool) or not isinstance(budget, int):
+        raise ValidationError(f"budget must be an integer, not {budget!r}")
     if budget < 0:
         raise ValidationError("budget must be nonnegative")
     members = resolve_weqs(cat, weqs)
@@ -557,6 +616,16 @@ def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) ->
         raise ValidationError("zigzags must share both endpoints")
     if z1 == z2:
         return EquivResult("equivalent", MoveTrace(z1, z2, ()))
+    loc = _localization(cat, members, cert)
+    if loc is not None and localized_value(*loc, z1) != localized_value(*loc, z2):
+        return EquivResult("unknown", None)
+    return _search(cat, members, z1, z2, budget)
+
+
+def _search(cat: FinCat, members: frozenset[int], z1: Zigzag, z2: Zigzag,
+            budget: int) -> EquivResult:
+    """The bounded search of :func:`bounded_equiv` on two distinct
+    zigzags with the same endpoints, with no values compared first."""
     eng = _Engine(cat, members)
     # visited: state -> (side, cost, parent_state, descriptor)
     visited: dict = {}

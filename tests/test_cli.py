@@ -13,6 +13,7 @@ import time
 import pytest
 
 from gencat import all_functions_instance
+from oracles import parallel_pairs
 
 import hocat
 from hocat import cli, congruence, fincat, homotopy
@@ -200,6 +201,57 @@ def test_zigzag_equiv_flow(tmp_path):
     sdoc = json.loads(starved.stdout)
     assert sdoc["status"] == "unknown"
     assert sdoc["trace"] is None
+
+
+@pytest.mark.parametrize("ends", [["--from", "nope", "--to", "zzz"], ["--from", "a"],
+                                  ["--to", "b"]])
+def test_zigzag_equiv_excludes_from_and_to(tmp_path, capsys, ends):
+    zz = tmp_path / "one.zz"
+    zz.write_text(json.dumps({"start": "b", "steps": [["e", "fwd"]]}))
+    assert cli.main(["zigzag", fx("f_retr"), "--equiv", str(zz), str(zz), *ends]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: --equiv and --from/--to exclude each other\n")
+
+
+def _equiv_json(capsys, tmp_path, cat, document, f, g):
+    """``hocat zigzag --equiv --format json`` on the one-arrow zigzags
+    of the parallel arrows ``f`` and ``g``."""
+    files = []
+    for k, m in enumerate((f, g)):
+        files.append(tmp_path / f"z{k}.zz")
+        files[-1].write_text(json.dumps({"start": cat.obj_name(cat.dom(m)),
+                                         "steps": [[cat.mor_name(m), "fwd"]]}))
+    doc_file = tmp_path / "category.json"
+    doc_file.write_text(json.dumps(document))
+    assert cli.main(["zigzag", str(doc_file), "--equiv", *map(str, files),
+                     "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_zigzag_equiv_certifies_only_an_uninvertible_family(monkeypatch, tmp_path, capsys,
+                                                           split_corpus):
+    """With every member invertible the category itself refutes an
+    inequivalent pair and no session is built; otherwise the family's
+    certificate refutes an unrelated pair without a search."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("unexpected work")
+
+    cat, _members, doc = all_functions_instance((1, 2, 3), "bijections")
+    with monkeypatch.context() as m:
+        m.setattr(cli, "Analysis", refuse)
+        m.setattr("hocat.zigzag._Engine", refuse)
+        got = _equiv_json(capsys, tmp_path, cat, doc, cat.mor("m0"), cat.mor("m1"))
+    assert got == {"status": "unknown", "trace": None}
+    for cat, members, doc in split_corpus:
+        cong = homotopy.homotopy_congruence(cat, members)
+        unrelated = [p for p in parallel_pairs(cat) if not cong.related(*p)]
+        if unrelated and any(cat.inverse(w) is None for w in members):
+            break
+    doc = dict(doc, weak_equivalences=[cat.mor_name(w) for w in sorted(members)
+                                       if w not in cat.identity_set])
+    monkeypatch.setattr("hocat.zigzag._Engine", refuse)
+    got = _equiv_json(capsys, tmp_path, cat, doc, *unrelated[0])
+    assert got == {"status": "unknown", "trace": None}
 
 
 @pytest.mark.parametrize("mangle, zigzag", [

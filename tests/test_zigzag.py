@@ -18,12 +18,14 @@ from hocat import (
     zigzag_from_json,
     zigzag_to_json,
 )
+from hocat import zigzag
 from hocat.errors import FormatError, MoveError, ValidationError
-from hocat.fixtures import category
+from hocat.fixtures import NAMES, category
 from hocat.fincat import resolve_weqs
-from hocat.zigzag import BWD, CANCEL, COMPOSE, FWD, OMIT, _Engine, trace_to_json
+from hocat.zigzag import (BWD, CANCEL, COMPOSE, FWD, OMIT, _Engine, _localization, _search,
+                          localized_value, trace_to_json)
 
-from gencat import gen_any_instance
+from gencat import all_functions_instance, gen_any_instance
 from oracles import parallel_pairs, raw_reachable, single_arrow_relation
 
 
@@ -130,6 +132,16 @@ def test_bounded_equiv_retract_example():
         bounded_equiv(cat, members, z1, z1, budget=-1)
 
 
+@pytest.mark.parametrize("budget", [True, False, 2.9, 4.0, "4", None])
+def test_budget_must_be_an_int(budget):
+    """A bool or any non-int budget is refused, not coerced."""
+    cat, members, _r = category("f_retr")
+    z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
+    z2 = make_zigzag(cat, members, "b", [("id:b", "fwd")])
+    with pytest.raises(ValidationError, match="budget must be an integer"):
+        bounded_equiv(cat, members, z1, z2, budget=budget)
+
+
 def test_search_memory_does_not_grow_with_budget():
     """A pair that meets at cost 2 needs no memory sized by the budget."""
     cat, members, _r = category("f_retr")
@@ -143,6 +155,155 @@ def test_search_memory_does_not_grow_with_budget():
         tracemalloc.stop()
     assert res.status == "equivalent"
     assert res.trace == bounded_equiv(cat, members, z1, z2, budget=8).trace
+    assert peak < 5_000_000, peak
+
+
+def _one_arrow_pairs(cat, members):
+    """The one-arrow zigzags of each pair of distinct parallel arrows."""
+    for f, g in parallel_pairs(cat):
+        yield (make_zigzag(cat, members, cat.dom(f), [(f, FWD)]),
+               make_zigzag(cat, members, cat.dom(g), [(g, FWD)]))
+
+
+def _refuted(cat, members, cert):
+    """The one-arrow pairs whose values differ where every member is
+    invertible, through ``cert`` or ``cat`` itself."""
+    loc = _localization(cat, resolve_weqs(cat, members), cert)
+    if loc is None:
+        return []
+    return [(z1, z2) for z1, z2 in _one_arrow_pairs(cat, members)
+            if localized_value(*loc, z1) != localized_value(*loc, z2)]
+
+
+def test_refutation_never_contradicts_the_search(split_corpus):
+    """Every one-arrow pair the values refute is one the search, run on
+    its own, cannot link either.
+
+    Fixtures are searched at the default budget 8, without and with
+    their certificate.  The split corpus is valued through its
+    certificate and searched at budget 6: its 365 refuted pairs take
+    ~3 s there but ~50 s at budget 8, one pair alone ~12 s.
+    """
+    for name in NAMES:
+        cat, members, _r = category(name)
+        wres = certify_whitehead(cat, members)
+        for cert in (None, wres.certificate) if wres.certified else (None,):
+            for z1, z2 in _refuted(cat, members, cert):
+                assert _search(cat, members, z1, z2, 8).status == "unknown", name
+    refuted = 0
+    for cat, members, _doc in split_corpus:
+        cert = certify_whitehead(cat, members).certificate
+        for z1, z2 in _refuted(cat, members, cert):
+            assert _search(cat, members, z1, z2, 6).status == "unknown"
+            refuted += 1
+    assert refuted >= 300, refuted
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """The search engines bounded_equiv builds, one entry each."""
+    built = []
+
+    class Counted(_Engine):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(zigzag, "_Engine", Counted)
+    return built
+
+
+def test_uninvertible_family_without_certificate_keeps_the_search(engines, mixed_corpus):
+    """With a member that has no two-sided inverse and no certificate,
+    there is nothing to value zigzags in: every pair of distinct
+    zigzags is searched."""
+    searched = 0
+    retr, retr_members, _r = category("f_retr")
+    instances = ([(retr, retr_members), (retr, ["s"]), (retr, ["r"])]
+                 + [inst[:2] for inst in mixed_corpus])
+    for cat, members in instances:
+        if all(cat.inverse(w) is not None for w in resolve_weqs(cat, members)):
+            continue
+        for z1, z2 in _one_arrow_pairs(cat, members):
+            before = len(engines)
+            bounded_equiv(cat, members, z1, z2, budget=1)
+            assert len(engines) == before + 1
+            searched += 1
+    assert searched >= 100, searched
+
+
+def test_one_sided_inverse_is_not_enough():
+    """In f_retr with s alone as the family, s has the left inverse r
+    but no two-sided one: e = s∘r and id:b differ in the category, yet
+    r = s^-1 where s is inverted, so e = id:b there and the search links
+    them.  Dually with r alone."""
+    cat, _members, _r = category("f_retr")
+    for members in (["s"], ["r"]):
+        z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
+        z2 = make_zigzag(cat, members, "b", [("id:b", "fwd")])
+        assert bounded_equiv(cat, members, z1, z2).status == "equivalent", members
+
+
+def test_certificate_refutes_exactly_the_unrelated_pairs(engines, split_corpus):
+    """Through its certificate, a certified family's pairs are answered
+    without a search exactly when the homotopy congruence separates
+    them, whether or not the members are invertible in the category."""
+    refuted = uninvertible = 0
+    for cat, members, _doc in split_corpus:
+        cert = certify_whitehead(cat, members).certificate
+        cong = cert.congruence
+        for z1, z2 in _one_arrow_pairs(cat, members):
+            before = len(engines)
+            res = bounded_equiv(cat, members, z1, z2, budget=0, cert=cert)
+            related = cong.related(z1.steps[0][0], z2.steps[0][0])
+            assert len(engines) == before + related
+            if not related:
+                assert res == zigzag.EquivResult("unknown", None)
+                refuted += 1
+                uninvertible += any(cat.inverse(w) is None for w in members)
+    assert refuted >= 300 and uninvertible >= 20, (refuted, uninvertible)
+
+
+def test_certificate_over_another_category_is_refused():
+    cat, members, _r = category("f_retr")
+    other, other_members, _r2 = category("f_iso")
+    cert = certify_whitehead(other, other_members).certificate
+    z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
+    z2 = make_zigzag(cat, members, "b", [("id:b", "fwd")])
+    with pytest.raises(ValidationError, match="certificate is not over this category"):
+        bounded_equiv(cat, members, z1, z2, cert=cert)
+
+
+def test_invertible_family_refutes_every_inequivalent_pair_at_once(engines):
+    """All functions between sets of sizes 1, 2 and 3 with W the
+    bijections: the localization is the category itself, and no pair of
+    distinct parallel arrows, all inequivalent, builds a search."""
+    cat, members, _doc = all_functions_instance((1, 2, 3), "bijections")
+    cong = homotopy_congruence(cat, members)
+    pairs = list(_one_arrow_pairs(cat, members))
+    assert len(pairs) == 425
+    for z1, z2 in pairs:
+        assert not cong.related(z1.steps[0][0], z2.steps[0][0])
+        assert bounded_equiv(cat, members, z1, z2).status == "unknown"
+    assert engines == []
+
+
+def test_inequivalent_pair_at_the_default_budget_is_small():
+    """The two maps from a point to a two-point set, among all functions
+    between sets of sizes 1, 2 and 3 with W the bijections: searched at
+    budget 8 this pair held gigabytes for minutes; valued, it answers
+    at once and in a few kilobytes."""
+    cat, members, _doc = all_functions_instance((1, 2, 3), "bijections")
+    f, g = cat.hom(cat.obj("o0"), cat.obj("o1"))
+    z1 = make_zigzag(cat, members, "o0", [(f, FWD)])
+    z2 = make_zigzag(cat, members, "o0", [(g, FWD)])
+    tracemalloc.start()
+    try:
+        res = bounded_equiv(cat, members, z1, z2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.status == "unknown" and res.trace is None
     assert peak < 5_000_000, peak
 
 
