@@ -370,18 +370,6 @@ def _cmd_quotient(args) -> int:
     return 0
 
 
-def _refuting_certificate(cat: FinCat, raw, members):
-    """The Whitehead certificate ``bounded_equiv`` should value zigzags
-    with: None when every member is invertible in ``cat`` (``cat``
-    itself serves) or the family does not certify."""
-    if all(cat.inverse(w) is not None for w in members):
-        return None
-    session = Analysis(cat, raw.weak_equivalences)
-    if not session.family.report.axioms_ok or not session.whitehead.certified:
-        return None
-    return session.whitehead.certificate
-
-
 def _cmd_zigzag(args) -> int:
     if args.equiv and (args.src is not None or args.dst is not None):
         raise FormatError("--equiv and --from/--to exclude each other")
@@ -391,8 +379,7 @@ def _cmd_zigzag(args) -> int:
     if args.equiv:
         z1 = zigzag_from_json(cat, members, read_json(args.equiv[0]))
         z2 = zigzag_from_json(cat, members, read_json(args.equiv[1]))
-        res = bounded_equiv(cat, members, z1, z2, args.budget,
-                            cert=_refuting_certificate(cat, raw, members))
+        res = bounded_equiv(cat, members, z1, z2, args.budget)
         doc = {"status": res.status,
                "trace": trace_to_json(cat, res.trace) if res.trace is not None else None}
         _emit(doc, args.format)

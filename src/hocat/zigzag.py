@@ -8,10 +8,9 @@ equivalence that immediately reverses itself.
 
 Each move is an equality in any category where the members are
 invertible, so a zigzag has one value there however it is rewritten
-(:func:`localized_value`).  ``bounded_equiv`` first compares the two
-values, in the category itself when every member has a two-sided
-inverse there, else in the homotopy quotient of a Whitehead
-certificate: different values can never be linked, and it answers
+(:func:`localized_value`).  When every member has a two-sided inverse
+in the category itself, ``bounded_equiv`` first compares the two
+values there: different values can never be linked, and it answers
 "unknown" at once, as the search would at any budget.  Otherwise it
 searches the move graph bidirectionally with a per-side raw-move
 budget.  An "equivalent" verdict always carries a ``MoveTrace`` that
@@ -29,13 +28,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import FormatError, MoveError, ValidationError
 from .fincat import FinCat, known_name, resolve_weqs
-
-if TYPE_CHECKING:
-    from .homotopy import WhiteheadCertificate
 
 __all__ = [
     "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
@@ -558,24 +553,6 @@ def localized_value(target: FinCat, image, z: Zigzag) -> int | None:
     return cur
 
 
-def _localization(cat: FinCat, members: frozenset[int], cert: WhiteheadCertificate | None):
-    """``(target, image)`` of a functor out of ``cat`` that inverts every
-    member, or None: the homotopy quotient of ``cert`` when one is
-    given, else ``cat`` itself.  None when some member's image has no
-    two-sided inverse there, a one-sided inverse not being enough for a
-    cancel move to hold as an equality."""
-    if cert is None:
-        target, image = cat, range(len(cat.morphisms))
-    else:
-        cong = cert.congruence
-        if cong.base is not cat and cong.base != cat:
-            raise ValidationError("certificate is not over this category")
-        target, image = cong.quotient.quotient, cong.class_of
-    if any(target.inverse(image[w]) is None for w in members):
-        return None
-    return target, image
-
-
 @dataclass(frozen=True)
 class EquivResult:
     status: str                     # "equivalent" or "unknown"
@@ -586,17 +563,15 @@ class EquivResult:
         return self.status == "equivalent"
 
 
-def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8,
-                  *, cert: WhiteheadCertificate | None = None) -> EquivResult:
+def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8) -> EquivResult:
     """Bidirectional bounded search; "equivalent" verdicts carry a trace.
 
-    Before searching, both zigzags are valued where every member is
-    invertible: in the homotopy quotient of ``cert``, a Whitehead
-    certificate over ``cat``, when one is given, else in ``cat`` itself.
-    Every move keeps that value, so when the values differ no budget
-    links the zigzags and the answer is "unknown" at once, the search's
-    own answer.  With no such category (a member without a two-sided
-    inverse in ``cat`` and no certificate) the search runs as it is.
+    When every member has a two-sided inverse in ``cat``, both zigzags
+    are first valued in ``cat``.  Every move keeps that value, so when
+    the values differ no budget links the zigzags and the answer is
+    "unknown" at once, the search's own answer.  A one-sided inverse is
+    not enough for a cancel move to hold as an equality, so a family
+    with a member lacking a two-sided inverse is searched as it is.
     ``budget`` must be a nonnegative ``int``; a bool is refused too.
 
     States are expanded cheapest first.  A state reached at ``cost`` is
@@ -616,9 +591,10 @@ def bounded_equiv(cat: FinCat, weqs, z1: Zigzag, z2: Zigzag, budget: int = 8,
         raise ValidationError("zigzags must share both endpoints")
     if z1 == z2:
         return EquivResult("equivalent", MoveTrace(z1, z2, ()))
-    loc = _localization(cat, members, cert)
-    if loc is not None and localized_value(*loc, z1) != localized_value(*loc, z2):
-        return EquivResult("unknown", None)
+    if all(cat.inverse(w) is not None for w in members):
+        arrows = range(len(cat.morphisms))
+        if localized_value(cat, arrows, z1) != localized_value(cat, arrows, z2):
+            return EquivResult("unknown", None)
     return _search(cat, members, z1, z2, budget)
 
 
