@@ -216,65 +216,6 @@ class HomotopyWitness:
     mediator: int
 
 
-def _left_weq_forks(cat: FinCat, transposed, members: frozenset[int], related, va: int, vb: int):
-    """Yield the legs (l0, l1) of every left fork of weak equivalences at
-    vertex ``va``, in (apex, l0, l1) order, with the set of ordered pairs
-    of hom(va, vb) arrows it mediates.  ``transposed[f][h]`` is h∘f.
-
-    By two out of three, a member σ with σ∘l0 = σ∘l1 a member exists iff
-    l0 is a member and l0 = l1 or the one-sided relation ``related``
-    holds (min, max) of the legs: a member equalizing them is such a σ."""
-    for apex in range(len(cat.objects)):
-        legs_pool = [leg for leg in cat.hom(va, apex) if leg in members]
-        if not legs_pool:
-            continue
-        mediators = cat.hom(apex, vb)
-        image = {}
-        for l0 in legs_pool:
-            for l1 in legs_pool:
-                if l0 != l1 and (min(l0, l1), max(l0, l1)) not in related:
-                    continue
-                for leg in (l0, l1):
-                    if leg not in image:
-                        image[leg] = tuple(map(transposed[leg].__getitem__, mediators))
-                yield (l0, l1), frozenset(zip(image[l0], image[l1]))
-
-
-class _ForkIndex:
-    """The left weq forks at ``va`` towards ``vb``, read from the
-    enumeration only until the witnesses asked of them are found.
-
-    Each distinct set of hom(va, vb) pairs that forks mediate is
-    recognized by the set itself and numbered in the order it first
-    appears, in ``sets``; ``legs[i]`` are the legs of the first fork
-    with set i.  ``masks`` maps each ordered pair (f, g) to the bitmask
-    of the sets read so far that contain it, so reading on only adds
-    bits, and the lowest bit of a pair's mask names its earliest fork.
-    """
-
-    def __init__(self, cat: FinCat, transposed, members: frozenset[int], related,
-                 va: int, vb: int):
-        self._unread = _left_weq_forks(cat, transposed, members, related, va, vb)
-        self.sets: dict[frozenset, int] = {}
-        self.legs: list[tuple[int, int]] = []
-        self.masks: dict[tuple[int, int], int] = {}
-
-    def _read(self) -> bool:
-        """Read the next fork in; False once every fork is read."""
-        item = next(self._unread, None)
-        if item is None:
-            return False
-        legs, mediated = item
-        if mediated not in self.sets:
-            bit = 1 << len(self.legs)
-            self.sets[mediated] = len(self.legs)
-            self.legs.append(legs)
-            masks = self.masks
-            for p in mediated:
-                masks[p] = masks.get(p, 0) | bit
-        return True
-
-
 class _LegFibres:
     """The column fibres of the member legs out of ``va``, over the
     mediators towards ``vb``: everything a weq fork at ``va`` can
@@ -286,13 +227,15 @@ class _LegFibres:
     k and the legs that a block of the one-sided relation ``related``
     relates it to: by two out of three, legs (l0, l1) carry a weq fork
     iff l0 is a member and l0 = l1 or they are related, and a block is
-    all members or none.  Which legs' columns hold an arrow, and each
-    leg's fibres, are found when first asked for.
+    all members or none.  Which legs' columns hold an arrow, each leg's
+    fibres, and each mediator's row (the bitmask of the legs it sends
+    to each arrow), are found when first asked for.
     """
 
     def __init__(self, work: FinCat, transposed, members: frozenset[int],
                  related: Precongruence, va: int, vb: int):
-        self.apexes = []  # per apex: (columns, their value sets, partners)
+        # per apex: (legs, mediators, columns, their value sets, partners)
+        self.apexes = []
         for x in range(len(work.objects)):
             legs = [leg for leg in work.hom(va, x) if leg in members]
             mediators = work.hom(x, vb)
@@ -306,15 +249,17 @@ class _LegFibres:
                     bits = sum(1 << where[leg] for leg in block)
                     for leg in block:
                         partners[where[leg]] |= bits
-            self.apexes.append((columns, list(map(frozenset, columns)), partners))
+            self.apexes.append((legs, mediators, columns, list(map(frozenset, columns)),
+                                partners))
         self._hits: list[dict[int, int]] = [{} for _ in self.apexes]
         self._fibres: list[dict[int, dict[int, int]]] = [{} for _ in self.apexes]
+        self._rows: list[list[dict[int, int]] | None] = [None] * len(self.apexes)
 
     def _hit(self, a: int, f: int) -> int:
         """The bitmask of apex a's legs whose column holds f."""
         hits = self._hits[a]
         if f not in hits:
-            hits[f] = sum(1 << k for k, values in enumerate(self.apexes[a][1]) if f in values)
+            hits[f] = sum(1 << k for k, values in enumerate(self.apexes[a][3]) if f in values)
         return hits[f]
 
     def _fibre(self, a: int, k: int) -> dict[int, int]:
@@ -322,10 +267,26 @@ class _LegFibres:
         fibres = self._fibres[a]
         if k not in fibres:
             fibre: dict[int, int] = {}
-            for i, f in enumerate(self.apexes[a][0][k]):
+            for i, f in enumerate(self.apexes[a][2][k]):
                 fibre[f] = fibre.get(f, 0) | 1 << i
             fibres[k] = fibre
         return fibres[k]
+
+    def _sent(self, a: int, hs: int, f: int) -> int:
+        """The bitmask of apex a's legs that some mediator in the bitmask
+        ``hs`` sends to f, read off the mediators' rows."""
+        rows = self._rows[a]
+        if rows is None:
+            rows = self._rows[a] = [{} for _ in self.apexes[a][1]]
+            for k, column in enumerate(self.apexes[a][2]):
+                for row, composite in zip(rows, column):
+                    row[composite] = row.get(composite, 0) | 1 << k
+        legs = 0
+        while hs:
+            i = (hs & -hs).bit_length() - 1
+            hs ^= 1 << i
+            legs |= rows[i].get(f, 0)
+        return legs
 
     def shared(self, p, q):
         """The columns of the legs (l0, l1) of a weq fork that mediates
@@ -334,7 +295,7 @@ class _LegFibres:
         is q."""
         (f, g), (f2, g2) = p, q
         hit, fibre = self._hit, self._fibre
-        for a, (columns, _values, partners) in enumerate(self.apexes):
+        for a, (_legs, _mediators, columns, _values, partners) in enumerate(self.apexes):
             firsts = hit(a, f) & hit(a, f2)
             seconds = firsts and hit(a, g) & hit(a, g2)
             while firsts and seconds:
@@ -347,6 +308,33 @@ class _LegFibres:
                     both ^= 1 << k1
                     if at_p & fibre(a, k1)[g] and at_q & fibre(a, k1)[g2]:
                         return columns[k0], columns[k1]
+        return None
+
+    def witness(self, f: int, g: int) -> tuple[int, int, int] | None:
+        """The legs (l0, l1) and lowest mediator h of the earliest weq
+        fork, in (apex, l0, l1) order, that mediates (f, g) or (g, f),
+        or None when none does.  The legs face (f, g): h∘l0 = f and
+        h∘l1 = g, so a fork that mediates only (g, f) comes turned, and
+        one that mediates both comes as it is."""
+        hit, fibre, sent = self._hit, self._fibre, self._sent
+        for a, (legs, mediators, _columns, _values, partners) in enumerate(self.apexes):
+            at_f, at_g = hit(a, f), hit(a, g)
+            firsts = at_f | at_g
+            while firsts:
+                k0 = (firsts & -firsts).bit_length() - 1
+                firsts ^= 1 << k0
+                mates = partners[k0] ^ 1 << k0  # (k0, k0) mediates only (h, h)
+                facing = turned = 0  # the k1 with (k0, k1) mediating (f, g), and (g, f)
+                if at_f >> k0 & 1 and mates & at_g:
+                    facing = sent(a, fibre(a, k0)[f], g) & mates
+                if at_g >> k0 & 1 and mates & at_f:
+                    turned = sent(a, fibre(a, k0)[g], f) & mates
+                if both := facing | turned:
+                    k1 = (both & -both).bit_length() - 1
+                    if not facing >> k1 & 1:
+                        k0, k1 = k1, k0
+                    hs = fibre(a, k0)[f] & fibre(a, k1)[g]
+                    return legs[k0], legs[k1], mediators[(hs & -hs).bit_length() - 1]
         return None
 
 
@@ -402,10 +390,10 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
     """A homotopy witness for each related pair before ``cut`` (every
     pair when None), in pair order: the earliest fork mediating (f, g)
     or (g, f), legs in (f, g) order and the unswapped pair on a tie,
-    with its lowest-index mediator.  The fork's collapse is the lowest
-    member out of the apex equalizing its legs.  Each hom pair's fork
-    index reads until the masks of (f, g) and (g, f) have a bit; the
-    lowest names the earliest fork."""
+    with its lowest-index mediator, read off each hom pair's column
+    fibres by :meth:`_LegFibres.witness`.  The fork's collapse is the
+    lowest member out of the apex equalizing its legs, found once per
+    unordered leg pair."""
     table = work.table
     pairs = sorted(p for p in rel.pairs if cut is None or p < cut)
     homs: dict = {}
@@ -413,20 +401,17 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
         homs.setdefault((work.dom(f), work.cod(f)), []).append((f, g))
     found = {}
     for (va, vb), hom_pairs in homs.items():
-        index = _ForkIndex(work, transposed, members, related.pairs, va, vb)
-        masks, collapses = index.masks, {}
+        fibres = _LegFibres(work, transposed, members, related, va, vb)
+        collapses: dict[tuple[int, int], int] = {}
         for f, g in hom_pairs:
-            while not (both := masks.get((f, g), 0) | masks.get((g, f), 0)) and index._read():
-                pass
-            i = (both & -both).bit_length() - 1
-            l0, l1 = index.legs[i] if masks.get((f, g), 0) >> i & 1 else index.legs[i][::-1]
+            l0, l1, mediator = fibres.witness(f, g)
             apex = work.cod(l0)
-            if i not in collapses:
-                collapses[i] = next(sigma for sigma in work.outgoing[apex] if sigma in members
-                                    and table[sigma][l0] == table[sigma][l1])
-            mediator = next(h for h in work.hom(apex, vb)
-                            if table[h][l0] == f and table[h][l1] == g)
-            fork = Fork(side, va, apex, (l0, l1), collapses[i], table[collapses[i]][l0])
+            legs = (l0, l1) if l0 < l1 else (l1, l0)
+            if legs not in collapses:
+                collapses[legs] = next(sigma for sigma in work.outgoing[apex] if sigma in members
+                                       and table[sigma][l0] == table[sigma][l1])
+            sigma = collapses[legs]
+            fork = Fork(side, va, apex, (l0, l1), sigma, table[sigma][l0])
             found[f, g] = HomotopyWitness(side, f, g, fork, mediator)
     return {p: found[p] for p in pairs}
 
@@ -587,14 +572,15 @@ class Analysis:
     set of invertible arrows, and per side one closed relation, fork
     condition, set of fork witnesses, common-fork and transitivity
     verdict.  The one-sided and closed relations stay blocks, which the
-    fork condition, the common fork and transitivity read as they are.
-    Leg composites come from the transposed table the session holds
+    fork condition, the common fork and transitivity read as they are;
+    the fork witnesses list the closed relation's pairs.  Leg
+    composites come from the transposed table the session holds
     anyway: the opposite's on the left, the category's on the right.
-    The common fork reads them as column fibres, one set per hom pair;
-    only the fork witnesses read forks, through one fork index per hom
-    pair.  Each goes when its hom pair is done.  The fork stages
-    require the family axioms.  ``weqs`` may name arrows or index them;
-    identities are implicit, as in documents.
+    The common fork and the fork witnesses read them as column fibres,
+    one set per hom pair, which goes when its hom pair is done; no
+    stage enumerates forks.  The fork stages require the family
+    axioms.  ``weqs`` may name arrows or index them; identities are
+    implicit, as in documents.
     """
 
     def __init__(self, cat: FinCat, weqs):

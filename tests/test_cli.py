@@ -392,14 +392,15 @@ def test_analyze_builds_no_witnesses(monkeypatch, tmp_path):
 
 
 def test_analyze_reads_only_the_forks_it_needs(monkeypatch, tmp_path, capsys):
-    """analyze enumerates no weq fork, on every fixture and on all
-    functions between sets of sizes 1, 2 and 3 with W every arrow: the
-    fork condition is read off the closure of the good pairs, and the
-    common fork off the column fibres of the member legs."""
+    """analyze reads no fork witness off the column fibres, on every
+    fixture and on all functions between sets of sizes 1, 2 and 3 with
+    W every arrow: the fork condition is read off the closure of the
+    good pairs, and the common fork asks the fibres only whether two
+    pairs share a fork."""
     def refuse(*_args):
-        raise AssertionError("analyze enumerated the weq forks")
+        raise AssertionError("analyze read a fork witness")
 
-    monkeypatch.setattr(homotopy, "_left_weq_forks", refuse)
+    monkeypatch.setattr(homotopy._LegFibres, "witness", refuse)
     file = tmp_path / "fun123.json"
     file.write_text(json.dumps(all_functions_instance((1, 2, 3), "all")[2]))
     for document in [fx(name) for name in NAMES] + [str(file)]:
@@ -429,8 +430,8 @@ def test_quotient_skips_fork_work(monkeypatch, capsys):
     def refuse(*_args, **_kwargs):
         raise AssertionError("fork work for an unselected stage")
 
-    for name in ("_fork_condition", "_fork_witnesses", "_common_fork", "_ForkIndex",
-                 "_LegFibres", "_left_weq_forks", "_left_closure", "intransitive_triple"):
+    for name in ("_fork_condition", "_fork_witnesses", "_common_fork", "_LegFibres",
+                 "_left_closure", "intransitive_triple"):
         monkeypatch.setattr(homotopy, name, refuse)
     monkeypatch.setattr(homotopy.Analysis, "saturation", property(refuse))
     assert cli.main(["quotient", fx("f_retr"), "--format", "json"]) == 0

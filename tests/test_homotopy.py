@@ -40,8 +40,6 @@ from gencat import (
     monoid_corpus,
 )
 from oracles import (
-    _brute_forks,
-    _sided,
     brute_close_composition,
     brute_common_fork,
     brute_fork_condition,
@@ -258,58 +256,6 @@ def test_rc_transitive_matches_brute_force(mixed_corpus, split_corpus):
     assert failures >= 1
 
 
-class _Colliding(frozenset):
-    """A mediated set that hashes like every other."""
-
-    def __hash__(self):
-        return 0
-
-
-def test_fork_index_tells_colliding_sets_apart(monkeypatch, mixed_corpus, split_corpus):
-    """The fork index recognizes a mediated set by the set itself, not
-    by its hash: with every set hashing alike, both fork checks give
-    the same answers and witnesses."""
-    instances = mixed_corpus[:60] + split_corpus[:60]
-
-    def answers():
-        return [(s.fork_condition(side), s.fork_witnesses(side), s.common_fork(side))
-                for s in (Analysis(cat, members) for cat, members, _doc in instances)
-                for side in SIDES]
-    want = answers()
-    real = homotopy._left_weq_forks
-    monkeypatch.setattr(homotopy, "_left_weq_forks", lambda *args: (
-        (legs, _Colliding(mediated)) for legs, mediated in real(*args)))
-    got = answers()
-    assert got == want
-
-
-def test_fork_index_numbers_sets_by_first_fork(mixed_corpus, split_corpus):
-    """Read to the end, the index holds one bit per distinct mediated
-    set, numbered in order of first appearance, with the legs of the
-    first fork that yields it; each pair's mask holds the bits of the
-    sets that contain it."""
-    distinct = 0
-    for cat, members, _doc in mixed_corpus[:80] + split_corpus[:80]:
-        session = Analysis(cat, members)
-        for side in SIDES:
-            work, transposed = session._work(side)
-            related = getattr(session, side).pairs
-            for va, vb in work.hom_pairs():
-                args = (work, transposed, members, related, va, vb)
-                first = {}
-                for legs, mediated in homotopy._left_weq_forks(*args):
-                    first.setdefault(mediated, legs)
-                index = homotopy._ForkIndex(*args)
-                while index._read():
-                    pass
-                assert index.legs == list(first.values())
-                assert index.sets == {s: i for i, s in enumerate(first)}
-                assert index.masks == {p: sum(1 << i for i, s in enumerate(first) if p in s)
-                                       for p in set().union(*first)}
-                distinct += len(first)
-    assert distinct > 0
-
-
 def test_whitehead_certified_on_retract():
     cat, members, _r = category("f_retr")
     res = certify_whitehead(cat, members)
@@ -448,34 +394,6 @@ def test_fork_checks_require_axioms():
         assert check_rc_transitive(cat, ["u"], side) == (triple is None, triple)
 
 
-def test_left_weq_forks_match_brute_forks(mixed_corpus, split_corpus):
-    """With the family axioms, the forks read off the one-sided relation
-    are those of the definition, one per leg pair and in its order, each
-    with the pairs its mediators into vb give."""
-    fixtures = [category(name) for name in NAMES]
-    forks_seen = 0
-    for cat, members, _doc in mixed_corpus + split_corpus + fixtures:
-        session = Analysis(cat, members)
-        nobj = len(cat.objects)
-        for side in SIDES:
-            work, transposed = session._work(side)
-            related = getattr(session, side).pairs
-            _dom, _cod, hom, after = _sided(cat, side)
-            brute = _brute_forks(cat, members, side)
-            for va in range(nobj):
-                # one entry per leg pair, in the definition's order
-                legs = list(dict.fromkeys(legs for v, _apex, legs, _s, _b in brute if v == va))
-                for vb in range(nobj):
-                    want = [((l0, l1), frozenset((after(h, l0), after(h, l1))
-                                                 for h in hom(work.cod(l0), vb)))
-                            for l0, l1 in legs]
-                    got = list(homotopy._left_weq_forks(work, transposed, members, related,
-                                                        va, vb))
-                    assert got == want, (side, va, vb)
-                    forks_seen += len(got)
-    assert forks_seen > 0
-
-
 def test_fork_checks_match_brute_force(mixed_corpus, split_corpus):
     """Both fork checks agree with the definitions, failures included,
     and every witness they return replays."""
@@ -515,6 +433,18 @@ def test_fork_witnesses_match_brute_force(mixed_corpus, split_corpus):
                 list(brute_fork_witnesses(cat, members, side, cut).items()), side
             witnesses += len(got)
     assert witnesses > 1000
+
+
+def test_fork_witnesses_read_the_one_sided_relation_as_blocks():
+    """The witnesses read each one-sided relation as blocks: on all
+    functions on a 3-point set with W every arrow, whose one-sided
+    blocks hold more than two arrows, neither side's pair set is built."""
+    cat, members, _doc = all_functions_instance((3,), "all")
+    session = Analysis(cat, members)
+    for side in SIDES:
+        assert max(map(len, getattr(session, side).blocks)) >= 3, side
+        assert session.fork_witnesses(side), side
+    assert "pairs" not in vars(session.left) and "pairs" not in vars(session.right)
 
 
 def _library_answers(cat, weqs):
