@@ -102,19 +102,20 @@ class Congruence:
 
     def __init__(self, base: FinCat, classes: Iterable[Iterable[int]]):
         self.base = base
-        n = len(base.morphisms)
+        morphisms = base.morphisms
+        n = len(morphisms)
         blocks = [tuple(sorted(base.mor(m) for m in cls)) for cls in classes]
         seen: set[int] = set()
         for cls in blocks:
             if not cls:
                 raise ValidationError("empty congruence class")
-            d, c = base.dom(cls[0]), base.cod(cls[0])
+            d, c = morphisms[cls[0]].dom, morphisms[cls[0]].cod
             for m in cls:
                 if m in seen:
                     raise ValidationError(
                         f"morphism {base.mor_name(m)!r} appears in two classes")
                 seen.add(m)
-                if (base.dom(m), base.cod(m)) != (d, c):
+                if morphisms[m].dom != d or morphisms[m].cod != c:
                     raise ValidationError(
                         f"class mixing non-parallel arrows at {base.mor_name(m)!r}")
         if len(seen) != n:

@@ -66,22 +66,24 @@ class FinCat:
         self._obj_index = {o: i for i, o in enumerate(self.objects)}
         self._mor_index = {m.name: i for i, m in enumerate(self.morphisms)}
         hom: dict[tuple[int, int], list[int]] = {}
+        # incoming[x] / outgoing[x]: arrows with cod x / dom x, by index.
+        incoming = [[] for _ in self.objects]
+        outgoing = [[] for _ in self.objects]
         for i, m in enumerate(self.morphisms):
             hom.setdefault((m.dom, m.cod), []).append(i)
+            incoming[m.cod].append(i)
+            outgoing[m.dom].append(i)
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self.identity_set = frozenset(self.identity)
-        # incoming[x] / outgoing[x]: arrows with cod x / dom x, by index.
-        self.incoming = tuple(
-            tuple(i for i, m in enumerate(self.morphisms) if m.cod == x)
-            for x in range(len(self.objects)))
-        self.outgoing = tuple(
-            tuple(i for i, m in enumerate(self.morphisms) if m.dom == x)
-            for x in range(len(self.objects)))
+        self.incoming = tuple(map(tuple, incoming))
+        self.outgoing = tuple(map(tuple, outgoing))
 
     # -- lookups -------------------------------------------------------
 
     def obj(self, x) -> int:
         """Object index from a name or an index."""
+        if type(x) is int and 0 <= x < len(self.objects):
+            return x
         if isinstance(x, str):
             try:
                 return self._obj_index[x]
@@ -94,6 +96,8 @@ class FinCat:
 
     def mor(self, x) -> int:
         """Morphism index from a name or an index."""
+        if type(x) is int and 0 <= x < len(self.morphisms):
+            return x
         if isinstance(x, str):
             try:
                 return self._mor_index[x]
@@ -500,10 +504,8 @@ class CatFunctor:
         for x in self.on_objects:
             target.obj(x)
         for f, m in enumerate(source.morphisms):
-            img = self.on_morphisms[f]
-            target.mor(img)
-            if (target.dom(img) != self.on_objects[m.dom]
-                    or target.cod(img) != self.on_objects[m.cod]):
+            img = target.morphisms[target.mor(self.on_morphisms[f])]
+            if img.dom != self.on_objects[m.dom] or img.cod != self.on_objects[m.cod]:
                 raise ValidationError(f"functor breaks endpoints on {m.name!r}")
         for x in range(len(source.objects)):
             if self.on_morphisms[source.identity[x]] != target.identity[self.on_objects[x]]:

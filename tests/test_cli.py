@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import pkgutil
+import random
 import re
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from gencat import all_functions_instance
 
 import hocat
 from hocat import cli, congruence, fincat, homotopy
+from hocat.errors import FormatError
 from hocat.fixtures import NAMES, path
 
 
@@ -331,6 +333,74 @@ def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
                  ["zigzag", fx("f_retr"), "--from", "a", "--to", "b"]):
         assert cli.main(argv) == 2
         assert "budget must be nonnegative, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [True, False, 2.5, "3"])
+def test_non_integer_budget_is_malformed(budget):
+    with pytest.raises(FormatError) as err:
+        cli.run_analysis(fx("f_retr"), budget=budget)
+    assert str(err.value) == f"budget must be an integer, got {budget!r}"
+    assert cli.run_analysis(fx("f_retr"), budget=3).budget == 3
+
+
+def _json_values(rng, depth=0):
+    """A random JSON value built from dicts with str keys, lists, tuples
+    and scalars, strings drawn from quotes, backslashes, control,
+    non-ASCII and astral characters."""
+    def text():
+        chars = 'ab"\\/\n\t\x00\x1f\x7fé\u2028\ufeff😀'
+        return "".join(rng.choice(chars) for _ in range(rng.randrange(5)))
+
+    kind = rng.randrange(9 if depth < 4 else 6)
+    if kind == 0:
+        return text()
+    if kind == 1:
+        return rng.choice([True, False, None])
+    if kind == 2:
+        return rng.choice([0, -1, 7, -(10 ** 30), 2 ** 64])
+    if kind == 3:
+        return rng.choice([0.0, -0.0, 0.1, -2.5e-8, 1e300, float("inf"), float("nan")])
+    if kind in (4, 5):
+        return rng.choice([[], (), {}])
+    items = [_json_values(rng, depth + 1) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items) if items else [text() for _ in range(rng.randrange(1, 4))]
+    return {text(): v for v in items}
+
+
+def test_json_writer_is_json_dumps_with_indent(monkeypatch, capsys, tmp_path):
+    """JSON reports come from the report writer, never from the stdlib's
+    indenting encoder, and match ``json.dumps(indent=2, sort_keys=True)``
+    byte for byte: on every fixture's analyze, quotient and deform
+    report, on zigzag outputs, and on random nested values."""
+    dumps = json.dumps
+
+    def no_indent(value, **kwargs):
+        assert kwargs.get("indent") is None, "json.dumps called with indent"
+        return dumps(value, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", no_indent)
+    zz = [tmp_path / "one.zz", tmp_path / "two.zz"]
+    zz[0].write_text(dumps({"start": "b", "steps": [["e", "fwd"]]}))
+    zz[1].write_text(dumps({"start": "b", "steps": [["id:b", "fwd"]]}))
+    runs = [[command, fx(name)] for name in NAMES for command in ("analyze", "quotient", "deform")]
+    runs += [["zigzag", fx("f_retr"), "--equiv", *map(str, zz)],
+             ["zigzag", fx("f_retr"), "--equiv", *map(str, zz), "--budget", "0"],
+             ["zigzag", fx("f_span"), "--from", "a", "--to", "b"],
+             ["zigzag", fx("f_span"), "--from", "b", "--to", "a"]]
+    for argv in runs:
+        assert cli.main([*argv, "--format", "json"]) == 0
+        out = capsys.readouterr().out
+        assert out == dumps(json.loads(out), indent=2, sort_keys=True) + "\n", argv
+    report = cli.run_analysis(fx("f_retr_def"))
+    doc = {"input": report.path, "budget": report.budget, **report.data}
+    assert cli.render_report(report, "json") == dumps(doc, indent=2, sort_keys=True) + "\n"
+    rng = random.Random(2718)
+    for _ in range(2000):
+        value = _json_values(rng)
+        assert cli._json(value) == dumps(value, indent=2, sort_keys=True), value
 
 
 def test_analyze_computes_each_intermediate_once(monkeypatch):

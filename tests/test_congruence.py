@@ -93,6 +93,24 @@ def test_congruence_class_accessors():
     assert (min(e, idb), max(e, idb)) in pairs
 
 
+def test_congruence_partition_messages():
+    """A bad partition of f_retr's arrows id:a, id:b, s, r, e fails with
+    a message naming the first arrow at fault."""
+    cat, _members, _raw = category("f_retr")
+    cases = [
+        ([(), ("id:a",), ("id:b",), ("s",), ("r",), ("e",)], "empty congruence class"),
+        ([("id:a",), ("id:b", "e"), ("s",), ("r",), ("e",)],
+         "morphism 'e' appears in two classes"),
+        ([("id:a", "s"), ("id:b",), ("r",), ("e",)],
+         "class mixing non-parallel arrows at 's'"),
+        ([("id:a",), ("id:b",), ("s",), ("r",)], "partition misses morphism 'e'"),
+    ]
+    for classes, message in cases:
+        with pytest.raises(ValidationError) as err:
+            Congruence(cat, classes)
+        assert str(err.value) == message
+
+
 def test_discrete_congruence():
     cat, _m, _r = category("f_span")
     cong = Congruence.discrete(cat)

@@ -543,6 +543,53 @@ def test_functor_validates_laws():
         CatFunctor(cat, cat, (0, 1), mor_map)  # endpoints disagree
 
 
+def test_functor_messages():
+    """Each law the constructor checks before composition fails with its
+    own message, naming the first arrow or object that breaks it."""
+    iso, _members, _raw = category("f_iso")
+    retr, _members, _raw = category("f_retr")
+    swap_u = tuple(iso.mor("v" if m.name == "u" else m.name) for m in iso.morphisms)
+    e_for_idb = tuple(retr.mor("e" if m.name == "id:b" else m.name) for m in retr.morphisms)
+    r_for_e = tuple(retr.mor("r" if m.name == "e" else m.name) for m in retr.morphisms)
+    cases = [
+        (iso, (0,), range(4), "functor: on_objects must cover every object"),
+        (iso, (0, 1), range(3), "functor: on_morphisms must cover every morphism"),
+        (iso, (0, 2), range(4), "object index 2 out of range"),
+        (iso, (0, 1), (0, 1, 2, 4), "morphism index 4 out of range"),
+        (iso, (0, 1), swap_u, "functor breaks endpoints on 'u'"),
+        (retr, (0, 1), r_for_e, "functor breaks endpoints on 'e'"),
+        (retr, (0, 1), e_for_idb, "functor breaks the identity on 'b'"),
+    ]
+    for cat, on_objects, on_morphisms, message in cases:
+        with pytest.raises(ValidationError) as err:
+            CatFunctor(cat, cat, on_objects, tuple(on_morphisms))
+        assert str(err.value) == message
+
+
+def test_index_lookups():
+    """``mor`` and ``obj`` return an in-range index as itself and resolve
+    a name; a bool reads as its int; an index out of range or an unknown
+    name raises, naming it."""
+    cat, _members, _raw = category("f_retr")
+    for i, m in enumerate(cat.morphisms):
+        assert type(cat.mor(i)) is int and cat.mor(i) == i == cat.mor(m.name)
+    for x, name in enumerate(cat.objects):
+        assert type(cat.obj(x)) is int and cat.obj(x) == x == cat.obj(name)
+    for got, want in ((cat.mor(True), 1), (cat.mor(False), 0), (cat.obj(True), 1)):
+        assert type(got) is int and got == want
+    n, k = len(cat.morphisms), len(cat.objects)
+    for lookup, bad, message in [
+            (cat.mor, -1, "morphism index -1 out of range"),
+            (cat.mor, n, f"morphism index {n} out of range"),
+            (cat.mor, "zz", "unknown morphism 'zz'"),
+            (cat.obj, -1, "object index -1 out of range"),
+            (cat.obj, k, f"object index {k} out of range"),
+            (cat.obj, "zz", "unknown object 'zz'")]:
+        with pytest.raises(ValidationError) as err:
+            lookup(bad)
+        assert str(err.value) == message
+
+
 def test_functor_names_the_first_broken_composite():
     """A functor into a copy of its target with table cells changed
     fails on the first (g, f) the oracle names.  The functors are the
