@@ -13,9 +13,12 @@ arrows it relates pairwise, so a kernel class is one block, not its
 quadratically many pairs (f, g), f <= g, which are read off the blocks
 on demand; given pairs, degenerate ones included, are two-arrow blocks.
 A congruence stores a partition instead, where reflexivity is implicit,
-and is certified through its quotient category: the check that the
-projection is a functor is the closure check.  ``sigma_of`` reads that
-quotient for the arrows invertible up to the congruence.
+and is certified while its quotient category is built: a partition is
+closed under composition iff composing with each of the base's
+generators, on either side, keeps related arrows related, so the
+projection onto the quotient is a functor without a second check.
+``sigma_of`` reads that quotient for the arrows invertible up to the
+congruence.
 """
 
 from __future__ import annotations
@@ -94,10 +97,10 @@ class Congruence:
     """A certified congruence, stored as a partition of each hom-set.
 
     The constructor checks that the classes partition hom-sets into
-    parallel blocks, then builds :attr:`quotient`, whose projection
-    functor certifies that the relation is closed under composition on
-    both sides; invalid input raises.  Classes are numbered by their
-    lowest member, so equal congruences compare equal structurally.
+    parallel blocks, then builds :attr:`quotient`, which certifies that
+    the relation is closed under composition on both sides; invalid
+    input raises.  Classes are numbered by their lowest member, so equal
+    congruences compare equal structurally.
     """
 
     def __init__(self, base: FinCat, classes: Iterable[Iterable[int]]):
@@ -208,10 +211,17 @@ class QuotientResult:
 
     Classes compose through their lowest members, rep.  The projection
     is a functor iff [g∘f] = [rep(g)∘rep(f)] for every composable
-    (g, f), that is iff the relation is closed under composition.  The
-    first (g, f) it breaks on names a related pair whose composites
-    part: (rep(g), g) after f when [g∘f] differs from [rep(g)∘f], else
-    (rep(f), f) before rep(g).
+    (g, f), that is iff the relation is closed under composition.  As
+    every arrow is a composite of :attr:`FinCat.generators` and the
+    table is associative, that holds iff each generator k, composed on
+    either side, sends related arrows to related arrows: iff [k∘f] =
+    [k∘rep(f)] and [f∘k] = [rep(f)∘k] for every f.  A non-discrete
+    partition is certified that way, a discrete one needs no check,
+    and the projection is built unchecked.  Only when a generator
+    fails are all (g, f) scanned; the first one the projection breaks
+    on names a related pair whose composites part: (rep(g), g) after
+    f when [g∘f] differs from [rep(g)∘f], else (rep(f), f) before
+    rep(g).
     """
 
     def __init__(self, congruence: Congruence):
@@ -225,12 +235,11 @@ class QuotientResult:
         # class map is the identity, so its table is the base table; a
         # lone class is the one arrow of a one-object quotient.
         ext, gather = class_of + (-1,), itemgetter(*reps)
-        qtable = (table if len(reps) == len(class_of)
+        discrete = len(reps) == len(class_of)
+        qtable = (table if discrete
                   else [itemgetter(*gather(table[g]))(ext) for g in reps] if reps[1:] else [[0]])
         self.quotient = FinCat(base.objects, morphisms, identity, qtable)
-        try:
-            self.projection = CatFunctor(base, self.quotient, tuple(objects), class_of)
-        except ValidationError:
+        if not (discrete or self._stable(base, class_of, ext, reps)):
             g, f = next((g, f) for g in range(len(class_of)) for f in base.incoming[base.dom(g)]
                         if class_of[table[g][f]] != qtable[class_of[g]][class_of[f]])
             rg, rf = reps[class_of[g]], reps[class_of[f]]
@@ -242,7 +251,24 @@ class QuotientResult:
             raise ValidationError(
                 "relation is not closed under composition: "
                 f"({name(pair[0])!r}, {name(pair[1])!r}) composed with "
-                f"u={name(u)!r}, v={name(v)!r}") from None
+                f"u={name(u)!r}, v={name(v)!r}")
+        self.projection = CatFunctor.certified(base, self.quotient, tuple(objects), class_of)
+
+    @staticmethod
+    def _stable(base: FinCat, class_of, ext, reps) -> bool:
+        """Whether composing with each generator, on either side, keeps
+        related arrows related.  A generator's row (its column) read
+        through the class map gives the class of each composite, or -1;
+        read again at each arrow's representative, it must not change.
+        Two parallel arrows are composable with the same arrows."""
+        table = base.table
+        rep_of = itemgetter(*map(reps.__getitem__, class_of))
+        for k in base.generators:
+            after = itemgetter(*table[k])(ext)
+            before = itemgetter(*map(itemgetter(k), table))(ext)
+            if rep_of(after) != after or rep_of(before) != before:
+                return False
+        return True
 
 
 def quotient(cat: FinCat, congruence: Congruence) -> QuotientResult:

@@ -14,7 +14,8 @@ are synthesized when a document omits them; they always occupy the
 lowest indices, in object order.
 
 A category's objects, arrows and table never change after construction.
-It caches in its ``vars``, on first use, its ``generators`` and the
+It caches in its ``vars``, on first use, its ``generators`` (with the
+post-composition ranks that order them) and the
 :class:`~hocat.homotopy.Analysis` the homotopy functions hold for its
 last family; two threads filling a cache at once may each compute it.
 """
@@ -22,10 +23,11 @@ last family; two threads filling a cache at once may each compute it.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import repeat
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
 from .errors import FormatError, ValidationError
@@ -144,33 +146,32 @@ class FinCat:
         return tuple(sorted(self._hom))
 
     @cached_property
+    def _ranks(self) -> list[int]:
+        """Each arrow's post-composition rank: the number of distinct
+        composites f∘x over the arrows x into dom f.
+        :func:`validate_category` reads them off its own gathers."""
+        table, incoming = self.table, self.incoming
+        return [len(set(map(table[f].__getitem__, incoming[m.dom])))
+                for f, m in enumerate(self.morphisms)]
+
+    @cached_property
     def generators(self) -> tuple[int, ...]:
         """A set of arrows whose composites, with the identities, are
         every arrow; ascending.
 
-        Arrows are walked in index order, and one is kept unless it is
-        already a composite of those kept before it.  The composites
-        reached so far grow by post-composition from the identities:
-        a kept arrow f is pushed after each reached arrow it can follow,
-        and each newly reached arrow is post-composed with every kept
-        arrow out of its codomain.  A generating set of a category also
-        generates its opposite, so :func:`opposite` hands the set on.
+        The arrows are walked by post-composition rank, descending, ties
+        broken by Light cost |out(cod f)|·|in(dom f)|, ascending, then
+        by index, and one is kept unless those kept before it already
+        compose to it (:func:`_greedy_generators`).  As r(g∘f) <=
+        min(r(g), r(f)), an arrow's possible factors come before it,
+        apart from ties, so few composites are kept.  A generating set
+        of a category also generates its opposite, so :func:`opposite`
+        hands the set on.
         """
-        table, morphisms = self.table, self.morphisms
-        reached = set(self.identity)
-        kept: list[int] = []
-        kept_out: list[list[int]] = [[] for _ in self.objects]  # by domain
-        for f, m in enumerate(morphisms):
-            if f not in reached:
-                kept.append(f)
-                kept_out[m.dom].append(f)
-                work = [table[f][r] for r in self.incoming[m.dom] if r in reached]
-                while work:
-                    x = work.pop()
-                    if x not in reached:
-                        reached.add(x)
-                        work.extend(table[k][x] for k in kept_out[morphisms[x].cod])
-        return tuple(kept)
+        morphisms, incoming, outgoing = self.morphisms, self.incoming, self.outgoing
+        costs = [len(outgoing[m.cod]) * len(incoming[m.dom]) for m in morphisms]
+        keys = list(zip(map(neg, self._ranks), costs))
+        return _greedy_generators(self, sorted(range(len(morphisms)), key=keys.__getitem__))
 
     def __eq__(self, other):
         if not isinstance(other, FinCat):
@@ -185,6 +186,33 @@ class FinCat:
 
     def __repr__(self):
         return f"FinCat({len(self.objects)} objects, {len(self.morphisms)} morphisms)"
+
+
+def _greedy_generators(cat: FinCat, order: Iterable[int]) -> tuple[int, ...]:
+    """The arrows kept, ascending, by a walk of ``order`` that keeps an
+    arrow unless it is already a composite of those kept before it.
+
+    The composites reached so far grow by post-composition from the
+    identities: a kept arrow f is pushed after each reached arrow it can
+    follow, and each newly reached arrow is post-composed with every
+    kept arrow out of its codomain.
+    """
+    table, morphisms, incoming = cat.table, cat.morphisms, cat.incoming
+    reached = set(cat.identity)
+    kept: list[int] = []
+    kept_out: list[list[int]] = [[] for _ in cat.objects]  # by domain
+    for f in order:
+        if f not in reached:
+            m = morphisms[f]
+            kept.append(f)
+            kept_out[m.dom].append(f)
+            work = [table[f][r] for r in incoming[m.dom] if r in reached]
+            while work:
+                x = work.pop()
+                if x not in reached:
+                    reached.add(x)
+                    work.extend(table[k][x] for k in kept_out[morphisms[x].cod])
+    return tuple(sorted(kept))
 
 
 @dataclass(frozen=True)
@@ -243,10 +271,7 @@ def load_spec(document) -> RawCategory:
     :func:`validate_category`.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}") from None
+        document = parse_json(document)
     _require(isinstance(document, dict), "document must be a JSON object")
 
     known = {"objects", "morphisms", "composition", "weak_equivalences",
@@ -370,21 +395,38 @@ def load_spec(document) -> RawCategory:
     )
 
 
+def parse_json(text, where: str = ""):
+    """The JSON value in ``text``, a string or UTF-8 bytes.
+
+    Text that is not JSON is malformed input, and so is text the parser
+    cannot take: nesting deeper than the interpreter's recursion limit
+    allows, or an integer literal longer than
+    :func:`sys.get_int_max_str_digits`.  The message starts with
+    ``where``.
+    """
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        reason = str(e)
+    except RecursionError:
+        reason = "nested too deeply"
+    except ValueError:  # what int() raises on too many digits
+        reason = f"integer literal of more than {sys.get_int_max_str_digits()} digits"
+    raise FormatError(f"{where}not valid JSON: {reason}")
+
+
 def read_json(path):
     """The JSON document in the file at ``path``.
 
     A file that cannot be read, is not UTF-8 or is not JSON is malformed
-    input; the message names the path.
+    input (see :func:`parse_json`); the message names the path.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise FormatError(f"cannot read {path}: {e}") from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: not valid JSON: {e}") from None
+    return parse_json(text, f"{path}: ")
 
 
 def load_file(path) -> RawCategory:
@@ -403,9 +445,13 @@ def validate_category(raw: RawCategory) -> FinCat:
     Theory of Semigroups* I, §1.2): with the table total and the
     identity laws holding, the arrows g with h∘(g∘f) = (h∘g)∘f for all
     h and f are closed under composition, so only the triples with a
-    middle arrow in :attr:`FinCat.generators` need checking.  Only when
-    one fails are all triples scanned, so the error names the first
-    witness in (g, f), respectively (h, g, f), index order.
+    middle arrow in :attr:`FinCat.generators` need checking.  A
+    generator g costs |out(cod g)|·|in(dom g)| cells; the gathers of
+    the test also give each arrow's post-composition rank, which
+    orders the walk that picks the generators, so few and cheap ones
+    are checked.  Only when one fails are all triples scanned, so the
+    error names the first witness in (g, f), respectively (h, g, f),
+    index order.
     """
     objects = raw.objects
     obj_index = {o: i for i, o in enumerate(objects)}
@@ -447,9 +493,13 @@ def validate_category(raw: RawCategory) -> FinCat:
     # Associativity h∘(g∘f) = (h∘g)∘f, one (h, g) at a time over every f
     # into dom g: after(g) reads row h at each g∘f, and rows[k] is row k
     # read at each f into dom k, so rows[h∘g] is the right side.  A
-    # one-arrow gather yields a scalar on both sides alike.
+    # one-arrow gather yields a scalar on both sides alike.  The
+    # distinct values of rows[k] are the composites k∘f, so they count
+    # the post-composition ranks that order FinCat.generators.
     gather = [itemgetter(*arrows) for arrows in incoming]
     rows = [gather[m.dom](table[k]) for k, m in enumerate(morphisms)]
+    cat._ranks = [len(set(row)) if len(incoming[m.dom]) > 1 else 1
+                  for row, m in zip(rows, morphisms)]
     after = cache(lambda g: itemgetter(*(table[g][f] for f in incoming[morphisms[g].dom])))
 
     def associates(h, g) -> bool:
@@ -517,8 +567,6 @@ class CatFunctor:
         # one-arrow gather yields a scalar on both sides, whose image is
         # read directly.  Only a failing row is scanned for its first f.
         on, table, ttable = self.on_morphisms, source.table, target.table
-        if on == tuple(range(len(on))) and ttable == table:  # identity between equal tables
-            return
         gathers = [(itemgetter(*into), itemgetter(*map(on.__getitem__, into)), len(into) == 1)
                    for into in source.incoming]
         for g, m in enumerate(source.morphisms):
@@ -530,6 +578,16 @@ class CatFunctor:
                 raise ValidationError(
                     "functor breaks composition on "
                     f"({m.name!r}, {source.mor_name(f)!r})")
+
+    @classmethod
+    def certified(cls, source: FinCat, target: FinCat,
+                  on_objects: Sequence[int], on_morphisms: Sequence[int]) -> "CatFunctor":
+        """Trust the maps as a functor the caller has already checked,
+        such as the projection onto a quotient by a certified congruence."""
+        functor = cls.__new__(cls)
+        functor.source, functor.target = source, target
+        functor.on_objects, functor.on_morphisms = tuple(on_objects), tuple(on_morphisms)
+        return functor
 
     def __repr__(self):
         return f"CatFunctor({self.source!r} -> {self.target!r})"

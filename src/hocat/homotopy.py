@@ -685,10 +685,11 @@ class Analysis:
         cat, members, cong = self.cat, self.members, self.congruence
         if members <= self.sigma:
             # An inverse class is unique, so its lowest member is the
-            # lowest-index homotopy inverse.
-            q = cong.quotient.quotient
-            inverse_table = {w: cong.classes[q.inverse(cong.class_of[w])][0]
-                             for w in sorted(members)}
+            # lowest-index homotopy inverse; it is looked up once per class.
+            q, class_of = cong.quotient.quotient, cong.class_of
+            inverse = {c: cong.classes[q.inverse(c)][0]
+                       for c in set(map(class_of.__getitem__, members))}
+            inverse_table = {w: inverse[class_of[w]] for w in sorted(members)}
             cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
             return WhiteheadResult("certified", cong, cert, None, None)
 

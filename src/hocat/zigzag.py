@@ -26,11 +26,10 @@ meeting edge.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from .errors import FormatError, MoveError, ValidationError
-from .fincat import FinCat, known_name, resolve_weqs
+from .fincat import FinCat, known_name, parse_json, resolve_weqs
 
 __all__ = [
     "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
@@ -826,10 +825,7 @@ def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
     Objects, arrows and directions are given by name only.
     """
     if isinstance(document, (str, bytes)):
-        try:
-            document = json.loads(document)
-        except json.JSONDecodeError as e:
-            raise FormatError(f"not valid JSON: {e}") from None
+        document = parse_json(document)
     if not isinstance(document, dict) or "start" not in document:
         raise FormatError('zigzag document needs "start" and "steps"')
     start = known_name(document["start"], cat.objects, "zigzag start: unknown object")

@@ -184,36 +184,26 @@ def hom_partitions(cat):
             yield part
 
 
+def brute_is_congruence(cat, classes):
+    """Whether a partition of the arrows into parallel classes is closed
+    under composition: g∘f and g′∘f′ in one class whenever g, g′ are
+    and f, f′ are, for every composable (g, f) and (g′, f′)."""
+    block = {m: i for i, cls in enumerate(classes) for m in cls}
+    for g, f in composable_pairs(cat):
+        for g2 in classes[block[g]]:
+            for f2 in classes[block[f]]:
+                if block[cat.table[g][f]] != block[cat.table[g2][f2]]:
+                    return False
+    return True
+
+
 def all_congruences(cat):
     """Every congruence on ``cat``, as frozensets of frozenset classes.
 
     Exponential; callers keep instances at eight morphisms or fewer.
     """
-    out = []
-    for part in hom_partitions(cat):
-        rep = {}
-        for i, block in enumerate(part):
-            for m in block:
-                rep[m] = i
-        ok = True
-        for block in part:
-            for a in block:
-                for b in block:
-                    for h in cat.outgoing[cat.cod(a)]:
-                        if rep[cat.table[h][a]] != rep[cat.table[h][b]]:
-                            ok = False
-                    for h in cat.incoming[cat.dom(a)]:
-                        if rep[cat.table[a][h]] != rep[cat.table[b][h]]:
-                            ok = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(frozenset(frozenset(block) for block in part))
-    return out
+    return [frozenset(map(frozenset, part)) for part in hom_partitions(cat)
+            if brute_is_congruence(cat, part)]
 
 
 def brute_intransitive_triple(pairs):

@@ -134,6 +134,24 @@ def test_error_exit_codes(tmp_path):
     assert "error:" in proc.stderr
 
 
+@pytest.mark.parametrize("text, reason", [
+    ('{"objects": ' + "[" * 5000 + "]" * 5000 + "}", "nested too deeply"),
+    ('{"start": ' + "7" * 4301 + "}", "integer literal of more than 4300 digits"),
+], ids=["deep", "long-integer"])
+def test_unparsable_json_exits_2(tmp_path, capsys, text, reason):
+    """A category document or zigzag file nested past the recursion
+    limit, or with an integer literal past the digit limit, exits 2
+    with a message naming the file, and no traceback."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    good = tmp_path / "good.zz"
+    good.write_text(json.dumps({"start": "b", "steps": []}))
+    for argv in (["analyze", str(bad)],
+                 ["zigzag", fx("f_retr"), "--equiv", str(good), str(bad)]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {bad}: not valid JSON: {reason}\n")
+
+
 def test_object_name_with_hom_key_separator_is_malformed(tmp_path, capsys):
     """Hom-sets are reported under "x>y" keys; with ">" in object names,
     a>b -> c and a -> b>c would share the key "a>b>c"."""

@@ -1,7 +1,9 @@
+import collections
 import gc
 import random
 import re
 import weakref
+from itertools import combinations
 
 import pytest
 
@@ -22,6 +24,7 @@ from oracles import (
     composable_pairs,
     brute_broken_composite,
     all_congruences,
+    brute_is_congruence,
     brute_intransitive_triple,
     brute_least_congruence,
     brute_sigma,
@@ -194,6 +197,43 @@ def test_congruence_names_a_closure_witness(tiny_corpus):
             assert block[table[table[v][rep]][u]] != block[table[table[v][m]][u]], message
             rejected += 1
     assert rejected >= 40
+
+
+def _accepts(cat, classes) -> bool:
+    try:
+        Congruence(cat, classes)
+    except ValidationError:
+        return False
+    return True
+
+
+def test_congruence_accepts_exactly_the_congruences(tiny_corpus, mixed_corpus):
+    """The constructor, which checks the generators alone, accepts a
+    partition into parallel classes exactly when the oracle finds it
+    closed under every composition: on every hom-set partition of the
+    tiny corpus; on the least congruence of a seeded relation on each
+    mixed corpus category, and on that congruence with two of its
+    parallel classes merged; each also over the opposite category."""
+    rng = random.Random(2024)
+    cases = [(cat, hom_partitions(cat)) for cat, _members, _doc in tiny_corpus]
+    for cat, _members, _doc in mixed_corpus:
+        classes = least_congruence(Precongruence(cat, sample_precongruence(rng, cat))).classes
+        parts = [classes]
+        pool = [(a, b) for a, b in combinations(classes, 2)
+                if cat.dom(a[0]) == cat.dom(b[0]) and cat.cod(a[0]) == cat.cod(b[0])]
+        if pool:
+            a, b = rng.choice(pool)
+            parts.append([c for c in classes if c not in (a, b)] + [a + b])
+        cases.append((cat, parts))
+    verdicts = collections.Counter()
+    for cat, parts in cases:
+        op = opposite(cat)
+        for part in parts:
+            for base in (cat, op):
+                held = brute_is_congruence(base, part)
+                assert _accepts(base, part) == held, (base, part)
+                verdicts[held] += 1
+    assert verdicts[True] >= 500 and verdicts[False] >= 100, verdicts
 
 
 def test_congruence_is_freed_without_the_collector():
