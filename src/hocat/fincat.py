@@ -15,9 +15,9 @@ lowest indices, in object order.
 
 A category's objects, arrows and table never change after construction.
 It caches in its ``vars``, on first use, its ``generators`` (with the
-post-composition ranks that order them) and the
-:class:`~hocat.homotopy.Analysis` the homotopy functions hold for its
-last family; two threads filling a cache at once may each compute it.
+post-composition ranks that order them); two threads filling the cache
+at once may each compute it.  It holds nothing that points back to it,
+so it is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations

@@ -23,12 +23,9 @@ family axioms, by which the forks are read off the one-sided relation.
 
 An :class:`Analysis` session computes each of these once for one
 category and family, on first use, and shares it between the stages
-that build on it.  A category holds the last session the functions
-below served, keyed by its members, for as long as the category lives,
-and all but ``r_left`` answer with one of its stages: so the answers
-depend only on the members, and ``homotopy_congruence``,
-``certify_whitehead`` and ``check_saturation``, in any order, build the
-opposite category and the congruence once.
+that build on it.  Each function below other than ``r_left`` answers
+with a stage of a fresh session, so its answer depends only on the
+members; several stages of one input are read from one session.
 """
 
 from __future__ import annotations
@@ -133,7 +130,7 @@ def r_right(cat: FinCat, weqs) -> Precongruence:
     Computed as the left relation of the opposite category and pulled
     back; arrow indices agree, so the pullback is the identity.
     """
-    return _held(cat, weqs).right
+    return Analysis(cat, weqs).right
 
 
 def _left_closure(work: FinCat, blocks) -> Precongruence:
@@ -170,17 +167,17 @@ def _left_closure(work: FinCat, blocks) -> Precongruence:
 
 def r_left_comp(cat: FinCat, weqs) -> Precongruence:
     """Composition closure of :func:`r_left`."""
-    return _held(cat, weqs).closed("left")[1]
+    return Analysis(cat, weqs).closed("left")[1]
 
 
 def r_right_comp(cat: FinCat, weqs) -> Precongruence:
     """Dual closure: pre-compose the right relation with every mediator."""
-    return Precongruence.canonical(cat, _held(cat, weqs).closed("right")[1].blocks)
+    return Precongruence.canonical(cat, Analysis(cat, weqs).closed("right")[1].blocks)
 
 
 def homotopy_congruence(cat: FinCat, weqs) -> Congruence:
     """Least congruence containing both one-sided relations."""
-    return _held(cat, weqs).congruence
+    return Analysis(cat, weqs).congruence
 
 
 @dataclass(frozen=True)
@@ -370,7 +367,7 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
     names a fork and mediator per pair.  Raises ``ValidationError``
     unless the family axioms hold.
     """
-    return _held(cat, weqs).fork_condition(side)
+    return Analysis(cat, weqs).fork_condition(side)
 
 
 def _fork_condition(work: FinCat, transposed, members: frozenset[int], related,
@@ -433,7 +430,7 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
     identity fork at its vertex mediates every (h, h).  The forks are
     read off the one-sided relation, so the family axioms must hold.
     """
-    return _held(cat, weqs).common_fork(side)
+    return Analysis(cat, weqs).common_fork(side)
 
 
 def _common_fork(work: FinCat, transposed, members: frozenset[int], related,
@@ -474,7 +471,7 @@ def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
     chains of distinct arrows can break transitivity; it is decided on
     the relation's blocks.  Returns (ok, counterexample triple or None).
     """
-    return _held(cat, weqs).rc_transitive(side)
+    return Analysis(cat, weqs).rc_transitive(side)
 
 
 @dataclass(frozen=True)
@@ -516,15 +513,17 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     split-generated family would contradict the certified case, so that
     combination raises; a formally-connected-but-empty hom-set downgrades
     the verdict to failed, and absent any witness it stays inconclusive.
-    A given ``family`` must have the members ``weqs`` resolves to, or
-    ``ValidationError`` is raised; it stands in for the held session's
-    axiom check.  A given ``splitgen`` stands in for its split
+    A given ``family`` must be of ``cat`` and have the members ``weqs``
+    resolves to, or ``ValidationError`` is raised; it stands in for the
+    session's axiom check.  A given ``splitgen`` stands in for its split
     generation and must be of those members too: a generated one
     decomposes exactly them, a failed one names one of them missing.
     """
-    session = _held(cat, weqs)
+    session = Analysis(cat, weqs)
     if family is None and splitgen is None:
         return session.whitehead
+    if family is not None and family.base is not cat and family.base != cat:
+        raise ValidationError("the given family is of another category")
     if family is not None and family.members != session.members:
         raise ValidationError("the given family has other members than the weak equivalences")
     if splitgen is not None and (
@@ -555,10 +554,11 @@ class SaturationReport:
 
 
 def check_saturation(cat: FinCat, weqs, cert: WhiteheadCertificate) -> SaturationReport:
-    """The held session's saturation report.  ``cert`` must certify the
-    session's homotopy congruence, or ``ValidationError`` is raised."""
-    session = _held(cat, weqs)
-    if cert.congruence is not session.congruence and cert.congruence != session.congruence:
+    """A fresh session's saturation report.  ``cert`` must certify a
+    congruence equal to the homotopy congruence, or ``ValidationError``
+    is raised."""
+    session = Analysis(cat, weqs)
+    if cert.congruence != session.congruence:
         raise ValidationError("the certificate is not on the homotopy congruence of the family")
     return session.saturation
 
@@ -678,8 +678,9 @@ class Analysis:
 
     def _certify(self, family: WeqFamily, splitgen: SplitGenResult | None) -> WhiteheadResult:
         """Whitehead on this session's congruence, gated by the axiom check
-        of ``family`` (one with this session's members); a failed or
-        inconclusive result carries ``splitgen``, else the session's."""
+        of ``family`` (one of this session's category and members); a
+        failed or inconclusive result carries ``splitgen``, else the
+        session's."""
         if not family.report.axioms_ok:
             raise ValidationError("family axioms must hold before certification")
         cat, members, cong = self.cat, self.members, self.congruence
@@ -726,18 +727,3 @@ class Analysis:
             fork_right=fork_r,
         )
 
-
-def _held(cat: FinCat, weqs) -> Analysis:
-    """The session ``cat`` holds for the family ``weqs``.
-
-    A category holds one session, in the ``_analysis`` slot of its
-    ``vars`` (as :attr:`FinCat.generators` is kept), for as long as it
-    lives.  The session is keyed by its members: names, indices and
-    identities left implicit or named all reach the same one, and
-    another set of members replaces it.
-    """
-    members = resolve_weqs(cat, weqs)
-    held = vars(cat).get("_analysis")
-    if held is None or held.members != members:
-        held = vars(cat)["_analysis"] = Analysis(cat, members)
-    return held

@@ -125,9 +125,11 @@ def _two_of_three_row(cat: FinCat, members: set[int]) -> int | None:
 
 
 def find_splits(cat: FinCat) -> frozenset[tuple[int, int]]:
-    """All ordered pairs (s, r) with r∘s an identity."""
-    return frozenset((s, r) for s in range(len(cat.morphisms))
-                     for r in cat.one_sided_inverses(s)[0])
+    """All ordered pairs (s, r) with r∘s an identity: r runs over
+    hom(cod s, dom s), and only r∘s is tested."""
+    table, identity = cat.table, cat.identity
+    return frozenset((s, r) for s, m in enumerate(cat.morphisms)
+                     for r in cat.hom(m.cod, m.dom) if table[r][s] == identity[m.dom])
 
 
 @dataclass(frozen=True)

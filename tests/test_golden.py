@@ -66,14 +66,20 @@ def test_json_output_matches_golden(command, name, monkeypatch, capsys):
     assert got == (GOLDEN / f"{command}-{name}.json").read_text(encoding="utf-8")
 
 
+WRAPPERS = ("homotopy_congruence", "certify_whitehead", "check_saturation", "r_right",
+            "r_left_comp", "r_right_comp", "check_fork_condition", "check_common_fork",
+            "check_rc_transitive")
+
+
 def test_commands_call_no_homotopy_wrapper(monkeypatch, capsys):
-    """The commands read their own session: none reaches the session a
-    category holds for the homotopy wrappers, and every report is the
+    """The commands read their own session: none calls a function of
+    ``hocat.homotopy`` that reads a fresh one, and every report is the
     golden one."""
-    def refuse(*_args):
+    def refuse(*_args, **_kwargs):
         raise AssertionError("a command called a homotopy wrapper")
 
-    monkeypatch.setattr(homotopy, "_held", refuse)
+    for name in WRAPPERS:
+        monkeypatch.setattr(homotopy, name, refuse)
     for name in NAMES:
         monkeypatch.chdir(pathlib.Path(str(path(name))).parent)
         for command in COMMANDS:

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -36,6 +38,7 @@ from gencat import (
     function_instance,
     gen_any_instance,
     gen_category,
+    gen_document,
     gen_split_instance,
     monoid_corpus,
 )
@@ -273,18 +276,22 @@ def test_whitehead_certified_on_retract():
 
 
 def test_quotient_path_builds_no_pair_set():
-    """The stages `hocat quotient` reports, through the library, read the
-    one-sided relations as blocks; the certificate's basis gives its
-    pairs when asked."""
+    """The stages `hocat quotient` reports read the one-sided relations
+    as blocks, in one session and through the library with the family
+    stages given; the certificate's basis is the session's relations
+    and gives its pairs when asked."""
     cat, members, _doc = all_functions_instance((1, 2, 3), "all")
     family = check_weq_axioms(cat, members)
     splitgen = check_split_generated(family)
-    homotopy_congruence(cat, members)
-    cert = certify_whitehead(cat, members, family=family, splitgen=splitgen).certificate
-    session = homotopy._held(cat, members)
+    session = Analysis(cat, members)
+    cert = session.whitehead.certificate
+    assert session.congruence is cert.congruence
     assert "pairs" not in vars(session.left) and "pairs" not in vars(session.right)
     assert cert.basis[0] is session.left and cert.basis[1] is session.right
-    assert cert.basis[0].pairs == r_left(cat, members).pairs
+    homotopy_congruence(cat, members)
+    given = certify_whitehead(cat, members, family=family, splitgen=splitgen).certificate
+    assert not any("pairs" in vars(rel) for rel in given.basis)
+    assert given.basis[0].pairs == r_left(cat, members).pairs
 
 
 def test_whitehead_failed_on_span():
@@ -448,7 +455,7 @@ def test_fork_witnesses_read_the_one_sided_relation_as_blocks():
 
 
 def _library_answers(cat, weqs):
-    """Every answer the functions reading the held session give."""
+    """Every answer the functions reading a fresh session give."""
     return (homotopy_congruence(cat, weqs), r_right(cat, weqs), r_left_comp(cat, weqs),
             r_right_comp(cat, weqs), certify_whitehead(cat, weqs),
             *(check(cat, weqs, side) for side in SIDES
@@ -473,11 +480,12 @@ def _spellings(cat, members):
 
 
 def test_library_calls_build_the_congruence_once(monkeypatch):
-    """homotopy_congruence and certify_whitehead, in either order, the
-    family named any way in each and the family stages given or not,
-    build the opposite category and the congruence once;
-    check_saturation and the other functions that read the held session
-    build neither again, nor a second fork condition."""
+    """One Analysis, the family named any way, read for its congruence,
+    Whitehead, saturation, both fork conditions and both closures,
+    builds the opposite category and the congruence once and the fork
+    condition once per side.  homotopy_congruence and certify_whitehead,
+    the family stages given or not, build the opposite category and the
+    congruence once per call."""
     calls = collections.Counter()
 
     def counted(name):
@@ -493,41 +501,29 @@ def test_library_calls_build_the_congruence_once(monkeypatch):
     counted("_fork_condition")
     for name in NAMES:
         cat, members, _raw = category(name)
-        spellings = list(_spellings(cat, members).values())
-        for first in spellings:
-            for second in spellings:
-                for given in (False, True):
-                    for congruence_first in (True, False):
-                        case = (name, first, second, given, congruence_first)
-                        cat = category(name)[0]
-                        stages = {}
-                        if given:
-                            family = check_weq_axioms(cat, second)
-                            stages = {"family": family,
-                                      "splitgen": check_split_generated(family)}
-                        calls.clear()
-                        if congruence_first:
-                            cong = homotopy_congruence(cat, first)
-                            res = certify_whitehead(cat, second, **stages)
-                        else:
-                            res = certify_whitehead(cat, second, **stages)
-                            cong = homotopy_congruence(cat, first)
-                        assert res.congruence is cong
-                        assert calls == {"opposite": 1, "least_congruence": 1}, case
-                        cert = res.certificate or WhiteheadCertificate(cong, {}, ())
-                        check_saturation(cat, first, cert)
-                        for side in SIDES:
-                            check_fork_condition(cat, second, side)
-                        r_right(cat, first), r_left_comp(cat, second), r_right_comp(cat, first)
-                        assert calls == {"opposite": 1, "least_congruence": 1,
-                                         "_fork_condition": 2}, case
+        for spelling, weqs in _spellings(cat, members).items():
+            case = (name, spelling)
+            calls.clear()
+            session = Analysis(cat, weqs)
+            session.congruence, session.whitehead, session.saturation
+            for side in SIDES:
+                session.fork_condition(side), session.closed(side)
+            assert calls == {"opposite": 1, "least_congruence": 1, "_fork_condition": 2}, case
+            family = check_weq_axioms(cat, weqs)
+            stages = {"family": family, "splitgen": check_split_generated(family)}
+            for call in (lambda: homotopy_congruence(cat, weqs),
+                         lambda: certify_whitehead(cat, weqs),
+                         lambda: certify_whitehead(cat, weqs, **stages)):
+                calls.clear()
+                call()
+                assert calls == {"opposite": 1, "least_congruence": 1}, case
 
 
 def test_library_calls_answer_as_a_fresh_session(mixed_corpus):
     """On one category, the families A, B (the identities), A again and
-    A named without its identities: every answer read from the held
-    session equals a fresh session's, though the family changes, and A
-    named either way reaches one session."""
+    A named without its identities: every function of hocat.homotopy
+    but r_left answers as a fresh session does, though the family
+    changes, and A named either way gets the same answers."""
     differ = 0
     for cat, members, _doc in mixed_corpus[:60]:
         named = sorted(cat.mor_name(w) for w in members - cat.identity_set)
@@ -536,47 +532,46 @@ def test_library_calls_answer_as_a_fresh_session(mixed_corpus):
             answers.append(_library_answers(cat, weqs))
             assert answers[-1] == _fresh_answers(cat, weqs)
         differ += answers[0] != answers[1]
-        assert homotopy._held(cat, members) is homotopy._held(cat, named)
         assert answers[3] == answers[2] == answers[0]
     assert differ >= 10
 
 
 def test_whitehead_does_not_depend_on_earlier_calls():
-    """certify_whitehead answers alike on a fresh category, after
-    check_saturation and after the held session's split generation; a
-    certified result carries no split generation."""
+    """certify_whitehead answers alike on a fresh category and after
+    check_saturation, and a session's Whitehead stage alike read first,
+    after saturation and after split generation; a certified result
+    carries no split generation."""
     for name in NAMES:
         cat, members, _raw = category(name)
         fresh = certify_whitehead(cat, members)
-        cat = category(name)[0]
         cong = homotopy_congruence(cat, members)
         check_saturation(cat, members, WhiteheadCertificate(cong, {}, ()))
         after_saturation = certify_whitehead(cat, members)
-        cat = category(name)[0]
-        homotopy._held(cat, members).splitgen
-        after_splitgen = certify_whitehead(cat, members)
-        assert fresh == after_saturation == after_splitgen, name
+        first, after_sat, after_splitgen = (Analysis(cat, members) for _ in range(3))
+        after_sat.saturation
+        after_splitgen.splitgen
+        assert fresh == after_saturation == first.whitehead == after_sat.whitehead \
+            == after_splitgen.whitehead, name
         assert fresh.certified == (fresh.split_generation is None), name
 
 
-def test_given_stages_stay_out_of_the_held_session(monkeypatch):
+def test_given_stages_stand_in_for_the_session_stages(monkeypatch):
     """certify_whitehead takes a given family's axiom check instead of
     its own and carries a given split generation on a failed result; a
-    certified result is the held session's either way, and the held
-    session computes neither."""
+    certified result is a fresh session's either way, and the session
+    computes neither stage."""
     cat, members, raw = category("f_retr")
     family = check_weq_axioms(cat, raw.weak_equivalences)  # identities implicit
     splitgen = check_split_generated(family)
     cong = homotopy_congruence(cat, members)
 
     def refuse(*_args):
-        raise AssertionError("the held session checked the family again")
+        raise AssertionError("the session checked the family again")
     monkeypatch.setattr(homotopy, "check_weq_axioms", refuse)
     monkeypatch.setattr(homotopy, "check_split_generated", refuse)
     res = certify_whitehead(cat, members, family=family, splitgen=splitgen)
-    assert res.congruence is cong and res.split_generation is None
+    assert res.congruence == cong and res.split_generation is None
     assert res == certify_whitehead(cat, members, family=family)
-    assert "family" not in vars(homotopy._held(cat, members))
     monkeypatch.undo()
     assert res == certify_whitehead(cat, members) == Analysis(cat, members).whitehead
 
@@ -604,6 +599,54 @@ def test_given_family_must_have_the_members():
     assert refused >= 3
 
 
+def _one_object(seed):
+    """A one-object category of gen_document."""
+    return validate_category(load_spec(gen_document(random.Random(seed), max_objects=1)))
+
+
+def test_given_family_must_be_of_the_category():
+    """A family given to certify_whitehead must be of the category named.
+    Of two one-object categories with 3 arrows, the family {0, 1} fails
+    two out of three in the first and passes in the second; the
+    second's is refused, not taken for the first's axiom check, and an
+    equal copy of the first stands for it."""
+    cat, other = _one_object(3), _one_object(105)
+    assert len(cat.morphisms) == len(other.morphisms) == 3 and cat != other
+    with pytest.raises(ValidationError, match="family axioms must hold before certification"):
+        certify_whitehead(cat, [0, 1])
+    foreign = check_weq_axioms(other, [0, 1])
+    assert foreign.report.axioms_ok
+    with pytest.raises(ValidationError) as exc:
+        certify_whitehead(cat, [0, 1], family=foreign)
+    assert str(exc.value) == "the given family is of another category"
+    copy = _one_object(3)
+    assert copy is not cat and copy == cat
+    with pytest.raises(ValidationError, match="family axioms must hold before certification"):
+        certify_whitehead(cat, [0, 1], family=check_weq_axioms(copy, [0, 1]))
+
+
+def test_a_category_read_by_a_wrapper_is_freed_without_the_collector():
+    """Every function of hocat.homotopy but r_left reads a fresh session
+    and keeps nothing on the category, so the category is no reference
+    cycle afterwards: it is freed as soon as its last reference goes,
+    with the cyclic collector off."""
+    def saturation(cat, members):
+        return check_saturation(cat, members, certify_whitehead(cat, members).certificate)
+
+    wrappers = (homotopy_congruence, certify_whitehead, saturation, r_right, r_left_comp,
+                r_right_comp, check_fork_condition, check_common_fork, check_rc_transitive)
+    for wrapper in wrappers:
+        cat, members, _raw = category("f_retr")
+        gc.disable()
+        try:
+            wrapper(cat, members)
+            freed = weakref.ref(cat)
+            del cat
+            assert freed() is None, wrapper.__name__
+        finally:
+            gc.enable()
+
+
 def test_given_split_generation_must_have_the_members():
     """A split generation given to certify_whitehead must be of the weak
     equivalences named.  On f_span its own (failed, missing f) is taken;
@@ -625,11 +668,11 @@ def test_given_split_generation_must_have_the_members():
 FOREIGN = "the certificate is not on the homotopy congruence of the family"
 
 
-def test_saturation_keeps_the_held_congruence():
-    """check_saturation returns the held session's report for a
-    certificate on its congruence (equal or the same object) and refuses
-    one on another congruence, leaving what the held session serves
-    unchanged."""
+def test_saturation_compares_the_congruence():
+    """check_saturation returns a fresh session's report for a
+    certificate on a congruence equal to the homotopy congruence (the
+    certificate's own or a copy) and refuses one on another congruence;
+    every other answer stays a fresh session's."""
     refused = 0
     for name in NAMES:
         cat, members, _raw = category(name)
@@ -637,15 +680,14 @@ def test_saturation_keeps_the_held_congruence():
         res = certify_whitehead(cat, members)
         cert = res.certificate or WhiteheadCertificate(cong, {}, ())
         report = check_saturation(cat, members, cert)
+        assert report == Analysis(cat, members).saturation
         equal = dataclasses.replace(cert, congruence=Congruence(cat, cong.classes))
-        assert check_saturation(cat, members, equal) is report
+        assert check_saturation(cat, members, equal) == report
         discrete = Congruence.discrete(cat)
         if cong != discrete:
             with pytest.raises(ValidationError, match=FOREIGN):
                 check_saturation(cat, members, dataclasses.replace(cert, congruence=discrete))
             refused += 1
-        assert homotopy_congruence(cat, members) is cong
-        assert certify_whitehead(cat, members) is res
         assert _library_answers(cat, members) == _fresh_answers(cat, members)
     assert refused >= 2
 
