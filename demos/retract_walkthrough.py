@@ -47,7 +47,7 @@ def main():
     print("whitehead verdict:", res.status)
     q = res.congruence.quotient
     print("quotient arrows:", ", ".join(
-        q.quotient.mor_name(i) for i in range(len(q.quotient.morphisms))))
+        q.mor_name(i) for i in range(len(q.morphisms))))
     for w in sorted(members):
         print(f"  inverse of [{names(w)}] is [{names(res.certificate.inverse_table[w])}]")
 

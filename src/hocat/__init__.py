@@ -2,15 +2,16 @@
 zigzag localization, and deformation chains.
 
 The package is organized bottom-up: fincat holds the table form and
-validation, congruence the quotient machinery, weq the family axioms
+validation, congruence the congruences, each with its quotient
+category, projection and inverse classes, weq the family axioms
 and split generation, homotopy the relation, its certification and the
 ``Analysis`` session that computes each stage once, zigzag the bounded
 move search with replayable traces, deformation the pointwise chains,
 and cli the file-driven pipeline.
 """
 
-from .congruence import (Congruence, Precongruence, QuotientResult, kernel_congruence,
-                         least_congruence, quotient, sigma_of)
+from .congruence import (Congruence, Precongruence, kernel_congruence, least_congruence,
+                         quotient, sigma_of)
 from .deformation import (ConjugationReport, Deformation, DeformationChain, HoCr,
                           InversionReport, build_ho_cr, check_conjugation,
                           check_inverts_w, compose_chain, validate_deformation)

@@ -155,7 +155,7 @@ def _homotopy_report(session, raw, budget):
 def _whitehead_report(session, raw, budget):
     cat, mn, wres = session.cat, session.cat.mor_name, session.whitehead
     if wres.certified:
-        q = session.congruence.quotient.quotient
+        q = session.congruence.quotient
         return {
             "whitehead": wres.status,
             "whitehead_detail": {"inverses": {

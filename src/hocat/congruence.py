@@ -13,12 +13,13 @@ arrows it relates pairwise, so a kernel class is one block, not its
 quadratically many pairs (f, g), f <= g, which are read off the blocks
 on demand; given pairs, degenerate ones included, are two-arrow blocks.
 A congruence stores a partition instead, where reflexivity is implicit,
-and is certified while its quotient category is built: a partition is
-closed under composition iff composing with each of the base's
-generators, on either side, keeps related arrows related, so the
-projection onto the quotient is a functor without a second check.
-``sigma_of`` reads that quotient for the arrows invertible up to the
-congruence.
+and is the quotient too: it is certified while it builds its quotient
+category, since a partition is closed under composition iff composing
+with each of the base's generators, on either side, keeps related
+arrows related, so it keeps the projection onto the quotient as a
+functor without a second check.  Its inverse classes are read off the
+quotient once, and ``sigma_of`` reads them for the arrows invertible
+up to the congruence.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import ValidationError
 from .fincat import CatFunctor, FinCat, Mor
 
 __all__ = [
-    "Precongruence", "Congruence", "QuotientResult",
+    "Precongruence", "Congruence",
     "least_congruence", "quotient",
     "kernel_congruence", "sigma_of",
 ]
@@ -94,13 +95,26 @@ class Precongruence:
 
 
 class Congruence:
-    """A certified congruence, stored as a partition of each hom-set.
+    """A certified congruence, stored as a partition of each hom-set,
+    with its quotient category and the projection onto it.
 
     The constructor checks that the classes partition hom-sets into
-    parallel blocks, then builds :attr:`quotient`, which certifies that
-    the relation is closed under composition on both sides; invalid
-    input raises.  Classes are numbered by their lowest member, so equal
-    congruences compare equal structurally.
+    parallel blocks, then builds :attr:`quotient`, whose classes compose
+    through their lowest members, rep, and :attr:`projection`.  The
+    projection is a functor iff [g∘f] = [rep(g)∘rep(f)] for every
+    composable (g, f), that is iff the relation is closed under
+    composition.  As every arrow is a composite of
+    :attr:`FinCat.generators` and the table is associative, that holds
+    iff each generator k, composed on either side, sends related arrows
+    to related arrows: iff [k∘f] = [k∘rep(f)] and [f∘k] = [rep(f)∘k] for
+    every f.  A non-discrete partition is certified that way, a discrete
+    one needs no check, and the projection is built unchecked.  Only
+    when a generator fails are all (g, f) scanned; the first one the
+    projection breaks on names a related pair whose composites part:
+    (rep(g), g) after f when [g∘f] differs from [rep(g)∘f], else
+    (rep(f), f) before rep(g).  Invalid input raises.  Classes are
+    numbered by their lowest member, so equal congruences compare equal
+    structurally.
     """
 
     def __init__(self, base: FinCat, classes: Iterable[Iterable[int]]):
@@ -131,8 +145,59 @@ class Congruence:
         for ci, cls in enumerate(self.classes):
             for m in cls:
                 class_of[m] = ci
-        self.class_of = tuple(class_of)
-        self.quotient = QuotientResult(self)
+        self.class_of = class_of = tuple(class_of)
+
+        table = base.table
+        reps = [cls[0] for cls in self.classes]
+        objects = range(len(base.objects))
+        qmorphisms = tuple(Mor(f"[{base.mor_name(r)}]", base.dom(r), base.cod(r)) for r in reps)
+        identity = tuple(class_of[base.identity[x]] for x in objects)
+        # Each representative's row read at every representative; a
+        # non-composable -1 reads the appended -1.  A discrete partition's
+        # class map is the identity, so its table is the base table; a
+        # lone class is the one arrow of a one-object quotient.
+        ext, gather = class_of + (-1,), itemgetter(*reps)
+        discrete = len(reps) == n
+        qtable = (table if discrete
+                  else [itemgetter(*gather(table[g]))(ext) for g in reps] if reps[1:] else [[0]])
+        self.quotient = FinCat(base.objects, qmorphisms, identity, qtable)
+        if not (discrete or self._stable(base, class_of, ext, reps)):
+            g, f = next((g, f) for g in range(n) for f in base.incoming[base.dom(g)]
+                        if class_of[table[g][f]] != qtable[class_of[g]][class_of[f]])
+            rg, rf = reps[class_of[g]], reps[class_of[f]]
+            if class_of[table[g][f]] != class_of[table[rg][f]]:
+                pair, u, v = (rg, g), f, base.identity[base.cod(g)]
+            else:
+                pair, u, v = (rf, f), base.identity[base.dom(f)], rg
+            name = base.mor_name
+            raise ValidationError(
+                "relation is not closed under composition: "
+                f"({name(pair[0])!r}, {name(pair[1])!r}) composed with "
+                f"u={name(u)!r}, v={name(v)!r}")
+        self.projection = CatFunctor.certified(base, self.quotient, tuple(objects), class_of)
+
+    @staticmethod
+    def _stable(base: FinCat, class_of, ext, reps) -> bool:
+        """Whether composing with each generator, on either side, keeps
+        related arrows related.  A generator's row (its column) read
+        through the class map gives the class of each composite, or -1;
+        read again at each arrow's representative, it must not change.
+        Two parallel arrows are composable with the same arrows."""
+        table = base.table
+        rep_of = itemgetter(*map(reps.__getitem__, class_of))
+        for k in base.generators:
+            after = itemgetter(*table[k])(ext)
+            before = itemgetter(*map(itemgetter(k), table))(ext)
+            if rep_of(after) != after or rep_of(before) != before:
+                return False
+        return True
+
+    @cached_property
+    def inverses(self) -> tuple[int | None, ...]:
+        """Each class's lowest-index two-sided inverse class in
+        :attr:`quotient`, or None: read once, for every reader of
+        invertibility up to the congruence."""
+        return tuple(map(self.quotient.inverse, range(len(self.classes))))
 
     def related(self, f, g) -> bool:
         return self.class_of[self.base.mor(f)] == self.class_of[self.base.mor(g)]
@@ -206,82 +271,16 @@ def least_congruence(rel: Precongruence) -> Congruence:
     return Congruence(base, groups.values())
 
 
-class QuotientResult:
-    """A quotient category together with its projection functor.
-
-    Classes compose through their lowest members, rep.  The projection
-    is a functor iff [g∘f] = [rep(g)∘rep(f)] for every composable
-    (g, f), that is iff the relation is closed under composition.  As
-    every arrow is a composite of :attr:`FinCat.generators` and the
-    table is associative, that holds iff each generator k, composed on
-    either side, sends related arrows to related arrows: iff [k∘f] =
-    [k∘rep(f)] and [f∘k] = [rep(f)∘k] for every f.  A non-discrete
-    partition is certified that way, a discrete one needs no check,
-    and the projection is built unchecked.  Only when a generator
-    fails are all (g, f) scanned; the first one the projection breaks
-    on names a related pair whose composites part: (rep(g), g) after
-    f when [g∘f] differs from [rep(g)∘f], else (rep(f), f) before
-    rep(g).
+def quotient(cat: FinCat, congruence: Congruence) -> Congruence:
+    """Quotient ``cat`` by a certified congruence: the congruence
+    itself, whose :attr:`Congruence.quotient` and
+    :attr:`Congruence.projection` were built with it.  Composition of
+    classes is independent of representatives exactly because the
+    congruence is closed, and the projection is what certified that.
     """
-
-    def __init__(self, congruence: Congruence):
-        base, class_of, table = congruence.base, congruence.class_of, congruence.base.table
-        reps = [cls[0] for cls in congruence.classes]
-        objects = range(len(base.objects))
-        morphisms = tuple(Mor(f"[{base.mor_name(r)}]", base.dom(r), base.cod(r)) for r in reps)
-        identity = tuple(class_of[base.identity[x]] for x in objects)
-        # Each representative's row read at every representative; a
-        # non-composable -1 reads the appended -1.  A discrete partition's
-        # class map is the identity, so its table is the base table; a
-        # lone class is the one arrow of a one-object quotient.
-        ext, gather = class_of + (-1,), itemgetter(*reps)
-        discrete = len(reps) == len(class_of)
-        qtable = (table if discrete
-                  else [itemgetter(*gather(table[g]))(ext) for g in reps] if reps[1:] else [[0]])
-        self.quotient = FinCat(base.objects, morphisms, identity, qtable)
-        if not (discrete or self._stable(base, class_of, ext, reps)):
-            g, f = next((g, f) for g in range(len(class_of)) for f in base.incoming[base.dom(g)]
-                        if class_of[table[g][f]] != qtable[class_of[g]][class_of[f]])
-            rg, rf = reps[class_of[g]], reps[class_of[f]]
-            if class_of[table[g][f]] != class_of[table[rg][f]]:
-                pair, u, v = (rg, g), f, base.identity[base.cod(g)]
-            else:
-                pair, u, v = (rf, f), base.identity[base.dom(f)], rg
-            name = base.mor_name
-            raise ValidationError(
-                "relation is not closed under composition: "
-                f"({name(pair[0])!r}, {name(pair[1])!r}) composed with "
-                f"u={name(u)!r}, v={name(v)!r}")
-        self.projection = CatFunctor.certified(base, self.quotient, tuple(objects), class_of)
-
-    @staticmethod
-    def _stable(base: FinCat, class_of, ext, reps) -> bool:
-        """Whether composing with each generator, on either side, keeps
-        related arrows related.  A generator's row (its column) read
-        through the class map gives the class of each composite, or -1;
-        read again at each arrow's representative, it must not change.
-        Two parallel arrows are composable with the same arrows."""
-        table = base.table
-        rep_of = itemgetter(*map(reps.__getitem__, class_of))
-        for k in base.generators:
-            after = itemgetter(*table[k])(ext)
-            before = itemgetter(*map(itemgetter(k), table))(ext)
-            if rep_of(after) != after or rep_of(before) != before:
-                return False
-        return True
-
-
-def quotient(cat: FinCat, congruence: Congruence) -> QuotientResult:
-    """Quotient ``cat`` by a certified congruence.
-
-    The result is the congruence's own :attr:`Congruence.quotient`,
-    built with it: composition of classes is independent of
-    representatives exactly because the congruence is closed, and the
-    projection functor it carries is what certified that.
-    """
-    if congruence.base != cat:
+    if congruence.base is not cat and congruence.base != cat:
         raise ValidationError("congruence was built over a different category")
-    return congruence.quotient
+    return congruence
 
 
 def kernel_congruence(functor: CatFunctor) -> Congruence:
@@ -303,9 +302,8 @@ def sigma_of(cat: FinCat, cong: Congruence) -> frozenset[int]:
     """
     if cong.base != cat:
         raise ValidationError("congruence was built over a different category")
-    qcat = cong.quotient.quotient
-    invertible = [qcat.inverse(c) is not None for c in range(len(cong.classes))]
-    return frozenset(f for f, c in enumerate(cong.class_of) if invertible[c])
+    inverses = cong.inverses
+    return frozenset(f for f, c in enumerate(cong.class_of) if inverses[c] is not None)
 
 
 def intransitive_triple(blocks) -> tuple[int, int, int] | None:

@@ -272,7 +272,7 @@ def _route_classes(cat, chain, cong: Congruence, arrows):
     identity = tuple(index[(x, x, class_of[cat.identity[chain.on_objects[x]]])]
                      for x in range(n_obj))
 
-    qtable = cong.quotient.quotient.table
+    qtable = cong.quotient.table
     k = len(entries)
     table = [[-1] * k for _ in range(k)]
     for gi, (y2, z, c2) in enumerate(entries):
@@ -406,7 +406,7 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
         theta_inv = {}
         for x in range(len(cat.objects)):
             t = localized_value(qcat, cong.class_of, chain.thetas[x])
-            inv = None if t is None else qcat.inverse(t)
+            inv = None if t is None else cong.inverses[t]
             if inv is None:
                 return failed("theta class is not invertible", x)
             theta_cls[x], theta_inv[x] = t, inv

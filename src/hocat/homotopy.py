@@ -9,7 +9,8 @@ forces on parallel arrows.
 ``certify_whitehead`` decides whether quotienting by that congruence
 already inverts the whole family, i.e. whether the quotient is the
 category's localization at the family.  Success yields a certificate
-with an explicit homotopy-inverse table; failure is either witnessed
+with an explicit homotopy-inverse table, read off the congruence's
+inverse classes (:attr:`Congruence.inverses`); failure is either witnessed
 (some formally connected hom-set is empty, so no quotient can be the
 localization) or reported as inconclusive.
 
@@ -686,11 +687,9 @@ class Analysis:
         cat, members, cong = self.cat, self.members, self.congruence
         if members <= self.sigma:
             # An inverse class is unique, so its lowest member is the
-            # lowest-index homotopy inverse; it is looked up once per class.
-            q, class_of = cong.quotient.quotient, cong.class_of
-            inverse = {c: cong.classes[q.inverse(c)][0]
-                       for c in set(map(class_of.__getitem__, members))}
-            inverse_table = {w: inverse[class_of[w]] for w in sorted(members)}
+            # lowest-index homotopy inverse.
+            classes, inverses, class_of = cong.classes, cong.inverses, cong.class_of
+            inverse_table = {w: classes[inverses[class_of[w]]][0] for w in sorted(members)}
             cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
             return WhiteheadResult("certified", cong, cert, None, None)
 

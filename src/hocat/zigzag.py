@@ -41,7 +41,6 @@ __all__ = [
 
 FWD, BWD = 0, 1
 DIR_NAMES = ("fwd", "bwd")
-DIR_WORDS = DIR_NAMES + ("forward", "backward")
 
 OMIT = "omit-identity"
 COMPOSE = "compose-same-direction"
@@ -51,10 +50,8 @@ CANCEL = "cancel-weq-pair"
 def _dir(d) -> int:
     if d in (FWD, BWD):
         return d
-    if d in ("fwd", "forward"):
-        return FWD
-    if d in ("bwd", "backward"):
-        return BWD
+    if d in DIR_NAMES:
+        return DIR_NAMES.index(d)
     raise FormatError(f"direction must be fwd or bwd, not {d!r}")
 
 
@@ -839,7 +836,7 @@ def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
             raise FormatError("zigzag step must be [morphism, direction]")
         name, direction = entry
         parsed.append((known_name(name, names, "zigzag step: unknown morphism"),
-                       known_name(direction, DIR_WORDS, "zigzag step: unknown direction")))
+                       known_name(direction, DIR_NAMES, "zigzag step: unknown direction")))
     return make_zigzag(cat, weqs, start, parsed)
 
 

@@ -319,6 +319,90 @@ def test_malformed_deformation_target(tmp_path, capsys, command, target):
     assert err.startswith("error: deformation.target") and "Traceback" not in err
 
 
+def _second_link(**fields):
+    """Append a trivial link on {a} after f_retr_def's link onto {a}."""
+    def mangle(doc):
+        link = {"direction": "left", "on_objects": {"a": "a"},
+                "on_morphisms": {"id:a": "id:a"}, "theta": {"a": "id:a"}}
+        link.update(fields)
+        doc["deformation"].append(link)
+    return mangle
+
+
+def _identity_link(doc):
+    """Retract f_retr_def onto all of itself, with s sent off its endpoints."""
+    doc["deformation"][0].update(
+        target={"objects": ["a", "b"]}, on_objects={"a": "a", "b": "b"},
+        on_morphisms={"id:a": "id:a", "id:b": "id:b", "s": "e", "r": "r", "e": "e"},
+        theta={"a": "id:a", "b": "id:b"})
+
+
+@pytest.mark.parametrize("mangle, code, message", [
+    (lambda d: d["subcategory"].update(morphisms="s"), 2,
+     "subcategory.morphisms: list required"),
+    (lambda d: d["subcategory"].update(morphisms=["zz"]), 2,
+     "subcategory references unknown morphism 'zz'"),
+    (lambda d: d["subcategory"].update(objects=["a", "b"], morphisms=["s", "r"]), 3,
+     "subcategory not closed under composition: 's' after 'r'"),
+    (_second_link(theta={"a": "id:a", "b": "s"}), 3,
+     "theta given for object 'b' outside its stage"),
+    (_second_link(theta={"a": "e"}), 3,
+     "theta component 'e' is not an arrow of the stage"),
+    (_second_link(on_morphisms={"id:a": "id:a", "s": "id:a"}), 3,
+     "deformation maps arrow 's' outside its stage"),
+    (_identity_link, 3, "image of 's' has endpoints off the retracted objects"),
+], ids=["morphisms-not-list", "morphisms-unknown", "not-closed", "theta-off-stage",
+        "theta-not-stage-arrow", "arrow-off-stage", "image-endpoints"])
+def test_subcategory_and_deformation_messages(tmp_path, capsys, mangle, code, message):
+    """Each check on a document's subcategory and deformation blocks
+    exits with its code (2 malformed, 3 invalid) and its own message."""
+    doc = json.loads(path("f_retr_def").read_text())
+    mangle(doc)
+    file = tmp_path / "category.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main(["deform", str(file)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_zigzag_direction_is_fwd_or_bwd(tmp_path, capsys, direction):
+    """A zigzag file names a step's direction fwd or bwd, nothing else."""
+    zz = tmp_path / "z.json"
+    zz.write_text(json.dumps({"start": "b", "steps": [["e", direction]]}))
+    assert cli.main(["zigzag", fx("f_retr"), "--equiv", str(zz), str(zz)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: zigzag step: unknown direction {direction!r}\n")
+
+
+def test_text_format_has_one_line_per_json_key(tmp_path, capsys):
+    """With --format text, quotient, deform, zigzag --from/--to and
+    zigzag --equiv print one unindented ``key:`` line per key of the
+    same command's JSON document, on every fixture: every pair of
+    objects for --from/--to, and each object's empty zigzag against its
+    identity step for --equiv, found equivalent and, at budget 0, not."""
+    runs = []
+    for name in NAMES:
+        runs += [["quotient", fx(name)], ["deform", fx(name)]]
+        objects = json.loads(path(name).read_text())["objects"]
+        runs += [["zigzag", fx(name), "--from", x, "--to", y] for x in objects for y in objects]
+        for x in objects:
+            files = [tmp_path / f"{name}-{x}-{k}.json" for k in (0, 1)]
+            files[0].write_text(json.dumps({"start": x, "steps": []}))
+            files[1].write_text(json.dumps({"start": x, "steps": [[f"id:{x}", "fwd"]]}))
+            equiv = ["zigzag", fx(name), "--equiv", *map(str, files)]
+            runs += [equiv, equiv + ["--budget", "0"]]
+    statuses = collections.Counter()
+    for argv in runs:
+        assert cli.main([*argv, "--format", "json"]) == 0, argv
+        doc = json.loads(capsys.readouterr().out)
+        statuses[doc.get("status")] += 1
+        assert cli.main([*argv, "--format", "text"]) == 0, argv
+        lines = capsys.readouterr().out.splitlines()
+        keys = [line.split(":", 1)[0] for line in lines if not line.startswith(" ")]
+        assert sorted(keys) == sorted(doc), (argv, lines)
+    assert statuses.keys() == {None, "connected", "unreachable", "equivalent", "unknown"}
+
+
 def test_deform_subcommand_reports_routes():
     proc = run_cli("deform", fx("f_def"), "--format", "json")
     doc = json.loads(proc.stdout)
@@ -425,7 +509,8 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     """Per category, one analyze finds the generating set, checks the
     family, builds the opposite, the congruence and the quotient at most
     once, and runs each side's fork condition and common fork once.
-    Quotients are counted where they are built, whoever asks for them."""
+    Congruences, which build their quotients, are counted where they are
+    built, whoever asks for them."""
     calls = collections.Counter()
     keep = []  # keeps every counted category alive, so ids stay unique
 
@@ -442,7 +527,7 @@ def test_analyze_computes_each_intermediate_once(monkeypatch):
     counted(homotopy, "check_split_generated", lambda family: family.base)
     counted(homotopy, "opposite", lambda cat: cat)
     counted(homotopy, "least_congruence", lambda rel: rel.base)
-    counted(congruence.QuotientResult, "__init__", lambda result, cong: cong.base)
+    counted(congruence.Congruence, "__init__", lambda cong, base, classes: base)
     counted(homotopy, "_fork_condition", lambda work, transposed, members, related, rel, side: work,
             lambda work, transposed, members, related, rel, side: side)
     real_generators = fincat.FinCat.generators.func
@@ -494,6 +579,30 @@ def test_analyze_reads_only_the_forks_it_needs(monkeypatch, tmp_path, capsys):
     for document in [fx(name) for name in NAMES] + [str(file)]:
         assert cli.main(["analyze", document, "--format", "json"]) == 0, document
         assert json.loads(capsys.readouterr().out)["forks"] != "skipped", document
+
+
+def test_analyze_reads_each_quotient_inverse_once(monkeypatch, tmp_path):
+    """One analyze asks its quotient for each class's inverse once, for
+    sigma and the Whitehead certificate together: on all functions
+    between sets of sizes 1, 2 and 3 with W every arrow, the 9 classes
+    make 9 ``one_sided_inverses`` calls on the quotient."""
+    calls = collections.Counter()
+    keep = []  # keeps every asked category alive, so ids stay unique
+    real = fincat.FinCat.one_sided_inverses
+
+    def counted(cat, f):
+        keep.append(cat)
+        calls[id(cat)] += 1
+        return real(cat, f)
+    monkeypatch.setattr(fincat.FinCat, "one_sided_inverses", counted)
+    file = tmp_path / "fun123.json"
+    file.write_text(json.dumps(all_functions_instance((1, 2, 3), "all")[2]))
+    report = cli.run_analysis(str(file))
+    assert report.data["whitehead"] == "certified"
+    quotients = {id(cat): cat for cat in keep if all(m.name[0] == "[" for m in cat.morphisms)}
+    assert len(quotients) == 1
+    (qid, q), = quotients.items()
+    assert len(q.morphisms) == 9 and calls[qid] == 9
 
 
 def test_single_stage_matches_full_report(tmp_path):
@@ -561,15 +670,31 @@ def test_parser_is_built_once_and_rejects_bad_arguments(capsys):
 
 def test_benchmark_traced_functions_exist():
     """Every function the benchmark's tracer wraps is still defined in hocat,
-    so a traced benchmark run cannot break on a deleted name."""
+    so a traced benchmark run cannot break on a renamed or deleted name;
+    every span a metric reads is one the tracer wraps; and a traced
+    analyze still passes through the congruence layer's functions."""
     file = pathlib.Path(__file__).parents[1] / "benchmarks" / "spans.py"
     spec = importlib.util.spec_from_file_location("spans", file)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    wrapped = set()
     for modname, names in spans.LAYERS.items():
         module = importlib.import_module(modname)
         for name in names:
             assert callable(getattr(module, name, None)), f"{modname}.{name}"
+        wrapped.update(names)
+    for metric, (_how, names, _status) in spans.METRICS.items():
+        assert names <= wrapped, metric
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.begin_op(0)
+        cli.run_analysis(fx("f_retr_def"))
+        tracer.end_op()
+    finally:
+        tracer.remove()
+    seen = {span[0] for span in tracer.spans}
+    assert {"least_congruence", "quotient", "sigma_of", "check_conjugation"} <= seen, seen
 
 
 def test_every_exported_name_resolves():

@@ -242,7 +242,7 @@ def test_congruence_is_freed_without_the_collector():
     its last reference goes, with the cyclic collector off."""
     cat, members, _r = category("f_retr")
     cong = least_congruence(r_left(cat, members))
-    assert cong.quotient.quotient.mor_name(cong.class_of[cat.mor("e")]) == "[id:b]"
+    assert cong.quotient.mor_name(cong.class_of[cat.mor("e")]) == "[id:b]"
     freed = weakref.ref(cong)
     gc.disable()
     try:
@@ -316,9 +316,8 @@ def test_discrete_quotient_is_the_gathered_one(tiny_corpus):
         identity = [class_of[i] for i in cat.identity]
         table = [[class_of[cat.table[g][f]] if cat.table[g][f] >= 0 else -1 for f in reps]
                  for g in reps]
-        q = cong.quotient
-        assert q.quotient == FinCat(cat.objects, morphisms, identity, table)
-        assert brute_broken_composite(cat, q.quotient, q.projection.on_morphisms) is None
+        assert cong.quotient == FinCat(cat.objects, morphisms, identity, table)
+        assert brute_broken_composite(cat, cong.quotient, cong.projection.on_morphisms) is None
 
 
 def test_quotient_names_use_lowest_representative():
@@ -348,3 +347,22 @@ def test_sigma_of_checks_base():
     other, _m2, _r2 = category("f_retr")
     with pytest.raises(ValidationError):
         sigma_of(cat, Congruence.discrete(other))
+
+
+def test_inverses_are_the_lowest_inverse_classes(mixed_corpus):
+    """Each class's recorded inverse is the lowest class it composes to
+    an identity with on both sides, or None; ``quotient`` checks the
+    base and hands back the congruence that carries them."""
+    rng = random.Random(9393)
+    other, _m, _r = category("f_retr")
+    for cat, _members, _doc in mixed_corpus[:60]:
+        cong = least_congruence(Precongruence(cat, sample_precongruence(rng, cat)))
+        table, ids = cong.quotient.table, set(cong.quotient.identity)
+        for c, inverse in enumerate(cong.inverses):
+            both = [d for d in range(len(cong.classes))
+                    if table[d][c] in ids and table[c][d] in ids]
+            assert inverse == min(both, default=None)
+        assert quotient(cat, cong) is cong
+        if cat != other:
+            with pytest.raises(ValidationError, match="different category"):
+                quotient(other, cong)

@@ -14,6 +14,7 @@ from hocat import (
     validate_category,
     validate_deformation,
 )
+from hocat.deformation import InversionReport
 from hocat.errors import ValidationError
 from hocat.fixtures import category
 from hocat.zigzag import BWD, FWD
@@ -394,3 +395,53 @@ def test_conjugation_lemma_route_right_deformation():
     rep = check_conjugation(cat, ALL_RETR_W, chain, hocr, cert=None, budget=8)
     assert rep.status == "verified"
     assert rep.route == "zigzag-lemma"
+
+
+def _message(call, *args, **kwargs) -> str:
+    """The message of the ValidationError ``call`` raises (exit 3 from the CLI)."""
+    with pytest.raises(ValidationError) as exc:
+        call(*args, **kwargs)
+    return str(exc.value)
+
+
+def test_membership_transfer_is_checked():
+    """Only a family failing two out of three reaches the transfer check:
+    with s a member and r not, r∘s = id:a would force r in."""
+    cat, _members, _raw = category("f_retr_def")
+    assert _message(validate_deformation, cat, ["s"], subcategory(cat, ["a"]), retr_block()) == (
+        "membership transfer fails at 'r': exactly one of it and its image is a weak equivalence")
+
+
+def test_chain_links_share_one_category():
+    cat, members, raw = category("f_retr_def")
+    link = validate_deformation(cat, members, subcategory(cat, ["a"]), raw.deformation[0])
+    other, omembers, oraw = category("f_def")
+    olink = validate_deformation(other, omembers, subcategory(other, ["x0"]), oraw.deformation[0])
+    assert _message(compose_chain, [link, olink]) == "chain links live in different categories"
+
+
+def test_build_ho_cr_checks_certificate_bases():
+    cat, members, chain, _cert0 = build_fixture_hocr("f_retr_def")
+    foreign = certify_whitehead(*category("f_iso")[:2]).certificate
+    assert chain.functorial and foreign is not None
+    assert _message(build_ho_cr, cat, members, chain, cert0=foreign) == (
+        "target certificate is not over the target subcategory")
+    assert _message(build_ho_cr, cat, members, chain, ambient_cert=foreign) == (
+        "ambient certificate is not over the ambient category")
+
+
+def test_check_inverts_w_names_a_failing_member():
+    """The identity deformation of one arrow f: a -> b with W the
+    identities; asked about f, which that Ho(C, r) does not invert, the
+    check names it.  The chain's own family is always inverted."""
+    cat = validate_category(load_spec({
+        "objects": ["a", "b"], "morphisms": [{"name": "f", "dom": "a", "cod": "b"}],
+        "composition": [], "weak_equivalences": []}))
+    link = validate_deformation(cat, [], subcategory(cat, ["a", "b"]), {
+        "direction": "left", "on_objects": {"a": "a", "b": "b"},
+        "on_morphisms": {"id:a": "id:a", "id:b": "id:b", "f": "f"},
+        "theta": {"a": "id:a", "b": "id:b"}})
+    hocr = build_ho_cr(cat, [], compose_chain([link]),
+                       ambient_cert=certify_whitehead(cat, []).certificate)
+    assert check_inverts_w(hocr, []) == InversionReport(ok=True, witness=None)
+    assert check_inverts_w(hocr, ["f"]) == InversionReport(ok=False, witness=cat.mor("f"))

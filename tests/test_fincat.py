@@ -682,9 +682,9 @@ def test_functor_names_the_first_broken_composite():
         lone = [(g, f) for g, f in cells
                 if sum(m.cod == cat.morphisms[g].dom for m in cat.morphisms) == 1]
         lone_rows += bool(lone)
-        proj = least_congruence(Precongruence(cat, sample_precongruence(rng, cat))).quotient
+        cong = least_congruence(Precongruence(cat, sample_precongruence(rng, cat)))
         for base, on in ((cat, tuple(range(len(cat.morphisms)))),
-                         (proj.quotient, proj.projection.on_morphisms)):
+                         (cong.quotient, cong.projection.on_morphisms)):
             for picks in ([rng.choice(cells)], rng.sample(cells, min(2, len(cells))),
                           [rng.choice(lone)] if lone else []):
                 table = [list(row) for row in base.table]

@@ -22,8 +22,9 @@ from hocat import zigzag
 from hocat.errors import FormatError, MoveError, ValidationError
 from hocat.fixtures import NAMES, category
 from hocat.fincat import resolve_weqs
-from hocat.zigzag import (BWD, CANCEL, COMPOSE, FWD, OMIT, _Engine, _search, localized_value,
-                          trace_to_json)
+from hocat.weq import SplitCertificate
+from hocat.zigzag import (BWD, CANCEL, COMPOSE, FWD, OMIT, Move, _Engine, _search,
+                          localized_value, trace_to_json)
 
 from gencat import all_functions_instance, gen_any_instance
 from oracles import parallel_pairs, raw_reachable, single_arrow_relation
@@ -88,6 +89,36 @@ def test_apply_move_rejects_bad_uses():
             continue
         with pytest.raises(MoveError):
             apply_move(cat, members, z, kind, pos, direction, payload)
+
+
+@pytest.mark.parametrize("start, steps, move, position, direction, payload, message", [
+    ("a", [("s", "fwd"), ("r", "fwd")], OMIT, 5, "apply", None, "no identity step at position 5"),
+    ("a", [("s", "fwd"), ("r", "fwd")], OMIT, 3, "unapply", ("id:a", "fwd"),
+     "boundary 3 out of range"),
+    ("a", [("s", "fwd"), ("r", "fwd")], OMIT, 0, "unapply", None,
+     "inserting an identity needs (morphism, dir)"),
+    ("a", [("s", "fwd"), ("r", "fwd")], COMPOSE, 2, "unapply", ("s", "id:a"),
+     "no step at position 2"),
+    ("a", [("s", "fwd"), ("r", "fwd")], COMPOSE, 0, "unapply", None,
+     "splitting needs (first, second)"),
+    ("b", [("s", "bwd"), ("r", "bwd")], COMPOSE, 0, "apply", None,
+     "composite 'e' of backward steps is not a weak equivalence"),
+    ("a", [("s", "fwd"), ("r", "fwd")], CANCEL, 1, "apply", None, "no adjacent pair at position 1"),
+    ("a", [("s", "fwd"), ("r", "fwd")], CANCEL, -1, "unapply", ("s", "fwd"),
+     "boundary -1 out of range"),
+    ("a", [("s", "fwd"), ("r", "fwd")], CANCEL, 2, "unapply", ("e", "fwd"),
+     "'e' is not a weak equivalence"),
+    ("a", [("s", "fwd"), ("r", "fwd")], "slide", 0, "apply", None, "unknown move 'slide'"),
+], ids=["omit-step", "omit-boundary", "omit-payload", "split-step", "split-payload",
+        "backward-composite", "cancel-pair", "cancel-boundary", "cancel-non-member", "unknown"])
+def test_apply_move_messages(start, steps, move, position, direction, payload, message):
+    """Each inapplicable move raises a MoveError (exit 3 from the CLI) with
+    its own message; W is s and r without their composite e."""
+    cat, _members, _r = category("f_retr")
+    z = make_zigzag(cat, ["s", "r"], start, steps)
+    with pytest.raises(MoveError) as exc:
+        apply_move(cat, ["s", "r"], z, move, position, direction, payload)
+    assert str(exc.value) == message
 
 
 def test_backward_compose_needs_member_composite():
@@ -354,9 +385,27 @@ def test_reduce_backward_splits_turns_sections_around():
     assert out3.zigzag.steps == ()
 
 
+def test_reduce_backward_splits_peels_long_decompositions_and_omits_identities():
+    """A decomposition of three or more factors is peeled one factor at a
+    time, and a backward identity step is omitted."""
+    cat, members, _r = category("f_retr")
+    splits = check_split_generated(check_weq_axioms(cat, members)).certificate
+    s, r, e = cat.mor("s"), cat.mor("r"), cat.mor("e")
+    # e = s∘r∘s∘r: the factors in the order applied, r first
+    long = SplitCertificate(split_weqs=splits.split_weqs, decompositions={e: (r, s, r, s)})
+    out = reduce_backward_splits(cat, members, long, make_zigzag(cat, members, "b", [("e", "bwd")]))
+    assert out.zigzag.steps == ((e, FWD),)
+    assert out.trace.moves[:3] == (Move(COMPOSE, "unapply", 0, (s, r)),
+                                   Move(COMPOSE, "unapply", 0, (e, s)),
+                                   Move(COMPOSE, "unapply", 0, (s, r)))
+    assert replay(cat, members, out.trace) == out.zigzag
+    z = make_zigzag(cat, members, "b", [("id:b", "bwd")])
+    out = reduce_backward_splits(cat, members, splits, z)
+    assert out.zigzag.steps == () and out.trace.moves == (Move(OMIT, "apply", 0),)
+
+
 def test_reduce_backward_splits_needs_decomposition():
     cat, members, _r = category("f_retr")
-    from hocat.weq import SplitCertificate
     hollow = SplitCertificate(split_weqs=(), decompositions={})
     z = make_zigzag(cat, members, "b", [("e", "bwd")])
     with pytest.raises(ValidationError) as exc:
@@ -367,7 +416,7 @@ def test_reduce_backward_splits_needs_decomposition():
 def test_ho_hom_on_isomorphism_pair():
     cat, members, _r = category("f_iso")
     cert = certify_whitehead(cat, members).certificate
-    q = cert.congruence.quotient.quotient.hom(cat.obj("a"), cat.obj("b"))
+    q = cert.congruence.quotient.hom(cat.obj("a"), cat.obj("b"))
     assert len(q) == 1
 
 
