@@ -8,10 +8,10 @@ reports, error messages).
 Composition convention: ``table[g][f]`` is "f first, then g", i.e. the
 usual g∘f, and is -1 unless ``cod(f) == dom(g)``.  Input documents use
 the same convention through ``{"after": g, "before": f, "equals": h}``
-entries, whose names parsing resolves to arrow indices once, a column
-at a time.  Identity arrows carry the reserved name ``id:<object>`` and
-are synthesized when a document omits them; they always occupy the
-lowest indices, in object order.
+entries, read once, in document order: the first entry whose names do
+not resolve to arrows is named in the error.  Identity arrows carry the
+reserved name ``id:<object>`` and are synthesized when a document omits
+them; they always occupy the lowest indices, in object order.
 
 A category's objects, arrows and table never change after construction.
 It caches in its ``vars``, on first use, its ``generators`` (with the
@@ -26,7 +26,6 @@ import json
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import repeat
 from operator import itemgetter, neg
 from typing import Iterable, Sequence
 
@@ -221,7 +220,7 @@ class RawCategory:
 
     Objects and arrows are by name.  ``morphisms`` lists identities first
     (object order, reserved names), then the declared arrows in
-    declaration order.  ``composition`` is three columns of indices into
+    declaration order.  ``composition`` is three lists of indices into
     ``morphisms``, after, before and equals, in document order.
     ``subcategory`` and ``deformation`` are the document's blocks as
     given, or None.  Where the document came from is the caller's.
@@ -229,7 +228,7 @@ class RawCategory:
 
     objects: tuple[str, ...]
     morphisms: tuple[tuple[str, str, str], ...]     # (name, dom, cod)
-    composition: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+    composition: tuple[list[int], list[int], list[int]]
     weak_equivalences: tuple[str, ...]
     subcategory: dict | None
     deformation: tuple[dict, ...] | None
@@ -251,15 +250,17 @@ def known_name(value, pool, what: str) -> str:
     return value
 
 
-def _all_names(values, pool: set[str]) -> bool:
-    """Whether every value is a name in ``pool``, a set of strings.
-
-    An unhashable value, such as a list, is in no set of strings.
-    """
-    try:
-        return pool.issuperset(values)
-    except TypeError:
-        return False
+def _unresolved(entry, pool) -> FormatError:
+    """The error for a composition entry whose names did not resolve,
+    checked in order: not an object, other keys than after/before/equals,
+    then the first name that is not in ``pool``."""
+    if not isinstance(entry, dict):
+        return FormatError("composition: entries must be objects")
+    if set(entry) != {"after", "before", "equals"}:
+        return FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
+    name = next(v for v in map(entry.__getitem__, ("after", "before", "equals"))
+                if not (isinstance(v, str) and v in pool))
+    return FormatError(f"composition entry references unknown morphism {name!r}")
 
 
 def load_spec(document) -> RawCategory:
@@ -311,34 +312,30 @@ def load_spec(document) -> RawCategory:
             continue
         plain.append((name, dom, cod))
     morphisms = tuple(identities[o] for o in objects) + tuple(plain)
-    mor_names = {m[0] for m in morphisms}
+    mor_index = {m[0]: i for i, m in enumerate(morphisms)}  # also the pool of names
 
-    # Each name is resolved to its arrow index once, a column at a time.
-    # Only when an entry is not a three-key object, or a name is unknown
-    # or unhashable, does the entry-by-entry loop run; it raises on the
-    # first bad entry in document order.
+    # One pass writes each entry's indices into three lists sized up
+    # front, and stops at the first entry it cannot resolve.  Copies into
+    # tuples, or spare capacity from appending, would cost memory.
     composition = document.get("composition", [])
     _require(isinstance(composition, list), "composition: list required")
-    index = {m[0]: i for i, m in enumerate(morphisms)}.__getitem__
-    try:  # an entry of three keys, these among them, has exactly these
-        if not all(map(isinstance, composition, repeat(dict))) or set(map(len, composition)) - {3}:
-            raise KeyError
-        columns = tuple(tuple(map(index, map(itemgetter(k), composition)))
-                        for k in ("after", "before", "equals"))
-    except (KeyError, TypeError):
-        for entry in composition:
-            _require(isinstance(entry, dict), "composition: entries must be objects")
-            if set(entry) != {"after", "before", "equals"}:
-                raise FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
-            for k in ("after", "before", "equals"):
-                known_name(entry[k], mor_names, "composition entry references unknown morphism")
-        raise  # not reached: the loop names the entry the columns missed
+    n = len(composition)
+    columns = after, before, equals = [0] * n, [0] * n, [0] * n
+    for k, entry in enumerate(composition):
+        try:  # an entry of three keys, these among them, has exactly these
+            if isinstance(entry, dict) and len(entry) == 3:
+                after[k] = mor_index[entry["after"]]
+                before[k] = mor_index[entry["before"]]
+                equals[k] = mor_index[entry["equals"]]
+                continue
+        except (KeyError, TypeError):
+            pass
+        raise _unresolved(entry, mor_index)
 
     weqs = document.get("weak_equivalences", [])
     _require(isinstance(weqs, list), "weak_equivalences: list required")
-    if not _all_names(weqs, mor_names):
-        for w in weqs:
-            known_name(w, mor_names, "weak_equivalences references unknown morphism")
+    for w in weqs:
+        known_name(w, mor_index, "weak_equivalences references unknown morphism")
     _require(len(set(weqs)) == len(weqs), "duplicate weak equivalence name")
 
     def check_subcategory(sub, where: str):
@@ -351,7 +348,7 @@ def load_spec(document) -> RawCategory:
         if "morphisms" in sub:
             _require(isinstance(sub["morphisms"], list), f"{where}.morphisms: list required")
             for m in sub["morphisms"]:
-                known_name(m, mor_names, f"{where} references unknown morphism")
+                known_name(m, mor_index, f"{where} references unknown morphism")
 
     subcat = document.get("subcategory")
     if subcat is not None:
@@ -373,14 +370,14 @@ def load_spec(document) -> RawCategory:
             for field_name in ("on_objects", "theta"):
                 m = block[field_name]
                 _require(isinstance(m, dict), f"deformation.{field_name}: object map required")
-                pool = obj_set if field_name == "on_objects" else mor_names
+                pool = obj_set if field_name == "on_objects" else mor_index
                 for k, v in m.items():
                     known_name(k, obj_set, f"deformation.{field_name}: unknown object")
                     known_name(v, pool, f"deformation.{field_name}: unknown reference")
             _require(isinstance(block["on_morphisms"], dict), "deformation.on_morphisms: object map required")
             for k, v in block["on_morphisms"].items():
-                known_name(k, mor_names, "deformation.on_morphisms: unknown morphism")
-                known_name(v, mor_names, "deformation.on_morphisms: unknown morphism")
+                known_name(k, mor_index, "deformation.on_morphisms: unknown morphism")
+                known_name(v, mor_index, "deformation.on_morphisms: unknown morphism")
             if block.get("target") is not None:
                 check_subcategory(block["target"], "deformation.target")
         deformation = tuple(deformation)

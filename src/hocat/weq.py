@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ValidationError
-from .fincat import FinCat, resolve_weqs
+from .fincat import FinCat
 
 __all__ = [
     "AxiomReport", "WeqFamily", "SplitCertificate", "SplitGenResult",
@@ -66,8 +66,9 @@ def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
     failure.  Weak invertibility is reported alongside but does not
     gate anything here.
     """
-    members = set(resolve_weqs(cat, weqs))
-    inserted = tuple(sorted(set(cat.identity_set) - {cat.mor(w) for w in weqs}))
+    declared = {cat.mor(w) for w in weqs}
+    inserted = tuple(sorted(cat.identity_set - declared))
+    members = cat.identity_set | declared
 
     two_ok, two_wit = True, None
     g = _two_of_three_row(cat, members)
@@ -98,10 +99,10 @@ def check_weq_axioms(cat: FinCat, weqs: Iterable) -> WeqFamily:
         weak_invertibility_ok=weak_ok,
         weak_invertibility_witness=weak_wit,
     )
-    return WeqFamily(cat, frozenset(members), report)
+    return WeqFamily(cat, members, report)
 
 
-def _two_of_three_row(cat: FinCat, members: set[int]) -> int | None:
+def _two_of_three_row(cat: FinCat, members: frozenset[int]) -> int | None:
     """The lowest g with some f for which two of f, g, g∘f are members.
 
     Row g is read at the arrows into its domain, members and the rest

@@ -13,7 +13,8 @@ import itertools
 from hocat.fincat import load_spec, resolve_weqs, validate_category
 from hocat.weq import check_split_generated, check_weq_axioms
 
-from oracles import composable_pairs, parallel_pairs
+from oracles import (composable_pairs, f2_apply, f2_matrices, f2_vectors, is_quasi_iso,
+                     parallel_pairs)
 
 
 def _close_functions(sizes, seeds, cap):
@@ -147,6 +148,41 @@ def function_instance(sizes, seeds, weqs):
     name = {a: f"m{k}" for k, a in enumerate(plain)}
     name.update((a, n) for n, a in seeds.items())
     return _instance(sizes, plain, name, [seeds[n] for n in weqs])
+
+
+def chain_complex_instance(max_dim=1):
+    """Bounded chain complexes of F₂-vector spaces in degrees 0..1, of
+    dimensions at most ``max_dim``, one per (dimensions, rank) class,
+    with every chain map between them and the quasi-isomorphisms as the
+    members.
+
+    A chain map is taken as the function it is on the disjoint union of
+    its source's two degrees, so composites are composites of functions.
+    Returns (cat, members, doc, maps), ``maps[k]`` being arrow k as
+    (source, target, f0, f1) in the form the homology oracle reads.
+    """
+    complexes = [(n0, n1, tuple(tuple(int(i == j < r) for j in range(n1)) for i in range(n0)))
+                 for n0 in range(max_dim + 1) for n1 in range(max_dim + 1)
+                 for r in range(min(n0, n1) + 1)]
+    maps = {}
+    for s, (n0, n1, d) in enumerate(complexes):
+        for t, (m0, m1, e) in enumerate(complexes):
+            for f0, f1 in itertools.product(f2_matrices(m0, n0), f2_matrices(m1, n1)):
+                if all(f2_apply(e, f2_apply(f1, u)) == f2_apply(f0, f2_apply(d, u))
+                       for u in f2_vectors(n1)):
+                    v0, v1 = f2_vectors(m0), f2_vectors(m1)
+                    graph = (tuple(v0.index(f2_apply(f0, v)) for v in f2_vectors(n0))
+                             + tuple(len(v0) + v1.index(f2_apply(f1, u)) for u in f2_vectors(n1)))
+                    maps[s, t, graph] = (complexes[s], complexes[t], f0, f1)
+    sizes = [2 ** n0 + 2 ** n1 for n0, n1, _d in complexes]
+    ids = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
+    plain = [a for a in maps if a not in ids]
+    name = {a: f"m{k}" for k, a in enumerate(plain)}
+    cat, members, doc = _instance(sizes, plain, name, [a for a in plain if is_quasi_iso(*maps[a])])
+    by_index = [None] * len(cat.morphisms)
+    for a, chain_map in maps.items():
+        by_index[cat.identity[a[0]] if a in ids else cat.mor(name[a])] = chain_map
+    return cat, members, doc, by_index
 
 
 def _two_of_three_close(cat, members):

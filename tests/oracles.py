@@ -512,3 +512,62 @@ def replays_homotopy(cat, members, side, witness):
             and after(fork.collapse, l0) == after(fork.collapse, l1) == fork.base
             and after(witness.mediator, l0) == witness.f
             and after(witness.mediator, l1) == witness.g)
+
+
+# -- chain complexes over F₂ ----------------------------------------------
+#
+# Plain linear algebra, no hocat code.  A complex in degrees 0..1 is
+# (n0, n1, d) with d: F₂^n1 -> F₂^n0 a tuple of n0 rows of n1 bits; a
+# chain map (f0, f1) from (n0, n1, d) to (m0, m1, e) has f0 an m0 x n0
+# and f1 an m1 x n1 matrix with e·f1 = f0·d.  Over a field every complex
+# is fibrant and cofibrant, the quasi-isomorphisms are the weak
+# equivalences, and two chain maps are homotopic iff they agree on
+# homology.
+
+def f2_vectors(n):
+    """Every vector of F₂^n, in a fixed order (the zero vector first)."""
+    return list(itertools.product((0, 1), repeat=n))
+
+
+def f2_matrices(rows, cols):
+    """Every rows x cols matrix over F₂."""
+    return list(itertools.product(itertools.product((0, 1), repeat=cols), repeat=rows))
+
+
+def f2_apply(m, v):
+    """The matrix ``m`` applied to the vector ``v``."""
+    return tuple(sum(a & b for a, b in zip(row, v)) % 2 for row in m)
+
+
+def _cycles(cx):
+    _n0, n1, d = cx
+    return [v for v in f2_vectors(n1) if not any(f2_apply(d, v))]
+
+
+def _homology_classes(cx):
+    """H₀ of ``cx`` as the function from each vector of degree 0 to its
+    class, the coset of the boundaries through it."""
+    n0, n1, d = cx
+    boundaries = {f2_apply(d, u) for u in f2_vectors(n1)}
+    return {v: frozenset(tuple(a ^ b for a, b in zip(v, w)) for w in boundaries)
+            for v in f2_vectors(n0)}
+
+
+def homology_map(src, tgt, f0, f1):
+    """What the chain map (f0, f1): src -> tgt induces on homology: the
+    image of each cycle of degree 1 (no boundaries there), and the class
+    of the image of each vector of degree 0.  Parallel chain maps agree
+    on homology iff these are equal."""
+    h0 = _homology_classes(tgt)
+    return (tuple(f2_apply(f1, z) for z in _cycles(src)),
+            tuple(h0[f2_apply(f0, v)] for v in f2_vectors(src[0])))
+
+
+def is_quasi_iso(src, tgt, f0, f1):
+    """Does (f0, f1) induce a bijection on H₁ and on H₀?"""
+    h1, h0 = homology_map(src, tgt, f0, f1)
+    cycles = _cycles(tgt)
+    on_classes = dict(zip(_homology_classes(src).values(), h0))
+    targets = set(_homology_classes(tgt).values())
+    return (set(h1) == set(cycles) and len(h1) == len(cycles)
+            and set(on_classes.values()) == targets and len(on_classes) == len(targets))

@@ -122,6 +122,16 @@ def number_in_weak_equivalences(doc):
     return "weak_equivalences references unknown morphism 7"
 
 
+def list_in_weak_equivalences(doc):
+    doc["weak_equivalences"] = [["x"], "nope"]
+    return "weak_equivalences references unknown morphism ['x']"
+
+
+def unknown_weak_equivalence_before_duplicate(doc):
+    doc["weak_equivalences"] = ["nope", "s", "s"]
+    return "weak_equivalences references unknown morphism 'nope'"
+
+
 def list_entry(doc):
     doc["composition"][2] = ["e", "e", "e"]
     return "composition: entries must be objects"
@@ -165,6 +175,8 @@ def empty_composition(doc):
     (unknown_name_before_bad_shape, FormatError),
     (bad_shape_before_unknown_name, FormatError),
     (number_in_weak_equivalences, FormatError),
+    (list_in_weak_equivalences, FormatError),
+    (unknown_weak_equivalence_before_duplicate, FormatError),
     (list_entry, FormatError),
     (mapping_proxy_entry, FormatError),
     (number_as_name, FormatError),

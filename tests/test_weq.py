@@ -21,6 +21,10 @@ def test_axioms_pass_on_split_retract():
     bare = check_weq_axioms(cat, ["s", "r", "e"])
     assert bare.report.inserted_identities == tuple(sorted(cat.identity_set))
     assert bare.members == fam.members
+    named = ["id:a", "s", "r", "e"]
+    once = check_weq_axioms(cat, iter(named))  # the names are read once
+    assert once.report == check_weq_axioms(cat, named).report
+    assert once.report.inserted_identities == (cat.mor("id:b"),)
 
 
 def test_two_of_three_violation_witnessed():
