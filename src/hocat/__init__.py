@@ -13,8 +13,8 @@ and cli the file-driven pipeline.
 from .congruence import (Congruence, Precongruence, kernel_congruence, least_congruence,
                          quotient, sigma_of)
 from .deformation import (ConjugationReport, Deformation, DeformationChain, HoCr,
-                          InversionReport, build_ho_cr, check_conjugation,
-                          check_inverts_w, compose_chain, validate_deformation)
+                          build_ho_cr, check_conjugation, check_inverts_w,
+                          compose_chain, validate_deformation)
 from .errors import FormatError, HocatError, MoveError, ValidationError
 from .fincat import (CatFunctor, FinCat, Mor, RawCategory, Subcategory, load_file,
                      load_spec, opposite, resolve_weqs, subcategory, validate_category)

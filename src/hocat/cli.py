@@ -168,11 +168,11 @@ def _whitehead_report(session, raw, budget):
         }
     detail = {}
     if wres.status == "failed":
-        w = wres.witness
+        z = wres.witness
         detail = {"witness": {
-            "source": cat.obj_name(w.source),
-            "target": cat.obj_name(w.target),
-            "zigzag": zigzag_to_json(cat, w.zigzag),
+            "source": cat.obj_name(z.source),
+            "target": cat.obj_name(z.target),
+            "zigzag": zigzag_to_json(cat, z),
         }}
     return {"whitehead": wres.status, "whitehead_detail": detail, "quotient": "skipped"}
 
@@ -210,7 +210,7 @@ def _deformation_report(session, raw, budget):
         return {"deformation": "absent", "ho_cr": "absent"}
     cat, members = session.cat, session.members
     mn, on = cat.mor_name, cat.obj_name
-    ambient = subcategory(cat, range(len(cat.objects)))
+    ambient = None  # the first link's stage is the whole category
     links = []
     for block in raw.deformation:
         tgt = block.get("target") or raw.subcategory
@@ -245,8 +245,8 @@ def _deformation_report(session, raw, budget):
             "route": hocr.route,
             "arrows": len(hocr.category.morphisms),
             "homs": _hom_listing(hocr.category),
-            "inverts_w": inv.ok,
-            "inverts_w_witness": mn(inv.witness) if inv.witness is not None else None,
+            "inverts_w": inv is None,
+            "inverts_w_witness": None if inv is None else mn(inv),
             "conjugation": {
                 "status": conj.status,
                 "route": conj.route,

@@ -26,7 +26,7 @@ from .homotopy import WhiteheadCertificate
 from .zigzag import BWD, FWD, Zigzag, bounded_equiv, localized_value, make_zigzag
 
 __all__ = [
-    "Deformation", "DeformationChain", "HoCr", "InversionReport",
+    "Deformation", "DeformationChain", "HoCr",
     "ConjugationReport", "validate_deformation", "compose_chain",
     "build_ho_cr", "check_inverts_w", "check_conjugation",
 ]
@@ -191,19 +191,16 @@ def compose_chain(links) -> DeformationChain:
             raise ValidationError(
                 "chain links do not compose: a stage differs from the previous target")
 
-    on_obj: dict[int, int] = {}
     on_mor: dict[int, int] = {}
-    for x in links[0].ambient.objects:
-        cur = x
-        for d in links:
-            cur = d.on_objects[cur]
-        on_obj[x] = cur
     for f in links[0].ambient.morphisms:
         cur = f
         for d in links:
             cur = d.on_morphisms[cur]
         on_mor[f] = cur
 
+    # Each object's walk through the stages gives its composite theta,
+    # and its last stage is the object's image.
+    on_obj: dict[int, int] = {}
     thetas: dict[int, Zigzag] = {}
     for x in links[0].ambient.objects:
         stage = [x]
@@ -218,6 +215,7 @@ def compose_chain(links) -> DeformationChain:
         if z.target != x:
             raise RuntimeError("internal inconsistency: composite theta misses its object")
         thetas[x] = z
+        on_obj[x] = stage[-1]
 
     return DeformationChain(
         cat=cat, target=links[-1].target,
@@ -329,22 +327,15 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
                 classes=memberships)
 
 
-@dataclass(frozen=True)
-class InversionReport:
-    """Whether gamma_r sends every weak equivalence to an invertible arrow."""
-
-    ok: bool
-    witness: int | None
-
-
-def check_inverts_w(hocr: HoCr, weqs) -> InversionReport:
-    """Scan every member for a two-sided inverse of its image class."""
+def check_inverts_w(hocr: HoCr, weqs) -> int | None:
+    """The lowest member whose image under gamma_r has no two-sided
+    inverse, or None when gamma_r inverts every weak equivalence."""
     cat = hocr.chain.cat
     members = resolve_weqs(cat, weqs)
     for w in sorted(members):
         if hocr.category.inverse(hocr.gamma.on_morphisms[w]) is None:
-            return InversionReport(ok=False, witness=w)
-    return InversionReport(ok=True, witness=None)
+            return w
+    return None
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,6 +50,22 @@ class Mor:
     cod: int
 
 
+def _lookup(x, index: dict, n: int, what: str) -> int:
+    """The index ``x`` names among ``n`` objects or morphisms: a name in
+    ``index``, or an int (a bool reads as its int) in range."""
+    if isinstance(x, str):
+        try:
+            return index[x]
+        except KeyError:
+            raise ValidationError(f"unknown {what} {x!r}") from None
+    if not isinstance(x, int):
+        raise ValidationError(f"{what} must be a name or an index, not {x!r}")
+    i = int(x)
+    if not 0 <= i < n:
+        raise ValidationError(f"{what} index {i} out of range")
+    return i
+
+
 class FinCat:
     """A finite category with a validated, total composition table.
 
@@ -85,29 +101,13 @@ class FinCat:
         """Object index from a name or an index."""
         if type(x) is int and 0 <= x < len(self.objects):
             return x
-        if isinstance(x, str):
-            try:
-                return self._obj_index[x]
-            except KeyError:
-                raise ValidationError(f"unknown object {x!r}") from None
-        i = int(x)
-        if not 0 <= i < len(self.objects):
-            raise ValidationError(f"object index {i} out of range")
-        return i
+        return _lookup(x, self._obj_index, len(self.objects), "object")
 
     def mor(self, x) -> int:
         """Morphism index from a name or an index."""
         if type(x) is int and 0 <= x < len(self.morphisms):
             return x
-        if isinstance(x, str):
-            try:
-                return self._mor_index[x]
-            except KeyError:
-                raise ValidationError(f"unknown morphism {x!r}") from None
-        i = int(x)
-        if not 0 <= i < len(self.morphisms):
-            raise ValidationError(f"morphism index {i} out of range")
-        return i
+        return _lookup(x, self._mor_index, len(self.morphisms), "morphism")
 
     def obj_name(self, i: int) -> str:
         return self.objects[i]
@@ -257,7 +257,8 @@ def _unresolved(entry, pool) -> FormatError:
     if not isinstance(entry, dict):
         return FormatError("composition: entries must be objects")
     if set(entry) != {"after", "before", "equals"}:
-        return FormatError(f"composition entry needs exactly after/before/equals, got {sorted(entry)}")
+        return FormatError("composition entry needs exactly after/before/equals, got "
+                           f"{sorted(entry, key=str)}")
     name = next(v for v in map(entry.__getitem__, ("after", "before", "equals"))
                 if not (isinstance(v, str) and v in pool))
     return FormatError(f"composition entry references unknown morphism {name!r}")
@@ -298,7 +299,7 @@ def load_spec(document) -> RawCategory:
     for entry in declared:
         _require(isinstance(entry, dict), "morphisms: entries must be objects")
         if set(entry) != {"name", "dom", "cod"}:
-            raise FormatError(f"morphism entry needs exactly name/dom/cod, got {sorted(entry)}")
+            raise FormatError(f"morphism entry needs exactly name/dom/cod, got {sorted(entry, key=str)}")
         name, dom, cod = entry["name"], entry["dom"], entry["cod"]
         _require(isinstance(name, str) and name, "morphism name must be a nonempty string")
         _require(name not in names_seen, f"duplicate morphism name {name!r}")
@@ -364,8 +365,8 @@ def load_spec(document) -> RawCategory:
             _require(isinstance(block, dict), "deformation: blocks must be objects")
             _require({"direction", "on_objects", "on_morphisms", "theta"} <= set(block),
                      "deformation block needs direction/on_objects/on_morphisms/theta")
-            _require(set(block) <= {"direction", "on_objects", "on_morphisms", "theta", "target"},
-                     f"deformation block has unknown fields: {sorted(block)}")
+            if not set(block) <= {"direction", "on_objects", "on_morphisms", "theta", "target"}:
+                raise FormatError(f"deformation block has unknown fields: {sorted(block, key=str)}")
             _require(block["direction"] in DIRECTIONS, "deformation direction must be left or right")
             for field_name in ("on_objects", "theta"):
                 m = block[field_name]

@@ -39,7 +39,7 @@ from .congruence import Congruence, Precongruence, intransitive_triple, least_co
 from .errors import ValidationError
 from .fincat import FinCat, opposite, resolve_weqs
 from .weq import SplitGenResult, WeqFamily, check_split_generated, check_weq_axioms
-from .zigzag import nonfullness_witness
+from .zigzag import Zigzag, nonfullness_witness
 
 __all__ = [
     "Analysis", "Fork", "HomotopyWitness", "WhiteheadCertificate", "WhiteheadResult",
@@ -491,13 +491,14 @@ class WhiteheadCertificate:
 
 @dataclass(frozen=True)
 class WhiteheadResult:
-    """certified / failed (with an emptiness witness) / inconclusive; only
-    the last two carry the split generation that ruled out certification."""
+    """certified / failed / inconclusive.  A failed result's ``witness``
+    is a zigzag whose endpoints have an empty hom-set; only the last two
+    carry the split generation that ruled out certification."""
 
     status: str
     congruence: Congruence
     certificate: WhiteheadCertificate | None
-    witness: object | None
+    witness: Zigzag | None
     split_generation: SplitGenResult | None
 
     @property
@@ -512,8 +513,9 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     Certified: every member is invertible up to the homotopy congruence,
     so the quotient and the localization coincide.  Otherwise, a
     split-generated family would contradict the certified case, so that
-    combination raises; a formally-connected-but-empty hom-set downgrades
-    the verdict to failed, and absent any witness it stays inconclusive.
+    combination raises; a zigzag between objects with an empty hom-set
+    (:func:`nonfullness_witness`) downgrades the verdict to failed and is
+    its ``witness``, and absent such a zigzag it stays inconclusive.
     A given ``family`` must be of ``cat`` and have the members ``weqs``
     resolves to, or ``ValidationError`` is raised; it stands in for the
     session's axiom check.  A given ``splitgen`` stands in for its split

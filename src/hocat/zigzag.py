@@ -32,8 +32,7 @@ from .errors import FormatError, MoveError, ValidationError
 from .fincat import FinCat, known_name, parse_json, resolve_weqs
 
 __all__ = [
-    "Zigzag", "Move", "MoveTrace", "EquivResult", "ReductionResult",
-    "NonfullnessWitness",
+    "Zigzag", "Move", "MoveTrace", "EquivResult",
     "make_zigzag", "apply_move", "replay", "bounded_equiv",
     "reduce_backward_splits", "connect", "nonfullness_witness",
     "zigzag_to_json", "zigzag_from_json",
@@ -675,14 +674,9 @@ def _build_trace(eng: _Engine, z1: Zigzag, z2: Zigzag, visited, meet) -> MoveTra
 # -- length-one reduction under a split certificate -----------------------
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    zigzag: Zigzag
-    trace: MoveTrace
-
-
-def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionResult:
-    """Rewrite every backward step away, down to at most one forward arrow.
+def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> MoveTrace:
+    """Rewrite every backward step away, down to at most one forward arrow;
+    the replayed trace of the moves, whose ``end`` is the reduced zigzag.
 
     Each backward member first expands into its certified split
     factorization; a backward section s then turns into its forward
@@ -745,24 +739,10 @@ def reduce_backward_splits(cat: FinCat, weqs, splits, z: Zigzag) -> ReductionRes
         push(Move(OMIT, "apply", 0))
     trace = MoveTrace(z, cur, tuple(moves))
     replay(cat, members, trace)
-    return ReductionResult(cur, trace)
+    return trace
 
 
 # -- non-fullness ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NonfullnessWitness:
-    """Objects connected by a zigzag but with an empty hom-set.
-
-    Any localization functor image of the zigzag would need a preimage
-    arrow; there is none, so no congruence quotient can be the
-    localization.
-    """
-
-    source: int
-    target: int
-    zigzag: Zigzag
 
 
 def _paths(cat: FinCat, members: frozenset[int], x: int) -> dict:
@@ -793,15 +773,21 @@ def connect(cat: FinCat, weqs, source, target) -> Zigzag | None:
     return None if steps is None else Zigzag(x, y, steps)
 
 
-def nonfullness_witness(cat: FinCat, weqs) -> NonfullnessWitness | None:
-    """First (source, target) pair, in index order, proving non-fullness."""
+def nonfullness_witness(cat: FinCat, weqs) -> Zigzag | None:
+    """A zigzag between objects with an empty hom-set: the first
+    (source, target) pair in index order, or None.
+
+    Any localization functor image of the zigzag would need a preimage
+    arrow; there is none, so no congruence quotient can be the
+    localization.
+    """
     members = resolve_weqs(cat, weqs)
     nobj = len(cat.objects)
     for x in range(nobj):
         paths = _paths(cat, members, x)
         for y in range(nobj):
             if y in paths and not cat.hom(x, y):
-                return NonfullnessWitness(x, y, Zigzag(x, y, paths[y]))
+                return Zigzag(x, y, paths[y])
     return None
 
 

@@ -150,31 +150,44 @@ def function_instance(sizes, seeds, weqs):
     return _instance(sizes, plain, name, [seeds[n] for n in weqs])
 
 
-def chain_complex_instance(max_dim=1):
-    """Bounded chain complexes of F₂-vector spaces in degrees 0..1, of
-    dimensions at most ``max_dim``, one per (dimensions, rank) class,
-    with every chain map between them and the quasi-isomorphisms as the
-    members.
+def chain_complex_instance(max_dim=1, degrees=2):
+    """Bounded chain complexes of F₂-vector spaces in degrees
+    0..``degrees``-1, of dimensions at most ``max_dim``, one per
+    (dimensions, ranks) class, with every chain map between them and the
+    quasi-isomorphisms as the members.
 
-    A chain map is taken as the function it is on the disjoint union of
-    its source's two degrees, so composites are composites of functions.
-    Returns (cat, members, doc, maps), ``maps[k]`` being arrow k as
-    (source, target, f0, f1) in the form the homology oracle reads.
+    The differential d_k of rank r_k sends basis vector j < r_k to basis
+    vector j + r_{k-1}, past the columns d_{k-1} does not kill, so
+    consecutive differentials compose to zero.  A chain map is taken as
+    the function it is on the disjoint union of its source's degrees,
+    so composites are composites of functions.  Returns (cat, members,
+    doc, maps), ``maps[k]`` being arrow k as (source, target, matrices)
+    in the form the homology oracle reads.
     """
-    complexes = [(n0, n1, tuple(tuple(int(i == j < r) for j in range(n1)) for i in range(n0)))
-                 for n0 in range(max_dim + 1) for n1 in range(max_dim + 1)
-                 for r in range(min(n0, n1) + 1)]
+    complexes = []
+    for dims in itertools.product(range(max_dim + 1), repeat=degrees):
+        for ranks in itertools.product(*(range(min(dims[k - 1], dims[k]) + 1)
+                                         for k in range(1, degrees))):
+            ranks = (0,) + ranks
+            if all(ranks[k - 1] + ranks[k] <= dims[k - 1] for k in range(1, degrees)):
+                complexes.append((dims, tuple(
+                    tuple(tuple(int(j < ranks[k] and i == j + ranks[k - 1])
+                                for j in range(dims[k])) for i in range(dims[k - 1]))
+                    for k in range(1, degrees))))
     maps = {}
-    for s, (n0, n1, d) in enumerate(complexes):
-        for t, (m0, m1, e) in enumerate(complexes):
-            for f0, f1 in itertools.product(f2_matrices(m0, n0), f2_matrices(m1, n1)):
-                if all(f2_apply(e, f2_apply(f1, u)) == f2_apply(f0, f2_apply(d, u))
-                       for u in f2_vectors(n1)):
-                    v0, v1 = f2_vectors(m0), f2_vectors(m1)
-                    graph = (tuple(v0.index(f2_apply(f0, v)) for v in f2_vectors(n0))
-                             + tuple(len(v0) + v1.index(f2_apply(f1, u)) for u in f2_vectors(n1)))
-                    maps[s, t, graph] = (complexes[s], complexes[t], f0, f1)
-    sizes = [2 ** n0 + 2 ** n1 for n0, n1, _d in complexes]
+    for s, (ns, ds) in enumerate(complexes):
+        vs = [f2_vectors(n) for n in ns]
+        for t, (ms, es) in enumerate(complexes):
+            wt = [f2_vectors(m) for m in ms]
+            offsets = list(itertools.accumulate((len(w) for w in wt), initial=0))
+            for fs in itertools.product(*map(f2_matrices, ms, ns)):
+                if all(f2_apply(es[k - 1], f2_apply(fs[k], u))
+                       == f2_apply(fs[k - 1], f2_apply(ds[k - 1], u))
+                       for k in range(1, degrees) for u in vs[k]):
+                    graph = tuple(offsets[k] + wt[k].index(f2_apply(f, v))
+                                  for k, f in enumerate(fs) for v in vs[k])
+                    maps[s, t, graph] = (complexes[s], complexes[t], fs)
+    sizes = [sum(2 ** n for n in dims) for dims, _ds in complexes]
     ids = {(i, i, tuple(range(n))) for i, n in enumerate(sizes)}
     plain = [a for a in maps if a not in ids]
     name = {a: f"m{k}" for k, a in enumerate(plain)}

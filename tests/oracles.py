@@ -516,12 +516,14 @@ def replays_homotopy(cat, members, side, witness):
 
 # -- chain complexes over F₂ ----------------------------------------------
 #
-# Plain linear algebra, no hocat code.  A complex in degrees 0..1 is
-# (n0, n1, d) with d: F₂^n1 -> F₂^n0 a tuple of n0 rows of n1 bits; a
-# chain map (f0, f1) from (n0, n1, d) to (m0, m1, e) has f0 an m0 x n0
-# and f1 an m1 x n1 matrix with e·f1 = f0·d.  Over a field every complex
-# is fibrant and cofibrant, the quasi-isomorphisms are the weak
-# equivalences, and two chain maps are homotopic iff they agree on
+# Plain linear algebra, no hocat code.  A complex in degrees 0..n-1 is
+# (dims, diffs): dims[k] is the dimension in degree k, and diffs[k-1] is
+# the differential d_k: F₂^dims[k] -> F₂^dims[k-1], a tuple of dims[k-1]
+# rows of dims[k] bits, with d_{k-1}·d_k = 0.  A chain map from
+# (dims, diffs) to (dims', diffs') is (f_0, ..., f_{n-1}), f_k a
+# dims'[k] x dims[k] matrix, with d'_k·f_k = f_{k-1}·d_k.  Over a field
+# every complex is fibrant and cofibrant, the quasi-isomorphisms are the
+# weak equivalences, and two chain maps are homotopic iff they agree on
 # homology.
 
 def f2_vectors(n):
@@ -539,35 +541,35 @@ def f2_apply(m, v):
     return tuple(sum(a & b for a, b in zip(row, v)) % 2 for row in m)
 
 
-def _cycles(cx):
-    _n0, n1, d = cx
-    return [v for v in f2_vectors(n1) if not any(f2_apply(d, v))]
+def _cycles(cx, k):
+    """The vectors of degree k that d_k sends to zero (all of degree 0)."""
+    dims, diffs = cx
+    return [v for v in f2_vectors(dims[k]) if k == 0 or not any(f2_apply(diffs[k - 1], v))]
 
 
-def _homology_classes(cx):
-    """H₀ of ``cx`` as the function from each vector of degree 0 to its
+def _homology_classes(cx, k):
+    """H_k of ``cx`` as the function from each cycle of degree k to its
     class, the coset of the boundaries through it."""
-    n0, n1, d = cx
-    boundaries = {f2_apply(d, u) for u in f2_vectors(n1)}
+    dims, diffs = cx
+    boundaries = ({f2_apply(diffs[k], u) for u in f2_vectors(dims[k + 1])}
+                  if k + 1 < len(dims) else {(0,) * dims[k]})
     return {v: frozenset(tuple(a ^ b for a, b in zip(v, w)) for w in boundaries)
-            for v in f2_vectors(n0)}
+            for v in _cycles(cx, k)}
 
 
-def homology_map(src, tgt, f0, f1):
-    """What the chain map (f0, f1): src -> tgt induces on homology: the
-    image of each cycle of degree 1 (no boundaries there), and the class
-    of the image of each vector of degree 0.  Parallel chain maps agree
-    on homology iff these are equal."""
-    h0 = _homology_classes(tgt)
-    return (tuple(f2_apply(f1, z) for z in _cycles(src)),
-            tuple(h0[f2_apply(f0, v)] for v in f2_vectors(src[0])))
+def homology_map(src, tgt, fs):
+    """What the chain map ``fs``: src -> tgt induces on homology: in each
+    degree, the class of the image of each cycle.  Parallel chain maps
+    agree on homology iff these are equal."""
+    return tuple(tuple(_homology_classes(tgt, k)[f2_apply(f, z)] for z in _cycles(src, k))
+                 for k, f in enumerate(fs))
 
 
-def is_quasi_iso(src, tgt, f0, f1):
-    """Does (f0, f1) induce a bijection on H₁ and on H₀?"""
-    h1, h0 = homology_map(src, tgt, f0, f1)
-    cycles = _cycles(tgt)
-    on_classes = dict(zip(_homology_classes(src).values(), h0))
-    targets = set(_homology_classes(tgt).values())
-    return (set(h1) == set(cycles) and len(h1) == len(cycles)
-            and set(on_classes.values()) == targets and len(on_classes) == len(targets))
+def is_quasi_iso(src, tgt, fs):
+    """Does ``fs`` induce a bijection on homology in every degree?"""
+    for k, images in enumerate(homology_map(src, tgt, fs)):
+        on_classes = dict(zip(_homology_classes(src, k).values(), images))
+        targets = set(_homology_classes(tgt, k).values())
+        if set(on_classes.values()) != targets or len(on_classes) != len(targets):
+            return False
+    return True

@@ -155,6 +155,24 @@ def unknown_name_after_endpoint_mismatch(doc):
     return UNKNOWN_IN_COMPOSITION + "'zz'"
 
 
+def int_key_in_composition_entry(doc):
+    """Keys of mixed types are listed in the order of their text."""
+    doc["composition"][2][7] = "e"
+    return "composition entry needs exactly after/before/equals, got [7, 'after', 'before', 'equals']"
+
+
+def int_key_in_morphism_entry(doc):
+    doc["morphisms"][1][7] = "x"
+    return "morphism entry needs exactly name/dom/cod, got [7, 'cod', 'dom', 'name']"
+
+
+def int_key_in_deformation_block(doc):
+    doc["deformation"] = {"direction": "left", "on_objects": {"a": "a", "b": "a"},
+                          "on_morphisms": {}, "theta": {"a": "id:a", "b": "r"}, 7: "x"}
+    return ("deformation block has unknown fields: "
+            "[7, 'direction', 'on_morphisms', 'on_objects', 'theta']")
+
+
 def empty_composition(doc):
     doc["composition"] = []
     return "missing composite: 's' after 'r'"
@@ -181,6 +199,9 @@ def empty_composition(doc):
     (mapping_proxy_entry, FormatError),
     (number_as_name, FormatError),
     (unknown_name_after_endpoint_mismatch, FormatError),
+    (int_key_in_composition_entry, FormatError),
+    (int_key_in_morphism_entry, FormatError),
+    (int_key_in_deformation_block, FormatError),
     (empty_composition, ValidationError),
 ])
 def test_malformed_documents_rejected(mangle, err):
@@ -657,8 +678,8 @@ def test_functor_messages():
 
 def test_index_lookups():
     """``mor`` and ``obj`` return an in-range index as itself and resolve
-    a name; a bool reads as its int; an index out of range or an unknown
-    name raises, naming it."""
+    a name; a bool reads as its int; an index out of range, an unknown
+    name or a value that is neither a name nor an int raises, naming it."""
     cat, _members, _raw = category("f_retr")
     for i, m in enumerate(cat.morphisms):
         assert type(cat.mor(i)) is int and cat.mor(i) == i == cat.mor(m.name)
@@ -673,7 +694,10 @@ def test_index_lookups():
             (cat.mor, "zz", "unknown morphism 'zz'"),
             (cat.obj, -1, "object index -1 out of range"),
             (cat.obj, k, f"object index {k} out of range"),
-            (cat.obj, "zz", "unknown object 'zz'")]:
+            (cat.obj, "zz", "unknown object 'zz'"),
+            *((lookup, bad, f"{what} must be a name or an index, not {bad!r}")
+              for lookup, what in ((cat.mor, "morphism"), (cat.obj, "object"))
+              for bad in (None, [1], 1.9, b"2"))]:
         with pytest.raises(ValidationError) as err:
             lookup(bad)
         assert str(err.value) == message

@@ -119,8 +119,8 @@ def _traces(out, tag, cat, members, budget, two_step):
         return
     for w in sorted(members - cat.identity_set):
         z = make_zigzag(cat, members, cat.cod(w), [(w, BWD)])
-        res = reduce_backward_splits(cat, members, splitgen.certificate, z)
-        out[f"{tag} reduce {_label(cat, z.steps)}"] = trace_to_json(cat, res.trace)
+        trace = reduce_backward_splits(cat, members, splitgen.certificate, z)
+        out[f"{tag} reduce {_label(cat, z.steps)}"] = trace_to_json(cat, trace)
 
 
 def zigzag_traces() -> dict:

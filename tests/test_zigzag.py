@@ -373,16 +373,16 @@ def test_reduce_backward_splits_turns_sections_around():
     splits = check_split_generated(fam).certificate
     z = make_zigzag(cat, members, "b", [("s", "bwd")])
     out = reduce_backward_splits(cat, members, splits, z)
-    assert out.zigzag.steps == ((cat.mor("r"), FWD),)
-    assert replay(cat, members, out.trace) == out.zigzag
+    assert out.start == z and out.end.steps == ((cat.mor("r"), FWD),)
+    assert replay(cat, members, out) == out.end
     # a backward non-split member expands through its decomposition
     z2 = make_zigzag(cat, members, "b", [("e", "bwd")])
     out2 = reduce_backward_splits(cat, members, splits, z2)
-    assert out2.zigzag.steps == ((cat.mor("e"), FWD),)
+    assert out2.end.steps == ((cat.mor("e"), FWD),)
     # mixed word collapsing to nothing
     z3 = make_zigzag(cat, members, "a", [("s", "fwd"), ("s", "bwd")])
     out3 = reduce_backward_splits(cat, members, splits, z3)
-    assert out3.zigzag.steps == ()
+    assert out3.end.steps == ()
 
 
 def test_reduce_backward_splits_peels_long_decompositions_and_omits_identities():
@@ -394,14 +394,14 @@ def test_reduce_backward_splits_peels_long_decompositions_and_omits_identities()
     # e = s∘r∘s∘r: the factors in the order applied, r first
     long = SplitCertificate(split_weqs=splits.split_weqs, decompositions={e: (r, s, r, s)})
     out = reduce_backward_splits(cat, members, long, make_zigzag(cat, members, "b", [("e", "bwd")]))
-    assert out.zigzag.steps == ((e, FWD),)
-    assert out.trace.moves[:3] == (Move(COMPOSE, "unapply", 0, (s, r)),
+    assert out.end.steps == ((e, FWD),)
+    assert out.moves[:3] == (Move(COMPOSE, "unapply", 0, (s, r)),
                                    Move(COMPOSE, "unapply", 0, (e, s)),
                                    Move(COMPOSE, "unapply", 0, (s, r)))
-    assert replay(cat, members, out.trace) == out.zigzag
+    assert replay(cat, members, out) == out.end
     z = make_zigzag(cat, members, "b", [("id:b", "bwd")])
     out = reduce_backward_splits(cat, members, splits, z)
-    assert out.zigzag.steps == () and out.trace.moves == (Move(OMIT, "apply", 0),)
+    assert out.end.steps == () and out.moves == (Move(OMIT, "apply", 0),)
 
 
 def test_reduce_backward_splits_needs_decomposition():
@@ -425,11 +425,11 @@ def test_nonfullness_witness_on_span():
     wit = nonfullness_witness(cat, members)
     assert (cat.obj_name(wit.source), cat.obj_name(wit.target)) == ("a", "b")
     f, g = cat.mor("f"), cat.mor("g")
-    assert wit.zigzag.steps == ((f, BWD), (g, FWD))
+    assert wit.steps == ((f, BWD), (g, FWD))
     cat2, members2, _r2 = category("f_def")
     wit2 = nonfullness_witness(cat2, members2)
     assert (cat2.obj_name(wit2.source), cat2.obj_name(wit2.target)) == ("x1", "x0")
-    assert wit2.zigzag.steps == ((cat2.mor("theta"), BWD),)
+    assert wit2.steps == ((cat2.mor("theta"), BWD),)
     assert nonfullness_witness(*category("f_retr")[:2]) is None
 
 
