@@ -185,7 +185,7 @@ def _forks_report(session, raw, budget):
             "fork_condition": fc.ok,
             "fork_counterexample": _names(cat, fc.counterexample) if fc.counterexample else None,
             "common_fork": session.common_fork(side).ok,
-            "rc_transitive": session.rc_transitive(side)[0],
+            "rc_transitive": session.rc_transitive(side).ok,
         }
     return {"forks": forks}
 
@@ -226,9 +226,8 @@ def _deformation_report(session, raw, budget):
     sub = chain.target
     sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
     c0_res = Analysis(sub.cat, sub_members).whitehead
-    cert0 = c0_res.certificate if c0_res.certified else None
-    wres = session.whitehead
-    ambient_cert = wres.certificate if wres.certified else None
+    # a certificate is None unless its result is certified
+    cert0, ambient_cert = c0_res.certificate, session.whitehead.certificate
 
     data = {"deformation": {
         "links": [{"direction": d.direction, "functorial": d.functorial} for d in links],

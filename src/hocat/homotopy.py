@@ -34,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
+from typing import NamedTuple
 
 from .congruence import Congruence, Precongruence, intransitive_triple, least_congruence, sigma_of
 from .errors import ValidationError
@@ -336,21 +337,14 @@ class _LegFibres:
         return None
 
 
-@dataclass(frozen=True)
-class ForkConditionResult:
-    side: str
+class Verdict(NamedTuple):
+    """A per-side check's answer, with its first counterexample when it fails."""
+
     ok: bool
-    counterexample: tuple[int, int] | None
+    counterexample: tuple | None
 
 
-@dataclass(frozen=True)
-class CommonForkResult:
-    side: str
-    ok: bool
-    counterexample: tuple[tuple[int, int], tuple[int, int]] | None
-
-
-def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkConditionResult:
+def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> Verdict:
     """Does every related pair admit a homotopy over a weq fork?
 
     Quantifies over the distinct pairs of the closed one-sided relation;
@@ -372,15 +366,15 @@ def check_fork_condition(cat: FinCat, weqs, side: str = "left") -> ForkCondition
 
 
 def _fork_condition(work: FinCat, transposed, members: frozenset[int], related,
-                    rel: Precongruence, side: str) -> ForkConditionResult:
+                    rel: Precongruence, side: str) -> Verdict:
     # A pair (f, g) of ``related``, the relation ``rel`` closes, is good when
     # a member σ has σ∘f = σ∘g a member: by two out of three, when f is one.
     # The arrows of a block share σ∘f, so they are members or none is.
     good = [block for block in related.blocks if block[0] in members]
     if len(good) == len(related.blocks):  # both close to ``rel``; always so with W every arrow
-        return ForkConditionResult(side, True, None)
+        return Verdict(True, None)
     missing = rel.pairs - _left_closure(work, good).pairs
-    return ForkConditionResult(side, not missing, min(missing) if missing else None)
+    return Verdict(not missing, min(missing) if missing else None)
 
 
 def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
@@ -414,7 +408,7 @@ def _fork_witnesses(work: FinCat, transposed, members: frozenset[int], related,
     return {p: found[p] for p in pairs}
 
 
-def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult:
+def check_common_fork(cat: FinCat, weqs, side: str = "left") -> Verdict:
     """Must any two related pairs share one mediating weq fork?
 
     Ordered pairs, diagonal included: that is the strength the
@@ -435,7 +429,7 @@ def check_common_fork(cat: FinCat, weqs, side: str = "left") -> CommonForkResult
 
 
 def _common_fork(work: FinCat, transposed, members: frozenset[int], related,
-                 rel: Precongruence, side: str) -> CommonForkResult:
+                 rel: Precongruence, side: str) -> Verdict:
     held: dict[int, list] = {}  # each arrow's closed blocks
     for block in rel.blocks:
         for f in block:
@@ -457,20 +451,21 @@ def _common_fork(work: FinCat, transposed, members: frozenset[int], related,
                 if not mask & masks.get(q, 0):
                     legs = forks.shared(p, q)
                     if legs is None:
-                        return CommonForkResult(side, False, (p, q))
+                        return Verdict(False, (p, q))
                     for r in zip(*legs):
                         masks[r] = masks.get(r, 0) | bit
                     mask |= bit
                     bit <<= 1
-    return CommonForkResult(side, True, None)
+    return Verdict(True, None)
 
 
-def check_rc_transitive(cat: FinCat, weqs, side: str = "left"):
+def check_rc_transitive(cat: FinCat, weqs, side: str = "left") -> Verdict:
     """Exhaustive transitivity check of the closed one-sided relation.
 
     The relation is reflexive and symmetric by construction, so only
-    chains of distinct arrows can break transitivity; it is decided on
-    the relation's blocks.  Returns (ok, counterexample triple or None).
+    chains of distinct arrows can break transitivity.  It is decided on
+    the relation's blocks, and the counterexample is the first
+    intransitive triple.
     """
     return Analysis(cat, weqs).rc_transitive(side)
 
@@ -646,7 +641,7 @@ class Analysis:
             self._sides[key] = _left_closure(work, getattr(self, side).blocks)
         return work, self._sides[key]
 
-    def fork_condition(self, side: str = "left") -> ForkConditionResult:
+    def fork_condition(self, side: str = "left") -> Verdict:
         return self._per_side(_fork_condition, side)
 
     def fork_witnesses(self, side: str = "left") -> dict:
@@ -655,16 +650,16 @@ class Analysis:
         keyed and ordered by pair."""
         return self._per_side(_fork_witnesses, side, self.fork_condition(side).counterexample)
 
-    def common_fork(self, side: str = "left") -> CommonForkResult:
+    def common_fork(self, side: str = "left") -> Verdict:
         return self._per_side(_common_fork, side)
 
-    def rc_transitive(self, side: str = "left") -> tuple[bool, tuple[int, int, int] | None]:
+    def rc_transitive(self, side: str = "left") -> Verdict:
         """Is the closed one-sided relation transitive?  With the first
         intransitive triple when it is not."""
         key = (intransitive_triple, side)
         if key not in self._sides:
             triple = intransitive_triple(self.closed(side)[1].blocks)
-            self._sides[key] = (triple is None, triple)
+            self._sides[key] = Verdict(triple is None, triple)
         return self._sides[key]
 
     def _per_side(self, check, side: str, *args):

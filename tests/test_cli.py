@@ -422,6 +422,27 @@ def test_deform_subcommand_reports_routes():
     assert json.loads(plain.stdout)["deformation"] == "absent"
 
 
+def test_deform_reports_ho_cr_unavailable(tmp_path, capsys):
+    """f_span deformed onto all of itself by the identity: neither the
+    target nor the category is certified, so Ho(C, r) is unavailable."""
+    doc = json.loads(path("f_span").read_text())
+    objects = doc["objects"]
+    arrows = [m["name"] for m in doc["morphisms"]] + [f"id:{x}" for x in objects]
+    doc["deformation"] = [{
+        "direction": "left", "target": {"objects": objects},
+        "on_objects": {x: x for x in objects}, "on_morphisms": {f: f for f in arrows},
+        "theta": {x: f"id:{x}" for x in objects}}]
+    file = tmp_path / "span.json"
+    file.write_text(json.dumps(doc))
+    assert cli.main(["deform", str(file), "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert err == ""
+    assert (report["whitehead"], report["deformation"]["c0_whitehead"]) == ("failed", "failed")
+    assert report["ho_cr"] == {"reason": "requires functorial chain or ambient certificate",
+                               "status": "unavailable"}
+
+
 def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
     monkeypatch.delenv("HOCAT_BUDGET", raising=False)
     assert cli.main(["analyze", fx("f_retr"), "--budget", "-1"]) == 2

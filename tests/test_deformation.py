@@ -39,6 +39,13 @@ def test_validate_deformation_happy_path():
     assert set(d.ambient.objects) == {0, 1}
 
 
+def test_default_stage_is_the_category_itself():
+    cat, members, raw = category("f_retr_def")
+    d = validate_deformation(cat, members, subcategory(cat, ["a"]), raw.deformation[0])
+    assert d.ambient.cat is cat
+    assert d.ambient.objects == (0, 1) and d.ambient.morphisms == tuple(range(5))
+
+
 def test_validate_deformation_rejections():
     cat, members, _raw = category("f_retr_def")
     c0 = subcategory(cat, ["a"])
@@ -393,6 +400,40 @@ def test_conjugation_lemma_route_right_deformation():
     rep = check_conjugation(cat, ALL_RETR_W, chain, hocr, cert=None, budget=8)
     assert rep.status == "verified"
     assert rep.route == "zigzag-lemma"
+
+
+def test_conjugation_certificate_route_failures():
+    """The certificate route fails on a Ho(C, r) built from a certificate
+    of another family than the one it compares against: discrete (W the
+    identities) against the homotopy congruence, and back."""
+    cat, members, raw = category("f_retr_def")
+    ambient = certify_whitehead(cat, members).certificate
+    discrete = certify_whitehead(cat, []).certificate
+    same = identity_deformation(cat, members)
+    fine = build_ho_cr(cat, members, same, cert0=discrete)
+    rep = check_conjugation(cat, members, same, fine, cert=ambient)
+    assert (rep.status, rep.witness[0]) == ("failed", "gamma not constant on a homotopy class")
+
+    # theta_b = s has no inverse in C itself
+    retract = compose_chain([validate_deformation(cat, members, subcategory(cat, ["a"]),
+                                                  raw.deformation[0])])
+    hocr = build_ho_cr(cat, members, retract, ambient_cert=ambient)
+    rep = check_conjugation(cat, members, retract, hocr, cert=discrete)
+    assert (rep.status, rep.witness) == ("failed", ("theta class is not invertible", cat.obj("b")))
+
+    # The monoid {1, e}, e∘e = e: Ho(C) with W = {e} is trivial, and
+    # its one arrow goes back to the identity class, never to [e].
+    raw = load_spec({"objects": ["x"], "morphisms": [{"name": "e", "dom": "x", "cod": "x"}],
+                     "composition": [{"after": "e", "before": "e", "equals": "e"}],
+                     "weak_equivalences": ["e"]})
+    cat = validate_category(raw)
+    members = resolve_weqs(cat, raw.weak_equivalences)
+    same = identity_deformation(cat, members)
+    coarse = build_ho_cr(cat, members, same,
+                         ambient_cert=certify_whitehead(cat, members).certificate)
+    rep = check_conjugation(cat, members, same, coarse,
+                            cert=certify_whitehead(cat, []).certificate)
+    assert (rep.status, rep.witness) == ("failed", ("psi . phi misses the identity", cat.mor("e")))
 
 
 def _message(call, *args, **kwargs) -> str:
