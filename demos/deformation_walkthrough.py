@@ -57,7 +57,7 @@ def main():
     print("image of every weak equivalence invertible:",
           check_inverts_w(hocr, members) is None)
 
-    conj = check_conjugation(cat, members, chain, hocr, cert=None)
+    conj = check_conjugation(cat, members, hocr, cert=None)
     print(f"single-arrow conjugation check ({conj.route}):", conj.status)
 
     print("\n== both models certified, compared directly ==")
@@ -66,8 +66,7 @@ def main():
     print("ambient whitehead verdict:", ambient.status)
     hocr2 = build_ho_cr(cat2, members2, chain2,
                         cert0=target_certificate(cat2, members2, chain2))
-    conj2 = check_conjugation(cat2, members2, chain2, hocr2,
-                              cert=ambient.certificate)
+    conj2 = check_conjugation(cat2, members2, hocr2, cert=ambient.certificate)
     print(f"comparison ({conj2.route}):", conj2.status)
     print("phi sends a quotient class to its image class in Ho(C, r),")
     print("psi conjugates back along the theta arrows; both round trips")

@@ -239,7 +239,7 @@ def _deformation_report(session, raw, budget):
     if (chain.functorial and cert0 is not None) or ambient_cert is not None:
         hocr = build_ho_cr(cat, members, chain, cert0=cert0, ambient_cert=ambient_cert)
         inv = check_inverts_w(hocr, members)
-        conj = check_conjugation(cat, members, chain, hocr, cert=ambient_cert, budget=budget)
+        conj = check_conjugation(cat, members, hocr, cert=ambient_cert, budget=budget)
         data["ho_cr"] = {
             "route": hocr.route,
             "arrows": len(hocr.category.morphisms),

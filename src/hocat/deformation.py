@@ -360,10 +360,11 @@ class ConjugationReport:
     psi: CatFunctor | None
 
 
-def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
+def check_conjugation(cat: FinCat, weqs, hocr: HoCr,
                       cert: WhiteheadCertificate | None = None,
                       budget: int = 8) -> ConjugationReport:
-    """Compare the plain homotopy quotient against the deformed one.
+    """Compare the plain homotopy quotient against the deformed one,
+    ``hocr``, through the chain it was built from.
 
     Certificate route: phi sends a class [f] to [rf] and psi conjugates
     a target class back through the theta zigzags.  phi is validated as
@@ -372,6 +373,7 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
     f the single-step zigzag is searched equivalent to
     theta_Y . rf . theta_X^-1 within the budget.
     """
+    chain = hocr.chain
     if cert is not None:
         cong = cert.congruence
         qcat = quotient(cat, cong).quotient
@@ -402,9 +404,8 @@ def check_conjugation(cat: FinCat, weqs, chain: DeformationChain, hocr: HoCr,
                 return failed("theta class is not invertible", x)
             theta_cls[x], theta_inv[x] = t, inv
 
-        # psi composes theta_Y . [rf] . theta_X^-1, whose endpoints the chain
-        # of hocr fixes, so no lookup meets -1 (one would index silently);
-        # whatever psi holds, the checks below pass only for phi's inverse.
+        # psi composes theta_Y . [rf] . theta_X^-1, whose endpoints the
+        # chain fixes; the checks below pass only for phi's inverse.
         hq = hocr.category
         psi_mors = []
         for i in range(len(hq.morphisms)):

@@ -13,6 +13,15 @@ not resolve to arrows is named in the error.  Identity arrows carry the
 reserved name ``id:<object>`` and are synthesized when a document omits
 them; they always occupy the lowest indices, in object order.
 
+A document text of more than :data:`CHUNK` characters is read a
+top-level field at a time, and its composition list a piece of about
+:data:`CHUNK` characters at a time: each piece is resolved to arrow
+indices and freed before the next is decoded, so loading never holds
+every entry as a dict.  Whatever that reader does not take, a document
+within one chunk, bytes, fields out of order or repeated, any error,
+goes through the whole-document path, which alone raises errors; so the
+raw category and every message are the same either way.
+
 A category's objects, arrows and table never change after construction.
 It caches in its ``vars``, on first use, its ``generators`` (with the
 post-composition ranks that order them); two threads filling the cache
@@ -23,6 +32,7 @@ so it is freed as soon as its last reference goes.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -234,6 +244,18 @@ class RawCategory:
     deformation: tuple[dict, ...] | None
 
 
+# The top-level fields of a category document.
+_FIELDS = frozenset({"objects", "morphisms", "composition", "weak_equivalences",
+                     "subcategory", "deformation"})
+
+# Characters of text after which a composition piece ends, at the next
+# entry boundary; a document of at most this many is decoded whole.
+CHUNK = 256 * 1024
+
+_decoder = json.JSONDecoder()
+_skip = re.compile(r"[ \t\n\r]*").match  # JSON whitespace, as the decoder skips it
+
+
 def _require(cond: bool, msg: str):
     if not cond:
         raise FormatError(msg)
@@ -264,22 +286,30 @@ def _unresolved(entry, pool) -> FormatError:
     return FormatError(f"composition entry references unknown morphism {name!r}")
 
 
-def load_spec(document) -> RawCategory:
-    """Parse a category document into raw, structurally checked data.
+def _resolve(entries: list, pool: dict, columns: tuple[list[int], list[int], list[int]]):
+    """Append the indices in ``pool`` that each of ``entries`` names to
+    the after, before and equals ``columns``, in order, up to the first
+    entry that does not resolve, which is named."""
+    after, before, equals = columns
+    for entry in entries:
+        try:  # an entry of three keys, these among them, has exactly these
+            if isinstance(entry, dict) and len(entry) == 3:
+                after.append(pool[entry["after"]])
+                before.append(pool[entry["before"]])
+                equals.append(pool[entry["equals"]])
+                continue
+        except (KeyError, TypeError):
+            pass
+        raise _unresolved(entry, pool)
 
-    ``document`` is a mapping (already decoded) or a JSON string.  The
-    checks here are purely structural: field shapes, duplicate names, and
-    dangling references.  Category laws are the business of
-    :func:`validate_category`.
-    """
-    if isinstance(document, (str, bytes)):
-        document = parse_json(document)
+
+def _head(document) -> tuple[list, tuple[tuple[str, str, str], ...], dict[str, int]]:
+    """The checked top-level fields, objects and declared morphisms of
+    ``document``: its objects, every arrow (identities first) and the
+    index of each arrow's name."""
     _require(isinstance(document, dict), "document must be a JSON object")
-
-    known = {"objects", "morphisms", "composition", "weak_equivalences",
-             "subcategory", "deformation"}
     for key in document:
-        _require(key in known, f"unknown top-level field {key!r}")
+        _require(key in _FIELDS, f"unknown top-level field {key!r}")
 
     objects = document.get("objects")
     _require(isinstance(objects, list) and objects, "objects: nonempty list required")
@@ -313,26 +343,14 @@ def load_spec(document) -> RawCategory:
             continue
         plain.append((name, dom, cod))
     morphisms = tuple(identities[o] for o in objects) + tuple(plain)
-    mor_index = {m[0]: i for i, m in enumerate(morphisms)}  # also the pool of names
+    return objects, morphisms, {m[0]: i for i, m in enumerate(morphisms)}
 
-    # One pass writes each entry's indices into three lists sized up
-    # front, and stops at the first entry it cannot resolve.  Copies into
-    # tuples, or spare capacity from appending, would cost memory.
-    composition = document.get("composition", [])
-    _require(isinstance(composition, list), "composition: list required")
-    n = len(composition)
-    columns = after, before, equals = [0] * n, [0] * n, [0] * n
-    for k, entry in enumerate(composition):
-        try:  # an entry of three keys, these among them, has exactly these
-            if isinstance(entry, dict) and len(entry) == 3:
-                after[k] = mor_index[entry["after"]]
-                before[k] = mor_index[entry["before"]]
-                equals[k] = mor_index[entry["equals"]]
-                continue
-        except (KeyError, TypeError):
-            pass
-        raise _unresolved(entry, mor_index)
 
+def _tail(document, objects, morphisms, mor_index, columns) -> RawCategory:
+    """The category of ``document``, whose head (:func:`_head`) is
+    ``objects``, ``morphisms`` and ``mor_index`` and whose composition
+    resolved to ``columns``, once its remaining fields pass their checks."""
+    obj_set = set(objects)
     weqs = document.get("weak_equivalences", [])
     _require(isinstance(weqs, list), "weak_equivalences: list required")
     for w in weqs:
@@ -393,6 +411,94 @@ def load_spec(document) -> RawCategory:
     )
 
 
+def _load_document(document) -> RawCategory:
+    """The category of a decoded document, checked field by field."""
+    objects, morphisms, mor_index = _head(document)
+    composition = document.get("composition", [])
+    _require(isinstance(composition, list), "composition: list required")
+    columns = [], [], []
+    _resolve(composition, mor_index, columns)
+    return _tail(document, objects, morphisms, mor_index, columns)
+
+
+def load_spec(document) -> RawCategory:
+    """Parse a category document into raw, structurally checked data.
+
+    ``document`` is a mapping (already decoded) or JSON text, a string or
+    UTF-8 bytes; a string longer than :data:`CHUNK` has its composition
+    list decoded a piece at a time (:func:`_load_chunked`).  The checks
+    here are purely structural: field shapes, duplicate names, and
+    dangling references.  Category laws are the business of
+    :func:`validate_category`.
+    """
+    if isinstance(document, (str, bytes)):
+        return _load_text(document, "")
+    return _load_document(document)
+
+
+def _load_text(text, where: str) -> RawCategory:
+    """The category of the JSON text ``text``; the message of a JSON
+    error starts with ``where``."""
+    raw = _load_chunked(text) if isinstance(text, str) and len(text) > CHUNK else None
+    return _load_document(parse_json(text, where)) if raw is None else raw
+
+
+def _load_chunked(text: str) -> RawCategory | None:
+    """The category of the JSON text ``text``, read field by field with
+    its composition list decoded a piece at a time; or None, and the
+    whole-document path gives the answer, error messages included.
+
+    That is the case for text that is not JSON or fails a check, a
+    repeated top-level key, and a composition list that does not come
+    after the objects and morphisms.  A piece ends at the first ``},``
+    at or after :data:`CHUNK` characters, and its entries are resolved
+    and freed before the next is decoded.  A cut inside a string, inside
+    a nested value or past the end of the list leaves a piece that does
+    not parse, so a piece that parses ends on an entry boundary; at the
+    first that does not, the rest of the list is decoded as its tail.
+    """
+    try:
+        document: dict = {}
+        idx = _skip(text).end()
+        if not text.startswith("{", idx):
+            return None
+        while True:
+            key, idx = _decoder.raw_decode(text, _skip(text, idx + 1).end())
+            idx = _skip(text, idx).end()
+            if (type(key) is not str or key not in _FIELDS or key in document
+                    or not text.startswith(":", idx)):
+                return None
+            idx = _skip(text, idx + 1).end()
+            if key != "composition":
+                document[key], idx = _decoder.raw_decode(text, idx)
+            elif "morphisms" in document and text.startswith("[", idx):
+                objects, morphisms, pool = _head(document)
+                document[key] = columns = [], [], []
+                idx += 1
+                while (cut := text.find("},", idx + CHUNK)) >= 0:
+                    try:
+                        entries = json.loads("[" + text[idx:cut + 1] + "]")
+                    except ValueError:
+                        break  # no entry boundary: the rest is the tail
+                    _resolve(entries, pool, columns)
+                    del entries  # before the next piece is decoded
+                    idx = cut + 2
+                entries, end = _decoder.raw_decode("[" + text[idx:])
+                _resolve(entries, pool, columns)
+                idx += end - 1
+            else:
+                return None
+            idx = _skip(text, idx).end()
+            if not text.startswith(",", idx):
+                break
+        if (not text.startswith("}", idx) or _skip(text, idx + 1).end() != len(text)
+                or "composition" not in document):
+            return None
+        return _tail(document, objects, morphisms, pool, columns)
+    except (FormatError, ValueError, RecursionError):
+        return None
+
+
 def parse_json(text, where: str = ""):
     """The JSON value in ``text``, a string or UTF-8 bytes.
 
@@ -413,23 +519,29 @@ def parse_json(text, where: str = ""):
     raise FormatError(f"{where}not valid JSON: {reason}")
 
 
+def _read_text(path) -> str:
+    """The text of the file at ``path``; one that cannot be read or is
+    not UTF-8 is malformed input, and the message names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise FormatError(f"cannot read {path}: {e}") from None
+
+
 def read_json(path):
     """The JSON document in the file at ``path``.
 
     A file that cannot be read, is not UTF-8 or is not JSON is malformed
     input (see :func:`parse_json`); the message names the path.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise FormatError(f"cannot read {path}: {e}") from None
-    return parse_json(text, f"{path}: ")
+    return parse_json(_read_text(path), f"{path}: ")
 
 
 def load_file(path) -> RawCategory:
-    """Read and parse a category document from ``path``."""
-    return load_spec(read_json(path))
+    """Read and parse a category document from ``path`` (see
+    :func:`load_spec`); a JSON error names the path."""
+    return _load_text(_read_text(path), f"{path}: ")
 
 
 def validate_category(raw: RawCategory) -> FinCat:

@@ -248,7 +248,7 @@ def test_c09_comparison_functors_mutually_inverse():
 
     hocr = build_ho_cr(cat, members, chain, cert0=target.certificate,
                        ambient_cert=ambient.certificate)
-    rep = check_conjugation(cat, members, chain, hocr, cert=ambient.certificate)
+    rep = check_conjugation(cat, members, hocr, cert=ambient.certificate)
     assert rep.status == "verified" and rep.route == "functor-pair"
     hq, qcat = hocr.category, quotient(cat, ambient.congruence).quotient
     assert len(hq.morphisms) == len(qcat.morphisms)

@@ -293,7 +293,7 @@ def test_ho_cr_routes_agree_when_sub_and_parent_indices_differ():
     assert by_target.gamma.on_morphisms == by_ambient.gamma.on_morphisms
     assert by_target.classes == by_ambient.classes == ((idb, e),) * 4
     for hocr in (by_target, by_ambient):
-        assert check_conjugation(cat, members, chain, hocr, cert=ambient).status == "verified"
+        assert check_conjugation(cat, members, hocr, cert=ambient).status == "verified"
 
 
 def identity_deformation(cat, members):
@@ -356,7 +356,7 @@ def test_conjugation_functor_pair_route():
     cat, members, chain, _cert0 = build_fixture_hocr("f_retr_def")
     ambient_cert = certify_whitehead(cat, members).certificate
     hocr = build_ho_cr(cat, members, chain, ambient_cert=ambient_cert)
-    rep = check_conjugation(cat, members, chain, hocr, cert=ambient_cert)
+    rep = check_conjugation(cat, members, hocr, cert=ambient_cert)
     assert rep.status == "verified"
     assert rep.route == "functor-pair"
     assert rep.unknown_pairs == ()
@@ -368,13 +368,13 @@ def test_conjugation_functor_pair_route():
 def test_conjugation_lemma_route():
     cat, members, chain, cert0 = build_fixture_hocr("f_def")
     hocr = build_ho_cr(cat, members, chain, cert0=cert0)
-    rep = check_conjugation(cat, members, chain, hocr, cert=None, budget=8)
+    rep = check_conjugation(cat, members, hocr, cert=None, budget=8)
     assert rep.status == "verified"
     assert rep.route == "zigzag-lemma"
     assert rep.unknown_pairs == ()
     assert rep.phi is None and rep.psi is None
 
-    starved = check_conjugation(cat, members, chain, hocr, cert=None, budget=0)
+    starved = check_conjugation(cat, members, hocr, cert=None, budget=0)
     assert starved.status == "unknown"
     assert cat.mor("theta") in starved.unknown_pairs
 
@@ -397,7 +397,7 @@ def test_conjugation_lemma_route_right_deformation():
     assert chain.thetas[b].steps == ((cat.mor("r"), BWD),)
     hocr = build_ho_cr(cat, ALL_RETR_W, chain,
                        cert0=certify_whitehead(c0.cat, ["id:a"]).certificate)
-    rep = check_conjugation(cat, ALL_RETR_W, chain, hocr, cert=None, budget=8)
+    rep = check_conjugation(cat, ALL_RETR_W, hocr, cert=None, budget=8)
     assert rep.status == "verified"
     assert rep.route == "zigzag-lemma"
 
@@ -411,14 +411,14 @@ def test_conjugation_certificate_route_failures():
     discrete = certify_whitehead(cat, []).certificate
     same = identity_deformation(cat, members)
     fine = build_ho_cr(cat, members, same, cert0=discrete)
-    rep = check_conjugation(cat, members, same, fine, cert=ambient)
+    rep = check_conjugation(cat, members, fine, cert=ambient)
     assert (rep.status, rep.witness[0]) == ("failed", "gamma not constant on a homotopy class")
 
     # theta_b = s has no inverse in C itself
     retract = compose_chain([validate_deformation(cat, members, subcategory(cat, ["a"]),
                                                   raw.deformation[0])])
     hocr = build_ho_cr(cat, members, retract, ambient_cert=ambient)
-    rep = check_conjugation(cat, members, retract, hocr, cert=discrete)
+    rep = check_conjugation(cat, members, hocr, cert=discrete)
     assert (rep.status, rep.witness) == ("failed", ("theta class is not invertible", cat.obj("b")))
 
     # The monoid {1, e}, e∘e = e: Ho(C) with W = {e} is trivial, and
@@ -431,7 +431,7 @@ def test_conjugation_certificate_route_failures():
     same = identity_deformation(cat, members)
     coarse = build_ho_cr(cat, members, same,
                          ambient_cert=certify_whitehead(cat, members).certificate)
-    rep = check_conjugation(cat, members, same, coarse,
+    rep = check_conjugation(cat, members, coarse,
                             cert=certify_whitehead(cat, []).certificate)
     assert (rep.status, rep.witness) == ("failed", ("psi . phi misses the identity", cat.mor("e")))
 

@@ -2,6 +2,8 @@ import collections
 import functools
 import json
 import random
+import re
+import tracemalloc
 import types
 
 import pytest
@@ -24,7 +26,8 @@ from hocat import fincat
 from hocat.errors import FormatError, ValidationError
 from hocat.fixtures import NAMES, category, load, path
 
-from gencat import all_functions_instance, gen_category, gen_document, sample_precongruence
+from gencat import (all_functions_instance, chain_complex_instance, gen_category, gen_document,
+                    monoid_corpus, sample_precongruence)
 from oracles import (
     brute_broken_composite,
     composable_pairs,
@@ -178,7 +181,7 @@ def empty_composition(doc):
     return "missing composite: 's' after 'r'"
 
 
-@pytest.mark.parametrize("mangle, err", [
+MANGLES = [
     (lambda d: d.update(objects=[]), FormatError),
     (lambda d: d.update(objects=["a", "a", "b"]), FormatError),
     (lambda d: d["morphisms"].append({"name": "s", "dom": "a", "cod": "b"}), FormatError),
@@ -203,7 +206,10 @@ def empty_composition(doc):
     (int_key_in_morphism_entry, FormatError),
     (int_key_in_deformation_block, FormatError),
     (empty_composition, ValidationError),
-])
+]
+
+
+@pytest.mark.parametrize("mangle, err", MANGLES)
 def test_malformed_documents_rejected(mangle, err):
     """A mangle that returns a string returns the exact message: the
     first bad entry in document order."""
@@ -553,6 +559,195 @@ def test_load_file_reads_fixture(tmp_path):
     target = tmp_path / "copy.json"
     target.write_text(json.dumps(json.loads(path("f_retr").read_text(encoding="utf-8"))))
     assert load_file(target).objects == raw.objects
+
+
+def _outcome(load, *args):
+    """What ``load`` gives: a raw category or a format error's message."""
+    try:
+        return load(*args)
+    except FormatError as e:
+        return str(e)
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Composition pieces of a few dozen characters: a document of more
+    takes the chunked path, and its list is cut at nearly every entry."""
+    monkeypatch.setattr(fincat, "CHUNK", 40)
+
+
+def _same_either_way(text):
+    """The chunked path (``small_chunks`` in force) gives what the
+    whole-document path gives for ``text``: the same raw category or
+    the same error message.  Returns the chunked path's own answer,
+    None where it handed the text on."""
+    whole = _outcome(lambda: fincat._load_document(fincat.parse_json(text)))
+    assert _outcome(load_spec, text) == whole
+    return fincat._load_chunked(text)
+
+
+def _layouts(doc, **kwargs):
+    return [json.dumps(doc, **kwargs), json.dumps(doc, separators=(",", ":"), **kwargs),
+            json.dumps(doc, indent=2, **kwargs)]
+
+
+def _in_order(doc) -> bool:
+    """Whether ``doc`` lists its objects and morphisms before its
+    composition, the order the chunked path reads."""
+    keys = list(doc) if isinstance(doc, dict) else []
+    return ("composition" in keys
+            and {"objects", "morphisms"} <= set(keys[:keys.index("composition")]))
+
+
+def test_chunked_load_matches_whole_load_on_the_corpora(small_chunks):
+    """Every fixture, generated categories and every fuzz mutant, in
+    three layouts, give the same raw category or message either way.
+    The chunked path answers every document that loads and lists its
+    composition last of the three, and hands on every other."""
+    from test_fuzz import ROUNDS, SEED, mutate
+    rng = random.Random(SEED)
+    docs = [json.loads(path(name).read_text(encoding="utf-8")) for name in NAMES]
+    docs += [gen_document(random.Random(seed)) for seed in range(40)]
+    docs.append(all_functions_instance((1, 2, 3), "all")[2])
+    docs.append(chain_complex_instance()[2])
+    docs += [doc for _cat, _members, doc in monoid_corpus(3)]
+    mutants = [mutate(base, rng)[0] for base in docs[:len(NAMES)] for _ in range(ROUNDS)]
+    for mangle, _err in MANGLES:
+        if mangle is not mapping_proxy_entry:  # a mapping proxy is no JSON
+            doc = small_doc()
+            mangle(doc)
+            mutants.append(doc)
+    answered = collections.Counter()
+    for doc in docs + mutants:
+        whole = _outcome(load_spec, doc)
+        loads = isinstance(whole, fincat.RawCategory)
+        for text in _layouts(doc):
+            chunked = _same_either_way(text)
+            assert chunked == (whole if loads and _in_order(doc) else None)
+            answered[chunked is not None] += 1
+    assert answered[True] > 500 and answered[False] > 500, answered
+
+
+def _doc_text(*fields):
+    """A category document whose top-level fields come in the order given."""
+    doc = small_doc()
+    return "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(doc[k])}" for k in fields) + "}"
+
+
+ORDERED = _doc_text("objects", "morphisms", "composition", "weak_equivalences")
+
+
+def _renamed(doc, old, new):
+    """``doc`` with the arrow ``old`` called ``new`` everywhere."""
+    return json.loads(json.dumps(doc).replace(json.dumps(old), json.dumps(new)))
+
+
+@pytest.mark.parametrize("name", ["s},", '"},{"', "},{", "é→ß", "𝔣"])
+def test_chunked_load_of_awkward_names(small_chunks, name):
+    """A name may hold what ends a piece, and any character; escaped or
+    not, a cut inside it is no entry boundary."""
+    doc = _renamed(small_doc(), "s", name)
+    for text in _layouts(doc) + _layouts(doc, ensure_ascii=False):
+        assert _same_either_way(text) == load_spec(doc)
+    assert load_spec(doc).morphisms[2][0] == name
+
+
+def _first(entry: str) -> str:
+    """``ORDERED`` with ``entry`` the first of its composition list."""
+    return ORDERED.replace('"composition": [', '"composition": [' + entry + ", ")
+
+
+def _last(entry: str) -> str:
+    """``ORDERED`` with ``entry`` the last of its composition list."""
+    return ORDERED.replace('"r"}]', '"r"}, ' + entry + "]")
+
+
+def _case(id, text, chunked=False):
+    return pytest.param(text, chunked, id=id)
+
+
+@pytest.mark.parametrize("text, chunked", [
+    _case("ordered", ORDERED, True),
+    _case("weqs-first", _doc_text("weak_equivalences", "morphisms", "objects", "composition"),
+          True),
+    _case("composition-before-morphisms",
+          _doc_text("objects", "composition", "morphisms", "weak_equivalences")),
+    _case("composition-first", _doc_text("composition", "objects", "morphisms")),
+    _case("composition-before-objects", _doc_text("morphisms", "composition", "objects")),
+    _case("no-composition", _doc_text("objects", "morphisms", "weak_equivalences")),
+    _case("repeated-composition", _doc_text("objects", "morphisms", "composition", "composition")),
+    _case("repeated-morphisms",
+          ORDERED[:-1] + ', "morphisms": [{"name": "s", "dom": "a", "cod": "b"}]}'),
+    _case("repeated-objects", ORDERED.replace('"objects": [', '"objects": ["a"], "objects": [')),
+    _case("unknown-field", ORDERED.replace('"composition": [', '"extra": 1, "composition": [')),
+    _case("composition-object", ORDERED.replace('"composition": [', '"composition": {"x": [')),
+    _case("empty-composition",
+          '{"objects": ["a"], "morphisms": [], "composition": []}' + " " * 50, True),
+    _case("nested-object", _first('{"after": "s", "before": {"x": [1, {"y": 2}]}, "equals": "s"}')),
+    _case("nested-list-name", _first('{"after": [{"a": 1}, [2]], "before": "s", "equals": "s"}')),
+    _case("list-entry", _first('["r", "s", "id:a"]')),
+    _case("number-last", _last("7")),
+    _case("string-last", _last('"s"')),
+    _case("extra-key", _last('{"after": "r", "before": "e", "equals": "r", "x": 1}')),
+    _case("stray-values", _first("7, 7, 7")),
+    _case("huge-integer", _first('{"after": "s", "before": "r", "n": ' + "7" * 4301 + "}")),
+    _case("deep-nesting-in-entry", _first('{"n": ' + "[" * 5000 + "]" * 5000 + "}")),
+    _case("deep-nesting-unclosed", _first("[" * 5000)),
+    _case("array-document", ORDERED.replace("{", "[", 1)),
+    _case("trailing-object", ORDERED + ' {"objects": ["z"]}'),
+    _case("trailing-bracket", ORDERED + "]"),
+    _case("truncated", ORDERED[:-1]),
+    _case("truncated-in-list", ORDERED[:-3]),
+    _case("bom", "\ufeff" + ORDERED),
+    _case("whitespace",
+          "\n\t " + ORDERED.replace(": ", " :\n ").replace(", ", "\r\n, ") + " \n", True),
+])
+def test_chunked_load_of_crafted_documents(small_chunks, text, chunked):
+    """Crafted texts give the whole-document path's raw category or
+    message, and the chunked path answers exactly the ones marked."""
+    assert len(text) > fincat.CHUNK
+    answer = _same_either_way(text)
+    assert (answer is not None) == chunked
+    assert answer is None or answer == fincat._load_document(json.loads(text))
+
+
+def test_chunked_load_file_names_the_path(small_chunks, tmp_path):
+    """Reading a file takes the same path as reading its text: a JSON
+    error names the file, a structural error does not; a file with a
+    UTF-8 byte order mark is no JSON text, as bytes with one are."""
+    target = tmp_path / "doc.json"
+    target.write_text(ORDERED + " x", encoding="utf-8")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(target))}: not valid JSON: Extra data"):
+        load_file(target)
+    target.write_text("\ufeff" + ORDERED, encoding="utf-8")
+    with pytest.raises(FormatError,
+                       match=f"^{re.escape(str(target))}: not valid JSON: Unexpected UTF-8 BOM"):
+        load_file(target)
+    assert load_spec(target.read_bytes()) == load_spec(small_doc())
+    target.write_text(ORDERED.replace('"weak_equivalences"', '"weak"'), encoding="utf-8")
+    with pytest.raises(FormatError, match="^unknown top-level field 'weak'$"):
+        load_file(target)
+    target.write_text(ORDERED, encoding="utf-8")
+    assert load_file(target) == load_spec(small_doc())
+
+
+def test_loading_a_large_document_holds_one_piece_at_a_time(tmp_path):
+    """At 494 arrows the composition list has 132k entries.  Decoded
+    whole it held ~47 MB of dicts above the text; in pieces, loading the
+    file peaks at no more than a second copy of the text while it is
+    read, plus the three index columns."""
+    _cat, _members, doc = all_functions_instance((1, 2, 3, 4), "all")
+    target = tmp_path / "fun1234.json"
+    target.write_text(json.dumps(doc), encoding="utf-8")
+    size = target.stat().st_size
+    tracemalloc.start()
+    try:
+        raw = load_file(target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - size < 12 * 10**6, peak - size
+    assert len(raw.composition[0]) == len(doc["composition"]) > 100_000
 
 
 def test_hom_and_parallel_pairs_consistent():
