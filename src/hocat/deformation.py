@@ -345,11 +345,12 @@ class ConjugationReport:
     """Outcome of comparing Ho(C) with Ho(C, r).
 
     With an ambient certificate the comparison functors phi and psi are
-    built outright: phi is validated as a functor, and psi is certified
-    by the checks that it is phi's two-sided inverse.  On an inverse miss
-    ``psi`` is None.  Without a certificate, each arrow f is tested
-    homotopic to its theta-conjugate within the move budget, and
-    exhausted pairs are reported unknown rather than failed.
+    built outright: phi is certified by gamma, a functor checked constant
+    on every homotopy class, and psi by the checks that it is phi's
+    two-sided inverse.  On an inverse miss ``psi`` is None.  Without a
+    certificate, each arrow f is tested homotopic to its theta-conjugate
+    within the move budget, and exhausted pairs are reported unknown
+    rather than failed.
     """
 
     status: str
@@ -367,11 +368,13 @@ def check_conjugation(cat: FinCat, weqs, hocr: HoCr,
     ``hocr``, through the chain it was built from.
 
     Certificate route: phi sends a class [f] to [rf] and psi conjugates
-    a target class back through the theta zigzags.  phi is validated as
-    a functor and psi checked its two-sided inverse arrow by arrow,
-    which certifies psi as a functor too.  Lemma route: for every arrow
-    f the single-step zigzag is searched equivalent to
-    theta_Y . rf . theta_X^-1 within the budget.
+    a target class back through the theta zigzags.  gamma is a functor
+    checked constant on every class, so phi([g]∘[f]) = gamma(rep g ∘
+    rep f) = phi[g]∘phi[f] and phi keeps identities; psi is checked
+    phi's two-sided inverse arrow by arrow.  So both are functors with
+    no check of their own.  Lemma route: for every arrow f the
+    single-step zigzag is searched equivalent to theta_Y . rf .
+    theta_X^-1 within the budget.
     """
     chain = hocr.chain
     if cert is not None:
@@ -386,14 +389,9 @@ def check_conjugation(cat: FinCat, weqs, hocr: HoCr,
             if len({hocr.gamma.on_morphisms[m] for m in members}) > 1:
                 return failed("gamma not constant on a homotopy class", *members[:2])
 
-        phi_mors = tuple(hocr.gamma.on_morphisms[members[0]]
-                         for members in cong.classes)
-        try:
-            phi = CatFunctor(qcat, hocr.category,
-                             on_objects=tuple(range(len(cat.objects))),
-                             on_morphisms=phi_mors)
-        except ValidationError as exc:
-            return failed("phi is not a functor", str(exc))
+        phi = CatFunctor.certified(qcat, hocr.category, range(len(cat.objects)),
+                                   [hocr.gamma.on_morphisms[members[0]]
+                                    for members in cong.classes])
 
         theta_cls = {}
         theta_inv = {}

@@ -18,9 +18,10 @@ top-level field at a time, and its composition list a piece of about
 :data:`CHUNK` characters at a time: each piece is resolved to arrow
 indices and freed before the next is decoded, so loading never holds
 every entry as a dict.  Whatever that reader does not take, a document
-within one chunk, bytes, fields out of order or repeated, any error,
-goes through the whole-document path, which alone raises errors; so the
-raw category and every message are the same either way.
+within one chunk, fields out of order or repeated, any error, goes
+through the whole-document path, which alone raises errors; so the raw
+category and every message are the same either way.  Bytes are UTF-8
+text, decoded before either path sees them.
 
 A category's objects, arrows and table never change after construction.
 It caches in its ``vars``, on first use, its ``generators`` (with the
@@ -425,21 +426,21 @@ def load_spec(document) -> RawCategory:
     """Parse a category document into raw, structurally checked data.
 
     ``document`` is a mapping (already decoded) or JSON text, a string or
-    UTF-8 bytes; a string longer than :data:`CHUNK` has its composition
-    list decoded a piece at a time (:func:`_load_chunked`).  The checks
-    here are purely structural: field shapes, duplicate names, and
-    dangling references.  Category laws are the business of
+    UTF-8 bytes; text longer than :data:`CHUNK` has its composition list
+    decoded a piece at a time (:func:`_load_chunked`).  The checks here
+    are purely structural: field shapes, duplicate names, and dangling
+    references.  Category laws are the business of
     :func:`validate_category`.
     """
     if isinstance(document, (str, bytes)):
-        return _load_text(document, "")
+        return _load_text(_text(document), "")
     return _load_document(document)
 
 
-def _load_text(text, where: str) -> RawCategory:
+def _load_text(text: str, where: str) -> RawCategory:
     """The category of the JSON text ``text``; the message of a JSON
     error starts with ``where``."""
-    raw = _load_chunked(text) if isinstance(text, str) and len(text) > CHUNK else None
+    raw = _load_chunked(text) if len(text) > CHUNK else None
     return _load_document(parse_json(text, where)) if raw is None else raw
 
 
@@ -499,18 +500,28 @@ def _load_chunked(text: str) -> RawCategory | None:
         return None
 
 
+def _text(text, where: str = "") -> str:
+    """``text``, bytes decoded strictly as UTF-8, as a file is read: no
+    other encoding is guessed, and a byte order mark is left for the
+    parser to refuse."""
+    try:
+        return text.decode("utf-8") if isinstance(text, bytes) else text
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{where}not valid JSON: {e}") from None
+
+
 def parse_json(text, where: str = ""):
     """The JSON value in ``text``, a string or UTF-8 bytes.
 
-    Text that is not JSON is malformed input, and so is text the parser
-    cannot take: nesting deeper than the interpreter's recursion limit
-    allows, or an integer literal longer than
-    :func:`sys.get_int_max_str_digits`.  The message starts with
-    ``where``.
+    Text that is not JSON is malformed input, and so are bytes that are
+    not UTF-8 (:func:`_text`) and text the parser cannot take: nesting
+    deeper than the interpreter's recursion limit allows, or an integer
+    literal longer than :func:`sys.get_int_max_str_digits`.  The message
+    starts with ``where``.
     """
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        return json.loads(_text(text, where))
+    except json.JSONDecodeError as e:
         reason = str(e)
     except RecursionError:
         reason = "nested too deeply"
@@ -649,7 +660,7 @@ def opposite(cat: FinCat) -> FinCat:
 
 class CatFunctor:
     """A functor between finite categories, validated exhaustively:
-    endpoints, identities and every composable pair."""
+    endpoints, identities and every composable pair, pair by pair."""
 
     def __init__(self, source: FinCat, target: FinCat,
                  on_objects: Sequence[int], on_morphisms: Sequence[int]):
@@ -671,23 +682,13 @@ class CatFunctor:
             if self.on_morphisms[source.identity[x]] != target.identity[self.on_objects[x]]:
                 raise ValidationError(
                     f"functor breaks the identity on {source.obj_name(x)!r}")
-        # F(g∘f) = F(g)∘F(f), one source row g at a time over every f
-        # into dom g: the first gather reads row g at the arrows into
-        # dom g, the second a target row at their images F(f).  A
-        # one-arrow gather yields a scalar on both sides, whose image is
-        # read directly.  Only a failing row is scanned for its first f.
         on, table, ttable = self.on_morphisms, source.table, target.table
-        gathers = [(itemgetter(*into), itemgetter(*map(on.__getitem__, into)), len(into) == 1)
-                   for into in source.incoming]
         for g, m in enumerate(source.morphisms):
-            arrows, images, lone = gathers[m.dom]
-            after = arrows(table[g])
-            if (on[after] if lone else itemgetter(*after)(on)) != images(ttable[on[g]]):
-                f = next(f for f in source.incoming[m.dom]
-                         if on[table[g][f]] != ttable[on[g]][on[f]])
-                raise ValidationError(
-                    "functor breaks composition on "
-                    f"({m.name!r}, {source.mor_name(f)!r})")
+            row, image = table[g], ttable[on[g]]
+            for f in source.incoming[m.dom]:
+                if on[row[f]] != image[on[f]]:
+                    raise ValidationError("functor breaks composition on "
+                                          f"({m.name!r}, {source.mor_name(f)!r})")
 
     @classmethod
     def certified(cls, source: FinCat, target: FinCat,

@@ -226,9 +226,9 @@ class _LegFibres:
     k and the legs that a block of the one-sided relation ``related``
     relates it to: by two out of three, legs (l0, l1) carry a weq fork
     iff l0 is a member and l0 = l1 or they are related, and a block is
-    all members or none.  Which legs' columns hold an arrow, each leg's
-    fibres, and each mediator's row (the bitmask of the legs it sends
-    to each arrow), are found when first asked for.
+    all members or none.  Which legs' columns hold an arrow, and each
+    leg's fibres, are found when first asked for.  Both fork stages ask
+    one query, :meth:`_first`.
     """
 
     def __init__(self, work: FinCat, transposed, members: frozenset[int],
@@ -252,7 +252,6 @@ class _LegFibres:
                                 partners))
         self._hits: list[dict[int, int]] = [{} for _ in self.apexes]
         self._fibres: list[dict[int, dict[int, int]]] = [{} for _ in self.apexes]
-        self._rows: list[list[dict[int, int]] | None] = [None] * len(self.apexes)
 
     def _hit(self, a: int, f: int) -> int:
         """The bitmask of apex a's legs whose column holds f."""
@@ -271,30 +270,14 @@ class _LegFibres:
             fibres[k] = fibre
         return fibres[k]
 
-    def _sent(self, a: int, hs: int, f: int) -> int:
-        """The bitmask of apex a's legs that some mediator in the bitmask
-        ``hs`` sends to f, read off the mediators' rows."""
-        rows = self._rows[a]
-        if rows is None:
-            rows = self._rows[a] = [{} for _ in self.apexes[a][1]]
-            for k, column in enumerate(self.apexes[a][2]):
-                for row, composite in zip(rows, column):
-                    row[composite] = row.get(composite, 0) | 1 << k
-        legs = 0
-        while hs:
-            i = (hs & -hs).bit_length() - 1
-            hs ^= 1 << i
-            legs |= rows[i].get(f, 0)
-        return legs
-
-    def shared(self, p, q):
-        """The columns of the legs (l0, l1) of a weq fork that mediates
-        both ordered pairs p and q, or None when no fork does: legs
-        with mediators h, h' such that h∘l0, h∘l1 is p and h'∘l0, h'∘l1
-        is q."""
+    def _first(self, p, q) -> tuple[int, int, int] | None:
+        """The apex and leg positions (a, k0, k1) of the earliest weq
+        fork, in (apex, l0, l1) order, that mediates both ordered pairs
+        p and q, or None when no fork does: legs with mediators h, h'
+        such that h∘l0, h∘l1 is p and h'∘l0, h'∘l1 is q."""
         (f, g), (f2, g2) = p, q
         hit, fibre = self._hit, self._fibre
-        for a, (_legs, _mediators, columns, _values, partners) in enumerate(self.apexes):
+        for a, (_legs, _mediators, _columns, _values, partners) in enumerate(self.apexes):
             firsts = hit(a, f) & hit(a, f2)
             seconds = firsts and hit(a, g) & hit(a, g2)
             while firsts and seconds:
@@ -306,7 +289,15 @@ class _LegFibres:
                     k1 = (both & -both).bit_length() - 1
                     both ^= 1 << k1
                     if at_p & fibre(a, k1)[g] and at_q & fibre(a, k1)[g2]:
-                        return columns[k0], columns[k1]
+                        return a, k0, k1
+        return None
+
+    def shared(self, p, q):
+        """The columns of the legs (l0, l1) of the fork :meth:`_first`
+        names, or None when no fork mediates both p and q."""
+        if first := self._first(p, q):
+            a, k0, k1 = first
+            return self.apexes[a][2][k0], self.apexes[a][2][k1]
         return None
 
     def witness(self, f: int, g: int) -> tuple[int, int, int] | None:
@@ -315,26 +306,16 @@ class _LegFibres:
         or None when none does.  The legs face (f, g): h∘l0 = f and
         h∘l1 = g, so a fork that mediates only (g, f) comes turned, and
         one that mediates both comes as it is."""
-        hit, fibre, sent = self._hit, self._fibre, self._sent
-        for a, (legs, mediators, _columns, _values, partners) in enumerate(self.apexes):
-            at_f, at_g = hit(a, f), hit(a, g)
-            firsts = at_f | at_g
-            while firsts:
-                k0 = (firsts & -firsts).bit_length() - 1
-                firsts ^= 1 << k0
-                mates = partners[k0] ^ 1 << k0  # (k0, k0) mediates only (h, h)
-                facing = turned = 0  # the k1 with (k0, k1) mediating (f, g), and (g, f)
-                if at_f >> k0 & 1 and mates & at_g:
-                    facing = sent(a, fibre(a, k0)[f], g) & mates
-                if at_g >> k0 & 1 and mates & at_f:
-                    turned = sent(a, fibre(a, k0)[g], f) & mates
-                if both := facing | turned:
-                    k1 = (both & -both).bit_length() - 1
-                    if not facing >> k1 & 1:
-                        k0, k1 = k1, k0
-                    hs = fibre(a, k0)[f] & fibre(a, k1)[g]
-                    return legs[k0], legs[k1], mediators[(hs & -hs).bit_length() - 1]
-        return None
+        facing, turned = self._first((f, g), (f, g)), self._first((g, f), (g, f))
+        if turned and (not facing or turned < facing):
+            a, k1, k0 = turned
+        elif facing:
+            a, k0, k1 = facing
+        else:
+            return None
+        legs, mediators = self.apexes[a][:2]
+        hs = self._fibre(a, k0)[f] & self._fibre(a, k1)[g]
+        return legs[k0], legs[k1], mediators[(hs & -hs).bit_length() - 1]
 
 
 class Verdict(NamedTuple):

@@ -803,7 +803,7 @@ def zigzag_to_json(cat: FinCat, z: Zigzag) -> dict:
 
 
 def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
-    """Read a zigzag from a mapping or JSON text: {"start", "steps"}.
+    """Read a zigzag from a mapping or JSON text, str or UTF-8 bytes: {"start", "steps"}.
 
     Objects, arrows and directions are given by name only.
     """

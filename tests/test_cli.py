@@ -728,3 +728,13 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{info.name}.{name}"
         exec(f"from {info.name} import *", {})
     exec("from hocat import *", {})
+
+
+def test_unknown_format_and_stage_are_format_errors():
+    report = cli.run_analysis(fx("f_retr"))
+    with pytest.raises(FormatError) as err:
+        cli.render_report(report, "xml")
+    assert str(err.value) == "unknown format 'xml'; use text or json"
+    with pytest.raises(FormatError) as err:
+        cli.run_analysis(fx("f_retr"), stages=["nope"])
+    assert str(err.value) == f"unknown stage 'nope'; stages are {', '.join(cli.STAGES)}"

@@ -723,12 +723,54 @@ def test_chunked_load_file_names_the_path(small_chunks, tmp_path):
     with pytest.raises(FormatError,
                        match=f"^{re.escape(str(target))}: not valid JSON: Unexpected UTF-8 BOM"):
         load_file(target)
-    assert load_spec(target.read_bytes()) == load_spec(small_doc())
+    with pytest.raises(FormatError, match="^not valid JSON: Unexpected UTF-8 BOM"):
+        load_spec(target.read_bytes())
     target.write_text(ORDERED.replace('"weak_equivalences"', '"weak"'), encoding="utf-8")
     with pytest.raises(FormatError, match="^unknown top-level field 'weak'$"):
         load_file(target)
     target.write_text(ORDERED, encoding="utf-8")
     assert load_file(target) == load_spec(small_doc())
+
+
+NOT_UTF8 = "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+BOM = "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+
+# Bytes that are no UTF-8 JSON text, as a function of the text they
+# encode, and the message each gives.
+NOT_UTF8_TEXT = [(lambda text: text.encode("utf-16"), NOT_UTF8),
+                 (lambda text: text.encode("utf-32"), NOT_UTF8),
+                 (lambda text: b"\xff" + text.encode(), NOT_UTF8),
+                 (lambda text: "\ufeff".encode() + text.encode(), BOM)]
+
+
+@pytest.mark.parametrize("encode, message", NOT_UTF8_TEXT,
+                         ids=["utf-16", "utf-32", "invalid", "bom"])
+def test_bytes_are_utf8_text(tmp_path, encode, message):
+    """Bytes are read as a file is: strictly as UTF-8, with no other
+    encoding guessed and no byte order mark stripped; the file is
+    refused too."""
+    data = encode(json.dumps(small_doc()))
+    for read in (load_spec, fincat.parse_json):
+        with pytest.raises(FormatError) as err:
+            read(data)
+        assert str(err.value) == message, read
+    target = tmp_path / "doc.json"
+    target.write_bytes(data)
+    with pytest.raises(FormatError):
+        load_file(target)
+
+
+def test_long_bytes_take_the_chunked_path(small_chunks, monkeypatch):
+    """Bytes are decoded before the reader is chosen, so a document of
+    more than ``CHUNK`` characters given as bytes is read in pieces,
+    like its text."""
+    answers = []
+    chunked = fincat._load_chunked
+    monkeypatch.setattr(fincat, "_load_chunked",
+                        lambda text: answers.append(chunked(text)) or answers[-1])
+    doc = _renamed(small_doc(), "s", "é→ß")
+    assert load_spec(json.dumps(doc, ensure_ascii=False).encode()) == load_spec(doc)
+    assert answers == [load_spec(doc)]
 
 
 def test_loading_a_large_document_holds_one_piece_at_a_time(tmp_path):
@@ -903,8 +945,7 @@ def test_functor_names_the_first_broken_composite():
     fails on the first (g, f) the oracle names.  The functors are the
     identity and the projection onto a quotient, each target with the
     image cell of one composable pair changed and of two; the pairs
-    include rows g whose domain only the identity enters, which the
-    check reads with a one-arrow gather."""
+    include rows g whose domain only the identity enters."""
     rng = random.Random(4242)
     lone_rows = 0
     for _ in range(40):

@@ -133,3 +133,14 @@ def test_corpus_families_honor_closure(split_corpus):
             for nxt in chain[1:]:
                 acc = cat.table[nxt][acc]
             assert acc == w
+
+
+def test_split_generation_needs_the_family_axioms():
+    """With W = {s, r} on f_retr, s∘r = e is no member: two out of three
+    fails, and split generation refuses the family."""
+    cat, _members, _r = category("f_retr")
+    family = check_weq_axioms(cat, ["s", "r"])
+    assert not family.report.axioms_ok
+    with pytest.raises(ValidationError) as err:
+        check_split_generated(family)
+    assert str(err.value) == "split generation needs the family axioms to hold"

@@ -23,7 +23,7 @@ from hocat.errors import FormatError, MoveError, ValidationError
 from hocat.fixtures import NAMES, category
 from hocat.fincat import resolve_weqs
 from hocat.weq import SplitCertificate
-from hocat.zigzag import (BWD, CANCEL, COMPOSE, FWD, OMIT, Move, _Engine, _search,
+from hocat.zigzag import (BWD, CANCEL, COMPOSE, FWD, OMIT, Move, MoveTrace, _Engine, _search,
                           localized_value, trace_to_json)
 
 from gencat import all_functions_instance, gen_any_instance
@@ -133,6 +133,26 @@ def test_backward_compose_needs_member_composite():
         apply_move(thin, ["f"], z2, COMPOSE, 0, "unapply", ("id:c", "f"))
 
 
+@pytest.mark.parametrize("encoding, message", [
+    ("utf-16", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte"),
+    ("utf-32", "not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0: "
+               "invalid start byte"),
+    ("utf-8-sig", "not valid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                  "line 1 column 1 (char 0)"),
+], ids=["utf-16", "utf-32", "bom"])
+def test_zigzag_document_bytes_are_utf8_text(encoding, message):
+    """A zigzag document given as bytes is read strictly as UTF-8, as a
+    category document is."""
+    cat, members, _r = category("f_retr")
+    text = '{"start": "a", "steps": [["s", "fwd"]]}'
+    assert zigzag_from_json(cat, members, text.encode()) == \
+        make_zigzag(cat, members, "a", [("s", "fwd")])
+    with pytest.raises(FormatError) as err:
+        zigzag_from_json(cat, members, text.encode(encoding))
+    assert str(err.value) == message
+
+
 def test_replay_and_invert_round_trip():
     cat, members, _r = category("f_retr")
     z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
@@ -145,6 +165,39 @@ def test_replay_and_invert_round_trip():
     assert rev.start == z2 and rev.end == z1
     assert replay(cat, members, rev) == z1
     assert len(rev.moves) == len(trace.moves)
+
+
+def test_direction_must_be_fwd_or_bwd():
+    cat, members, _r = category("f_retr")
+    with pytest.raises(FormatError) as err:
+        make_zigzag(cat, members, "a", [("s", "up")])
+    assert str(err.value) == "direction must be fwd or bwd, not 'up'"
+
+
+def test_trace_with_a_wrong_end_neither_replays_nor_inverts():
+    """A trace whose moves do not reach its recorded end is refused."""
+    cat, members, _r = category("f_retr")
+    z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
+    trace = bounded_equiv(cat, members, z1,
+                          make_zigzag(cat, members, "b", [("id:b", "fwd")])).trace
+    assert trace.moves
+    wrong = MoveTrace(trace.start, trace.start, trace.moves)
+    with pytest.raises(MoveError) as err:
+        replay(cat, members, wrong)
+    assert str(err.value) == "trace does not reach its recorded end zigzag"
+    with pytest.raises(MoveError) as err:
+        invert_trace(cat, members, wrong)
+    assert str(err.value) == "trace does not replay; cannot invert"
+
+
+def test_localized_value_needs_inverses_of_backward_steps():
+    """In f_retr itself, r has a left inverse (r∘s = id:a) but no
+    two-sided one, so r taken backward has no value there."""
+    cat, members, _r = category("f_retr")
+    identity = range(len(cat.morphisms))
+    assert localized_value(cat, identity, make_zigzag(cat, members, "a", [("r", "bwd")])) is None
+    assert localized_value(cat, identity,
+                           make_zigzag(cat, members, "a", [("s", "fwd")])) == cat.mor("s")
 
 
 def test_bounded_equiv_retract_example():
