@@ -222,18 +222,19 @@ class _LegFibres:
 
     Per apex x, leg k's column lists h∘leg over the mediators
     h: x -> ``vb``, and its fibre over an arrow f is the bitmask of the
-    mediators h with h∘leg = f.  ``partners[k]`` is the bitmask of leg
-    k and the legs that a block of the one-sided relation ``related``
-    relates it to: by two out of three, legs (l0, l1) carry a weq fork
-    iff l0 is a member and l0 = l1 or they are related, and a block is
-    all members or none.  Which legs' columns hold an arrow, and each
-    leg's fibres, are found when first asked for.  Both fork stages ask
-    one query, :meth:`_first`.
+    mediators h with h∘leg = f.  The apex's hit on f is the bitmask of
+    the legs whose column holds f.  ``partners[k]`` is the bitmask of
+    leg k and the legs that a block of the one-sided relation
+    ``related`` relates it to: by two out of three, legs (l0, l1) carry
+    a weq fork iff l0 is a member and l0 = l1 or they are related, and
+    a block is all members or none.  Fibres and hits are built with the
+    columns, once per hom pair.  Both fork stages ask one query,
+    :meth:`_first`.
     """
 
     def __init__(self, work: FinCat, transposed, members: frozenset[int],
                  related: Precongruence, va: int, vb: int):
-        # per apex: (legs, mediators, columns, their value sets, partners)
+        # per apex: (legs, mediators, columns, hits, fibres, partners)
         self.apexes = []
         for x in range(len(work.objects)):
             legs = [leg for leg in work.hom(va, x) if leg in members]
@@ -241,6 +242,15 @@ class _LegFibres:
             if not legs or not mediators:
                 continue
             columns = [tuple(map(transposed[leg].__getitem__, mediators)) for leg in legs]
+            hits: dict[int, int] = {}
+            fibres = []
+            for k, column in enumerate(columns):
+                fibre: dict[int, int] = {}
+                for i, f in enumerate(column):
+                    fibre[f] = fibre.get(f, 0) | 1 << i
+                for f in fibre:
+                    hits[f] = hits.get(f, 0) | 1 << k
+                fibres.append(fibre)
             where = {leg: k for k, leg in enumerate(legs)}
             partners = [1 << k for k in range(len(legs))]
             for block in related.blocks:
@@ -248,27 +258,7 @@ class _LegFibres:
                     bits = sum(1 << where[leg] for leg in block)
                     for leg in block:
                         partners[where[leg]] |= bits
-            self.apexes.append((legs, mediators, columns, list(map(frozenset, columns)),
-                                partners))
-        self._hits: list[dict[int, int]] = [{} for _ in self.apexes]
-        self._fibres: list[dict[int, dict[int, int]]] = [{} for _ in self.apexes]
-
-    def _hit(self, a: int, f: int) -> int:
-        """The bitmask of apex a's legs whose column holds f."""
-        hits = self._hits[a]
-        if f not in hits:
-            hits[f] = sum(1 << k for k, values in enumerate(self.apexes[a][3]) if f in values)
-        return hits[f]
-
-    def _fibre(self, a: int, k: int) -> dict[int, int]:
-        """Apex a's leg k's fibres, by the arrow they lie over."""
-        fibres = self._fibres[a]
-        if k not in fibres:
-            fibre: dict[int, int] = {}
-            for i, f in enumerate(self.apexes[a][2][k]):
-                fibre[f] = fibre.get(f, 0) | 1 << i
-            fibres[k] = fibre
-        return fibres[k]
+            self.apexes.append((legs, mediators, columns, hits, fibres, partners))
 
     def _first(self, p, q) -> tuple[int, int, int] | None:
         """The apex and leg positions (a, k0, k1) of the earliest weq
@@ -276,19 +266,18 @@ class _LegFibres:
         p and q, or None when no fork does: legs with mediators h, h'
         such that h∘l0, h∘l1 is p and h'∘l0, h'∘l1 is q."""
         (f, g), (f2, g2) = p, q
-        hit, fibre = self._hit, self._fibre
-        for a, (_legs, _mediators, _columns, _values, partners) in enumerate(self.apexes):
-            firsts = hit(a, f) & hit(a, f2)
-            seconds = firsts and hit(a, g) & hit(a, g2)
+        for a, (_legs, _mediators, _columns, hits, fibres, partners) in enumerate(self.apexes):
+            firsts = hits.get(f, 0) & hits.get(f2, 0)
+            seconds = firsts and hits.get(g, 0) & hits.get(g2, 0)
             while firsts and seconds:
                 k0 = (firsts & -firsts).bit_length() - 1
                 firsts ^= 1 << k0
-                at_p, at_q = fibre(a, k0)[f], fibre(a, k0)[f2]
+                at_p, at_q = fibres[k0][f], fibres[k0][f2]
                 both = seconds & partners[k0]
                 while both:
                     k1 = (both & -both).bit_length() - 1
                     both ^= 1 << k1
-                    if at_p & fibre(a, k1)[g] and at_q & fibre(a, k1)[g2]:
+                    if at_p & fibres[k1][g] and at_q & fibres[k1][g2]:
                         return a, k0, k1
         return None
 
@@ -313,8 +302,8 @@ class _LegFibres:
             a, k0, k1 = facing
         else:
             return None
-        legs, mediators = self.apexes[a][:2]
-        hs = self._fibre(a, k0)[f] & self._fibre(a, k1)[g]
+        legs, mediators, _columns, _hits, fibres, _partners = self.apexes[a]
+        hs = fibres[k0][f] & fibres[k1][g]
         return legs[k0], legs[k1], mediators[(hs & -hs).bit_length() - 1]
 
 

@@ -805,14 +805,19 @@ def zigzag_to_json(cat: FinCat, z: Zigzag) -> dict:
 def zigzag_from_json(cat: FinCat, weqs, document) -> Zigzag:
     """Read a zigzag from a mapping or JSON text, str or UTF-8 bytes: {"start", "steps"}.
 
-    Objects, arrows and directions are given by name only.
+    The document holds exactly those two fields.  Objects, arrows and
+    directions are given by name only.
     """
     if isinstance(document, (str, bytes)):
         document = parse_json(document)
-    if not isinstance(document, dict) or "start" not in document:
+    if isinstance(document, dict):
+        for key in document:
+            if key not in ("start", "steps"):
+                raise FormatError(f"zigzag document: unknown field {key!r}")
+    if not isinstance(document, dict) or document.keys() != {"start", "steps"}:
         raise FormatError('zigzag document needs "start" and "steps"')
     start = known_name(document["start"], cat.objects, "zigzag start: unknown object")
-    steps = document.get("steps", [])
+    steps = document["steps"]
     if not isinstance(steps, list):
         raise FormatError("zigzag steps: list required")
     names = {m.name for m in cat.morphisms}

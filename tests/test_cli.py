@@ -222,6 +222,17 @@ def test_zigzag_equiv_flow(tmp_path):
     assert sdoc["trace"] is None
 
 
+def test_zigzag_file_with_misspelled_steps_exits_2(tmp_path, capsys):
+    """A zigzag file whose steps field is misspelled is malformed, not
+    the empty zigzag at its start."""
+    t1, t2 = tmp_path / "t1.json", tmp_path / "t2.json"
+    t1.write_text(json.dumps({"start": "a", "step": [["s", "fwd"]]}))
+    t2.write_text(json.dumps({"start": "a", "steps": []}))
+    argv = ["zigzag", fx("f_retr"), "--equiv", str(t1), str(t2), "--format", "json"]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "error: zigzag document: unknown field 'step'\n")
+
+
 @pytest.mark.parametrize("ends", [["--from", "nope", "--to", "zzz"], ["--from", "a"],
                                   ["--to", "b"]])
 def test_zigzag_equiv_excludes_from_and_to(tmp_path, capsys, ends):

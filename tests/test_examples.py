@@ -1,5 +1,11 @@
 """The shipped examples run as documented: both demos, and the code
-block under "Library" in the README."""
+block under "Library" in the README.
+
+Each demo's stdout is compared whole against
+``tests/golden/demo-DEMO.txt``.  To regenerate one after an intended
+change of output, run ``PYTHONPATH=src python3 demos/DEMO.py`` from the
+repository root and redirect it there.
+"""
 
 import os
 import pathlib
@@ -10,6 +16,7 @@ import sys
 import pytest
 
 ROOT = pathlib.Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "golden"
 
 
 @pytest.mark.parametrize("demo, verdicts", [
@@ -24,6 +31,8 @@ def test_demo_runs(demo, verdicts):
     proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    golden = GOLDEN / f"demo-{pathlib.Path(demo).stem}.txt"
+    assert proc.stdout == golden.read_text(encoding="utf-8")
     lines = proc.stdout.splitlines()
     for verdict in verdicts:
         assert verdict in lines, verdict

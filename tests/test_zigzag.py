@@ -502,6 +502,22 @@ def test_zigzag_json_round_trip():
         zigzag_from_json(cat, members, {"start": "a", "steps": [["s"]]})
 
 
+@pytest.mark.parametrize("document, message", [
+    ({"start": "a", "step": [["s", "fwd"]]}, "zigzag document: unknown field 'step'"),
+    ({"start": "a"}, 'zigzag document needs "start" and "steps"'),
+    ({"start": "a", "steps": [], "x": 1}, "zigzag document: unknown field 'x'"),
+    ({"x": 1, "start": "a", "y": 2}, "zigzag document: unknown field 'x'"),
+], ids=["misspelled-steps", "no-steps", "extra-field", "first-unknown-field"])
+def test_zigzag_document_holds_exactly_start_and_steps(document, message):
+    """A field other than start and steps is refused, the first in
+    document order named, before a missing one; a misspelled steps is
+    never read as the empty zigzag."""
+    cat, members, _r = category("f_retr")
+    with pytest.raises(FormatError) as info:
+        zigzag_from_json(cat, members, document)
+    assert str(info.value) == message
+
+
 def test_trace_json_shape():
     cat, members, _r = category("f_retr")
     z1 = make_zigzag(cat, members, "b", [("e", "fwd")])
