@@ -361,3 +361,39 @@ def monoid_corpus(max_order=4):
                         out.append((cat, resolve_weqs(cat, chosen),
                                     dict(doc, weak_equivalences=list(chosen))))
     return out
+
+
+def inconclusive_doc():
+    """Constant maps plus one non-split injection u as the only member.
+
+    u equalizes nothing (injective and surjective on the carriers), so
+    the homotopy relation is discrete; u is not split, and every
+    hom-set is inhabited, so no emptiness witness exists either.
+    """
+    return {
+        "objects": ["a", "b"],
+        "morphisms": [
+            {"name": "p", "dom": "a", "cod": "a"},
+            {"name": "c", "dom": "a", "cod": "b"},
+            {"name": "q", "dom": "b", "cod": "b"},
+            {"name": "v", "dom": "b", "cod": "a"},
+            {"name": "u", "dom": "a", "cod": "b"},
+        ],
+        "composition": [
+            {"after": "p", "before": "p", "equals": "p"},
+            {"after": "u", "before": "p", "equals": "c"},
+            {"after": "c", "before": "p", "equals": "c"},
+            {"after": "q", "before": "u", "equals": "c"},
+            {"after": "v", "before": "u", "equals": "p"},
+            {"after": "q", "before": "c", "equals": "c"},
+            {"after": "v", "before": "c", "equals": "p"},
+            {"after": "q", "before": "q", "equals": "q"},
+            {"after": "v", "before": "q", "equals": "v"},
+            {"after": "p", "before": "v", "equals": "v"},
+            {"after": "u", "before": "v", "equals": "q"},
+            {"after": "c", "before": "v", "equals": "q"},
+            {"after": "u", "before": "id:a", "equals": "u"},
+            {"after": "id:b", "before": "u", "equals": "u"},
+        ],
+        "weak_equivalences": ["u"],
+    }

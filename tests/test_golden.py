@@ -26,7 +26,14 @@ and with W the bijections.
 functions between sets of sizes 1, 2, 3 and 4, with W every arrow and
 with W the bijections, the document named ``fun1234-WEQS.json``.
 
-To regenerate these three files after an intended change, run
+``tests/golden/text-reports.json`` holds, for every fixture and for
+``gencat.inconclusive_doc`` (written to ``inconclusive.json`` in a
+temporary directory), the stdout of ``analyze``, ``quotient``,
+``deform`` and ``zigzag --from FIRST --to LAST`` with ``--format
+text``, run from the directory that holds the document, with the
+analyze timings masked as ``[x.y ms]``.
+
+To regenerate these four files after an intended change, run
 ``PYTHONPATH=src python3 tests/test_golden.py`` from the repository
 root.
 """
@@ -38,10 +45,12 @@ import json
 import os
 import pathlib
 import random
+import re
 import tempfile
 
 import pytest
-from gencat import all_functions_instance, gen_any_instance, gen_split_instance
+from gencat import (all_functions_instance, gen_any_instance, gen_split_instance,
+                    inconclusive_doc)
 from oracles import parallel_pairs
 
 from hocat import (Analysis, bounded_equiv, cli, check_split_generated, check_weq_axioms,
@@ -55,6 +64,7 @@ COMMANDS = ("analyze", "quotient", "deform")
 TRACES = GOLDEN / "zigzag-traces.json"
 FORKS = GOLDEN / "fork-witnesses.json"
 ANALYZE_494 = GOLDEN / "analyze-fun1234-sha256.json"
+TEXT_REPORTS = GOLDEN / "text-reports.json"
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -242,7 +252,45 @@ def test_analyze_494_matches_golden():
     assert _render(analyze_494_hashes()) == ANALYZE_494.read_text(encoding="utf-8")
 
 
+def _stdout(argv) -> str:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(argv) == 0, argv
+    return text.getvalue()
+
+
+def text_reports() -> dict:
+    """Each input's text reports: analyze (timings masked), quotient,
+    deform, and zigzag from its first object to its last."""
+    out = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        with open(os.path.join(workdir, "inconclusive.json"), "w", encoding="utf-8") as fh:
+            json.dump(inconclusive_doc(), fh)
+        inputs = [(name, str(pathlib.Path(str(path(name))).parent)) for name in NAMES]
+        try:
+            for name, directory in inputs + [("inconclusive", workdir)]:
+                os.chdir(directory)
+                file = f"{name}.json"
+                with open(file, encoding="utf-8") as fh:
+                    objects = json.load(fh)["objects"]
+                entry = {command: _stdout([command, file, "--format", "text"])
+                         for command in COMMANDS}
+                entry["analyze"] = re.sub(r"\[\d+\.\d ms\]", "[x.y ms]", entry["analyze"])
+                entry["zigzag"] = _stdout(["zigzag", file, "--from", objects[0],
+                                           "--to", objects[-1], "--format", "text"])
+                out[name] = entry
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def test_text_reports_match_golden():
+    assert _render(text_reports()) == TEXT_REPORTS.read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     TRACES.write_text(_render(zigzag_traces()), encoding="utf-8")
     FORKS.write_text(_render(fork_witnesses()), encoding="utf-8")
     ANALYZE_494.write_text(_render(analyze_494_hashes()), encoding="utf-8")
+    TEXT_REPORTS.write_text(_render(text_reports()), encoding="utf-8")

@@ -40,6 +40,7 @@ from gencat import (
     gen_category,
     gen_document,
     gen_split_instance,
+    inconclusive_doc,
     monoid_corpus,
 )
 from oracles import (
@@ -314,42 +315,6 @@ def test_whitehead_failed_on_span():
     wit = res.witness
     assert (cat.obj_name(wit.source), cat.obj_name(wit.target)) == ("a", "b")
     assert not res.split_generation.generated
-
-
-def inconclusive_doc():
-    """Constant maps plus one non-split injection u as the only member.
-
-    u equalizes nothing (injective and surjective on the carriers), so
-    the homotopy relation is discrete; u is not split, and every
-    hom-set is inhabited, so no emptiness witness exists either.
-    """
-    return {
-        "objects": ["a", "b"],
-        "morphisms": [
-            {"name": "p", "dom": "a", "cod": "a"},
-            {"name": "c", "dom": "a", "cod": "b"},
-            {"name": "q", "dom": "b", "cod": "b"},
-            {"name": "v", "dom": "b", "cod": "a"},
-            {"name": "u", "dom": "a", "cod": "b"},
-        ],
-        "composition": [
-            {"after": "p", "before": "p", "equals": "p"},
-            {"after": "u", "before": "p", "equals": "c"},
-            {"after": "c", "before": "p", "equals": "c"},
-            {"after": "q", "before": "u", "equals": "c"},
-            {"after": "v", "before": "u", "equals": "p"},
-            {"after": "q", "before": "c", "equals": "c"},
-            {"after": "v", "before": "c", "equals": "p"},
-            {"after": "q", "before": "q", "equals": "q"},
-            {"after": "v", "before": "q", "equals": "v"},
-            {"after": "p", "before": "v", "equals": "v"},
-            {"after": "u", "before": "v", "equals": "q"},
-            {"after": "c", "before": "v", "equals": "q"},
-            {"after": "u", "before": "id:a", "equals": "u"},
-            {"after": "id:b", "before": "u", "equals": "u"},
-        ],
-        "weak_equivalences": ["u"],
-    }
 
 
 def test_whitehead_inconclusive_without_witness():
