@@ -30,7 +30,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .deformation import (build_ho_cr, check_conjugation, check_inverts_w,
                           compose_chain, validate_deformation)
-from .errors import FormatError, MoveError, ValidationError
+from .errors import FormatError, HocatError, ValidationError
 from .fincat import (FinCat, known_name, load_file, read_json, resolve_weqs,
                      subcategory, validate_category)
 from .homotopy import Analysis
@@ -277,27 +277,27 @@ STAGES = tuple(_STAGES)
 
 def render_report(report: AnalysisReport, format: str = "text") -> str:
     """Serialize a report; json is byte-stable, text carries timings."""
-    if format == "json":
-        doc = {"input": report.path, "budget": report.budget, **report.data}
+    return _render({"input": report.path, "budget": report.budget, **report.data},
+                   format, report.timings)
+
+
+def _render(doc: dict, fmt: str, timings=None) -> str:
+    """``doc`` as JSON, or as text with one ``key: value`` line per key,
+    in order; a key's timing in ``timings`` ends its own line."""
+    if fmt == "json":
         return _json(doc) + "\n"
-    if format != "text":
-        raise FormatError(f"unknown format {format!r}; use text or json")
-
-    lines = [f"input: {report.path}", f"budget: {report.budget}"]
-    order = [key for keys, _ in _STAGES.values() for key in keys]
-    for key in order:
-        if key not in report.data:
-            continue
-        suffix = ""
-        if key in report.timings:
-            suffix = f"  [{report.timings[key]:.1f} ms]"
-        lines.append(_key_line(key, report.data[key], suffix))
-    return "\n".join(lines) + "\n"
+    if fmt != "text":
+        raise FormatError(f"unknown format {fmt!r}; use text or json")
+    timings = timings or {}
+    return "".join(
+        _key_line(key, value, f"  [{timings[key]:.1f} ms]" if key in timings else "") + "\n"
+        for key, value in doc.items())
 
 
-def _key_line(key, value, suffix="") -> str:
-    """``key: value`` with ``suffix`` ending the key's own line."""
-    rendered = _render_value(value)
+def _key_line(key, value, suffix="", indent=2) -> str:
+    """``key: value`` with ``suffix`` ending the key's own line and a
+    multi-line value's lines indented by ``indent``."""
+    rendered = _render_value(value, indent)
     if "\n" in rendered:
         return f"{key}:{suffix}{rendered}"
     return f"{key}: {rendered}{suffix}"
@@ -331,14 +331,8 @@ def _render_value(value, indent=2) -> str:
         if not value:
             return "{}"
         pad = " " * indent
-        lines = []
-        for k, v in value.items():
-            rendered = _render_value(v, indent + 2)
-            if "\n" in rendered:
-                lines.append(f"{pad}{k}:{rendered}")
-            else:
-                lines.append(f"{pad}{k}: {rendered}")
-        return "\n" + "\n".join(lines)
+        return "".join("\n" + _key_line(pad + k, v, indent=indent + 2)
+                       for k, v in value.items())
     return str(value)
 
 
@@ -373,14 +367,6 @@ def _json(value, pad="\n") -> str:
     return json.dumps(value)
 
 
-def _emit(doc: dict, fmt: str) -> None:
-    if fmt == "json":
-        sys.stdout.write(_json(doc) + "\n")
-    else:
-        for k, v in doc.items():
-            sys.stdout.write(_key_line(k, v) + "\n")
-
-
 def _cmd_analyze(args) -> int:
     stages = None
     if args.stages is not None:
@@ -392,12 +378,11 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_quotient(args) -> int:
-    report = run_analysis(args.file, budget=args.budget, stages=("whitehead",))
-    doc = {"input": report.path,
-           "whitehead": report.data["whitehead"],
-           "quotient": report.data["quotient"]}
-    _emit(doc, args.format)
+def _cmd_stages(args, stages, keys) -> int:
+    """Run ``stages`` and print the input path and the report's ``keys``."""
+    report = run_analysis(args.file, budget=args.budget, stages=stages)
+    doc = {"input": report.path, **{key: report.data[key] for key in keys}}
+    sys.stdout.write(_render(doc, args.format))
     return 0
 
 
@@ -413,27 +398,16 @@ def _cmd_zigzag(args) -> int:
         res = bounded_equiv(cat, members, z1, z2, args.budget)
         doc = {"status": res.status,
                "trace": trace_to_json(cat, res.trace) if res.trace is not None else None}
-        _emit(doc, args.format)
+        sys.stdout.write(_render(doc, args.format))
         return 0
 
     if args.src is None or args.dst is None:
         raise FormatError("zigzag needs --from and --to (or --equiv with two files)")
     z = connect(cat, members, known_name(args.src, cat.objects, "--from: unknown object"),
                 known_name(args.dst, cat.objects, "--to: unknown object"))
-    if z is None:
-        _emit({"status": "unreachable"}, args.format)
-    else:
-        _emit({"status": "connected", "zigzag": zigzag_to_json(cat, z)}, args.format)
-    return 0
-
-
-def _cmd_deform(args) -> int:
-    report = run_analysis(args.file, budget=args.budget, stages=("whitehead", "deformation"))
-    doc = {"input": report.path,
-           "whitehead": report.data["whitehead"],
-           "deformation": report.data["deformation"],
-           "ho_cr": report.data["ho_cr"]}
-    _emit(doc, args.format)
+    doc = ({"status": "unreachable"} if z is None
+           else {"status": "connected", "zigzag": zigzag_to_json(cat, z)})
+    sys.stdout.write(_render(doc, args.format))
     return 0
 
 
@@ -458,7 +432,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quotient", help="build the homotopy quotient")
     common(p)
-    p.set_defaults(func=_cmd_quotient)
+    p.set_defaults(func=functools.partial(_cmd_stages, stages=("whitehead",),
+                                          keys=("whitehead", "quotient")))
 
     p = sub.add_parser("zigzag", help="connect objects or compare zigzags")
     common(p)
@@ -470,7 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deform", help="validate deformation data and build Ho(C, r)")
     common(p)
-    p.set_defaults(func=_cmd_deform)
+    p.set_defaults(func=functools.partial(_cmd_stages, stages=("whitehead", "deformation"),
+                                          keys=("whitehead", "deformation", "ho_cr")))
 
     return parser
 
@@ -480,12 +456,9 @@ def main(argv=None) -> int:
     try:
         args.budget = budget_of(args.budget)
         return args.func(args)
-    except FormatError as e:
+    except HocatError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ValidationError, MoveError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(e, FormatError) else 3
 
 
 if __name__ == "__main__":

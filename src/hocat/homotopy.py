@@ -289,19 +289,17 @@ class _LegFibres:
             return self.apexes[a][2][k0], self.apexes[a][2][k1]
         return None
 
-    def witness(self, f: int, g: int) -> tuple[int, int, int] | None:
+    def witness(self, f: int, g: int) -> tuple[int, int, int]:
         """The legs (l0, l1) and lowest mediator h of the earliest weq
-        fork, in (apex, l0, l1) order, that mediates (f, g) or (g, f),
-        or None when none does.  The legs face (f, g): h∘l0 = f and
-        h∘l1 = g, so a fork that mediates only (g, f) comes turned, and
-        one that mediates both comes as it is."""
+        fork, in (apex, l0, l1) order, that mediates (f, g) or (g, f);
+        one must.  The legs face (f, g): h∘l0 = f and h∘l1 = g, so a
+        fork that mediates only (g, f) comes turned, and one that
+        mediates both comes as it is."""
         facing, turned = self._first((f, g), (f, g)), self._first((g, f), (g, f))
         if turned and (not facing or turned < facing):
             a, k1, k0 = turned
-        elif facing:
-            a, k0, k1 = facing
         else:
-            return None
+            a, k0, k1 = facing
         legs, mediators, _columns, _hits, fibres, _partners = self.apexes[a]
         hs = fibres[k0][f] & fibres[k1][g]
         return legs[k0], legs[k1], mediators[(hs & -hs).bit_length() - 1]
@@ -482,24 +480,25 @@ def certify_whitehead(cat: FinCat, weqs, *, family: WeqFamily | None = None,
     (:func:`nonfullness_witness`) downgrades the verdict to failed and is
     its ``witness``, and absent such a zigzag it stays inconclusive.
     A given ``family`` must be of ``cat`` and have the members ``weqs``
-    resolves to, or ``ValidationError`` is raised; it stands in for the
-    session's axiom check.  A given ``splitgen`` stands in for its split
+    resolves to, or ``ValidationError`` is raised; it becomes the fresh
+    session's axiom check.  A given ``splitgen`` becomes its split
     generation and must be of those members too: a generated one
     decomposes exactly them, a failed one names one of them missing.
     """
     session = Analysis(cat, weqs)
-    if family is None and splitgen is None:
-        return session.whitehead
-    if family is not None and family.base is not cat and family.base != cat:
-        raise ValidationError("the given family is of another category")
-    if family is not None and family.members != session.members:
-        raise ValidationError("the given family has other members than the weak equivalences")
-    if splitgen is not None and (
-            splitgen.certificate.decompositions.keys() != session.members if splitgen.generated
-            else splitgen.missing not in session.members):
-        raise ValidationError(
-            "the given split generation has other members than the weak equivalences")
-    return session._certify(family or session.family, splitgen)
+    if family is not None:
+        if family.base is not cat and family.base != cat:
+            raise ValidationError("the given family is of another category")
+        if family.members != session.members:
+            raise ValidationError("the given family has other members than the weak equivalences")
+        session.family = family
+    if splitgen is not None:
+        if (splitgen.certificate.decompositions.keys() != session.members if splitgen.generated
+                else splitgen.missing not in session.members):
+            raise ValidationError(
+                "the given split generation has other members than the weak equivalences")
+        session.splitgen = splitgen
+    return session.whitehead
 
 
 @dataclass(frozen=True)
@@ -642,15 +641,10 @@ class Analysis:
 
     @cached_property
     def whitehead(self) -> WhiteheadResult:
-        return self._certify(self.family, None)
-
-    def _certify(self, family: WeqFamily, splitgen: SplitGenResult | None) -> WhiteheadResult:
-        """Whitehead on this session's congruence, gated by the axiom check
-        of ``family`` (one of this session's category and members); a
-        failed or inconclusive result carries ``splitgen``, else the
-        session's."""
-        if not family.report.axioms_ok:
-            raise ValidationError("family axioms must hold before certification")
+        """Whitehead on this session's congruence, gated by the axiom
+        check; a failed or inconclusive result carries the split
+        generation."""
+        self.axioms_hold("family axioms must hold before certification")
         cat, members, cong = self.cat, self.members, self.congruence
         if members <= self.sigma:
             # An inverse class is unique, so its lowest member is the
@@ -660,8 +654,7 @@ class Analysis:
             cert = WhiteheadCertificate(cong, inverse_table, (self.left, self.right))
             return WhiteheadResult("certified", cong, cert, None, None)
 
-        if splitgen is None:
-            splitgen = self.splitgen
+        splitgen = self.splitgen
         if splitgen.generated:
             raise RuntimeError(
                 "internal inconsistency: split-generated family failed certification")

@@ -469,6 +469,19 @@ def test_negative_budget_is_malformed(monkeypatch, capsys, tmp_path):
         assert "budget must be nonnegative, got -3" in capsys.readouterr().err
 
 
+def test_non_integer_budget_variable_is_malformed(monkeypatch, capsys):
+    monkeypatch.setenv("HOCAT_BUDGET", "abc")
+    assert cli.main(["analyze", fx("f_retr")]) == 2
+    assert capsys.readouterr() == ("", "error: HOCAT_BUDGET must be an integer, got 'abc'\n")
+
+
+@pytest.mark.parametrize("ends", [[], ["--from", "a"]])
+def test_zigzag_without_both_ends_is_malformed(capsys, ends):
+    assert cli.main(["zigzag", fx("f_span"), *ends]) == 2
+    assert capsys.readouterr() == (
+        "", "error: zigzag needs --from and --to (or --equiv with two files)\n")
+
+
 @pytest.mark.parametrize("budget", [True, False, 2.5, "3"])
 def test_non_integer_budget_is_malformed(budget):
     with pytest.raises(FormatError) as err:

@@ -226,6 +226,13 @@ def test_fork_witnesses_match_golden():
     assert _render(fork_witnesses()) == FORKS.read_text(encoding="utf-8")
 
 
+def _stdout(argv) -> str:
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert cli.main(argv) == 0, argv
+    return text.getvalue()
+
+
 def analyze_494_hashes() -> dict:
     """The sha256 of ``analyze --format json`` on all functions between
     sets of sizes 1, 2, 3 and 4 (494 arrows), per family, each run from
@@ -239,10 +246,8 @@ def analyze_494_hashes() -> dict:
                 name = f"fun1234-{weqs}.json"
                 with open(name, "w", encoding="utf-8") as fh:
                     json.dump(all_functions_instance((1, 2, 3, 4), weqs)[2], fh)
-                text = io.StringIO()
-                with contextlib.redirect_stdout(text):
-                    assert cli.main(["analyze", name, "--format", "json"]) == 0
-                out[name] = hashlib.sha256(text.getvalue().encode("utf-8")).hexdigest()
+                text = _stdout(["analyze", name, "--format", "json"])
+                out[name] = hashlib.sha256(text.encode("utf-8")).hexdigest()
         finally:
             os.chdir(cwd)
     return out
@@ -250,13 +255,6 @@ def analyze_494_hashes() -> dict:
 
 def test_analyze_494_matches_golden():
     assert _render(analyze_494_hashes()) == ANALYZE_494.read_text(encoding="utf-8")
-
-
-def _stdout(argv) -> str:
-    text = io.StringIO()
-    with contextlib.redirect_stdout(text):
-        assert cli.main(argv) == 0, argv
-    return text.getvalue()
 
 
 def text_reports() -> dict:
@@ -267,9 +265,9 @@ def text_reports() -> dict:
     with tempfile.TemporaryDirectory() as workdir:
         with open(os.path.join(workdir, "inconclusive.json"), "w", encoding="utf-8") as fh:
             json.dump(inconclusive_doc(), fh)
-        inputs = [(name, str(pathlib.Path(str(path(name))).parent)) for name in NAMES]
+        inputs = [(name, pathlib.Path(str(path(name))).parent) for name in NAMES]
         try:
-            for name, directory in inputs + [("inconclusive", workdir)]:
+            for name, directory in [*inputs, ("inconclusive", workdir)]:
                 os.chdir(directory)
                 file = f"{name}.json"
                 with open(file, encoding="utf-8") as fh:
