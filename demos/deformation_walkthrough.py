@@ -30,43 +30,33 @@ from hocat.fixtures import category
 def chain_for(name):
     cat, members, raw = category(name)
     c0 = subcategory(cat, raw.subcategory["objects"])
-    link = validate_deformation(cat, members, c0, raw.deformation[0])
-    return cat, members, compose_chain([link])
-
-
-def target_certificate(cat, members, chain):
-    sub = chain.target
-    sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    return Analysis(sub.cat, sub_members).whitehead.certificate
+    return compose_chain([validate_deformation(cat, members, c0, raw.deformation[0])])
 
 
 def main():
     print("== a weak equivalence with no way back ==")
-    cat, members, chain = chain_for("f_def")
-    print("ambient whitehead verdict:", Analysis(cat, members).whitehead.status)
+    chain = chain_for("f_def")
+    print("ambient whitehead verdict:", Analysis(chain.cat, chain.weqs).whitehead.status)
     print("deformation is functorial:", chain.functorial)
 
-    hocr = build_ho_cr(cat, members, chain,
-                       cert0=target_certificate(cat, members, chain))
+    hocr = build_ho_cr(chain, cert0=chain.target_whitehead.certificate)
     hq = hocr.category
     print("Ho(C, r) built via route:", hocr.route)
     for x in range(len(hq.objects)):
         for y in range(len(hq.objects)):
             arrows = [hq.mor_name(m) for m in hq.hom(x, y)]
             print(f"  hom({hq.obj_name(x)}, {hq.obj_name(y)}) = {arrows}")
-    print("image of every weak equivalence invertible:",
-          check_inverts_w(hocr, members) is None)
+    print("image of every weak equivalence invertible:", check_inverts_w(hocr) is None)
 
-    conj = check_conjugation(cat, members, hocr, cert=None)
+    conj = check_conjugation(hocr, cert=None)
     print(f"single-arrow conjugation check ({conj.route}):", conj.status)
 
     print("\n== both models certified, compared directly ==")
-    cat2, members2, chain2 = chain_for("f_retr_def")
-    ambient = Analysis(cat2, members2).whitehead
+    chain2 = chain_for("f_retr_def")
+    ambient = Analysis(chain2.cat, chain2.weqs).whitehead
     print("ambient whitehead verdict:", ambient.status)
-    hocr2 = build_ho_cr(cat2, members2, chain2,
-                        cert0=target_certificate(cat2, members2, chain2))
-    conj2 = check_conjugation(cat2, members2, hocr2, cert=ambient.certificate)
+    hocr2 = build_ho_cr(chain2, cert0=chain2.target_whitehead.certificate)
+    conj2 = check_conjugation(hocr2, cert=ambient.certificate)
     print(f"comparison ({conj2.route}):", conj2.status)
     print("phi sends a quotient class to its image class in Ho(C, r),")
     print("psi conjugates back along the theta arrows; both round trips")

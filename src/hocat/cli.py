@@ -223,40 +223,36 @@ def _deformation_report(session, raw, budget):
         ambient = c0
     chain = compose_chain(links)
 
-    sub = chain.target
-    sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    c0_res = Analysis(sub.cat, sub_members).whitehead
-    # a certificate is None unless its result is certified
-    cert0, ambient_cert = c0_res.certificate, session.whitehead.certificate
-
     data = {"deformation": {
         "links": [{"direction": d.direction, "functorial": d.functorial} for d in links],
         "functorial": chain.functorial,
-        "target_objects": [on(x) for x in sub.objects],
-        "c0_whitehead": c0_res.status,
+        "target_objects": [on(x) for x in chain.target.objects],
+        "c0_whitehead": chain.target_whitehead.status,
     }}
 
-    if (chain.functorial and cert0 is not None) or ambient_cert is not None:
-        hocr = build_ho_cr(cat, members, chain, cert0=cert0, ambient_cert=ambient_cert)
-        inv = check_inverts_w(hocr, members)
-        conj = check_conjugation(cat, members, hocr, cert=ambient_cert, budget=budget)
-        data["ho_cr"] = {
-            "route": hocr.route,
-            "arrows": len(hocr.category.morphisms),
-            "homs": _hom_listing(hocr.category),
-            "inverts_w": inv is None,
-            "inverts_w_witness": None if inv is None else mn(inv),
-            "conjugation": {
-                "status": conj.status,
-                "route": conj.route,
-                "unknown_pairs": _names(cat, conj.unknown_pairs),
-            },
-        }
-    else:
+    # a certificate is None unless its result is certified
+    ambient_cert = session.whitehead.certificate
+    hocr = build_ho_cr(chain, cert0=chain.target_whitehead.certificate, ambient_cert=ambient_cert)
+    if hocr is None:
         data["ho_cr"] = {
             "status": "unavailable",
             "reason": "requires functorial chain or ambient certificate",
         }
+        return data
+    inv = check_inverts_w(hocr)
+    conj = check_conjugation(hocr, cert=ambient_cert, budget=budget)
+    data["ho_cr"] = {
+        "route": hocr.route,
+        "arrows": len(hocr.category.morphisms),
+        "homs": _hom_listing(hocr.category),
+        "inverts_w": inv is None,
+        "inverts_w_witness": None if inv is None else mn(inv),
+        "conjugation": {
+            "status": conj.status,
+            "route": conj.route,
+            "unknown_pairs": _names(cat, conj.unknown_pairs),
+        },
+    }
     return data
 
 

@@ -8,21 +8,24 @@ at a time; nothing assumes r preserves composition, that property is
 measured and recorded instead.
 
 Chains compose stage by stage, each link deforming the previous link's
-target, so the composite theta is a zigzag rather than a single arrow.
-When the composite is functorial and the final target carries a
-certified homotopy congruence, the deformed quotient Ho(C, r) is built
-from those classes; a certificate on the ambient category is the
-fallback route for non-functorial chains.
+target over the same family, so the composite theta is a zigzag rather
+than a single arrow; the calls after it read the category and family
+from the chain.  When the composite is functorial and the final target
+carries a certified homotopy congruence, the deformed quotient Ho(C, r)
+is built from those classes; a certificate on the ambient category is
+the fallback route for non-functorial chains, and with neither there is
+no Ho(C, r).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .congruence import Congruence, quotient
 from .errors import ValidationError
 from .fincat import DIRECTIONS, CatFunctor, FinCat, Mor, Subcategory, resolve_weqs
-from .homotopy import WhiteheadCertificate
+from .homotopy import Analysis, WhiteheadCertificate, WhiteheadResult
 from .zigzag import BWD, FWD, Zigzag, bounded_equiv, localized_value, make_zigzag
 
 __all__ = [
@@ -167,26 +170,38 @@ class DeformationChain:
     parent indices, total on the first link's stage.  ``thetas`` holds,
     per starting object X, the zigzag from the fully retracted rX back
     to X obtained by stringing the stage thetas together.
-    ``functorial`` is whether the composite maps form a functor.
+    ``functorial`` is whether the composite maps form a functor, and
+    ``weqs`` the resolved family every link was validated over.
     """
 
     cat: FinCat
+    weqs: frozenset[int]
     target: Subcategory
     on_objects: dict[int, int]
     on_morphisms: dict[int, int]
     thetas: dict[int, Zigzag]
     functorial: bool
 
+    @cached_property
+    def target_whitehead(self) -> WhiteheadResult:
+        """The Whitehead result of the target under the chain's family,
+        computed on first use; its certificate is the target route's."""
+        sub = self.target
+        return Analysis(sub.cat, [i for i, m in enumerate(sub.morphisms) if m in self.weqs]).whitehead
+
 
 def compose_chain(links) -> DeformationChain:
-    """Compose deformations whose stages match up end to end."""
+    """Compose deformations of one category and family whose stages
+    match up end to end."""
     links = tuple(links)
     if not links:
         raise ValidationError("a deformation chain needs at least one link")
-    cat = links[0].cat
+    cat, weqs = links[0].cat, links[0].weqs
     for d in links[1:]:
         if d.cat != cat:
             raise ValidationError("chain links live in different categories")
+        if d.weqs != weqs:
+            raise ValidationError("chain links are validated over different families")
     for prev, nxt in zip(links, links[1:]):
         if (set(nxt.ambient.objects) != set(prev.target.objects)
                 or set(nxt.ambient.morphisms) != set(prev.target.morphisms)):
@@ -213,14 +228,14 @@ def compose_chain(links) -> DeformationChain:
             d = links[i]
             t = d.theta[stage[i]]
             steps.append((t, FWD if d.direction == "left" else BWD))
-        z = make_zigzag(cat, links[0].weqs, stage[-1], steps)
+        z = make_zigzag(cat, weqs, stage[-1], steps)
         if z.target != x:
             raise RuntimeError("internal inconsistency: composite theta misses its object")
         thetas[x] = z
         on_obj[x] = stage[-1]
 
     return DeformationChain(
-        cat=cat, target=links[-1].target,
+        cat=cat, weqs=weqs, target=links[-1].target,
         on_objects=on_obj, on_morphisms=on_mor, thetas=thetas,
         functorial=_is_functor(cat, links[0].ambient, on_obj, on_mor))
 
@@ -289,20 +304,23 @@ def _route_classes(cat, chain, cong: Congruence, arrows):
     return hocat, gamma, memberships
 
 
-def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
+def build_ho_cr(chain: DeformationChain,
                 cert0: WhiteheadCertificate | None = None,
-                ambient_cert: WhiteheadCertificate | None = None) -> HoCr:
-    """Materialize Ho(C, r) from certified homotopy classes.
+                ambient_cert: WhiteheadCertificate | None = None) -> HoCr | None:
+    """Materialize Ho(C, r) over ``chain.cat`` from certified homotopy
+    classes, or None when no route is open.
 
     The preferred route ("target-classes") needs a functorial chain and
-    ``cert0``, a certificate over the target subcategory, whose classes
-    are read back onto the parent's arrows.  With only ``ambient_cert``
+    ``cert0``, a certificate over the target subcategory such as
+    ``chain.target_whitehead.certificate``, whose classes are read back
+    onto the parent's arrows.  With only ``ambient_cert``
     ("ambient-classes") the ambient congruence is cut to the target
     instead, which also covers non-functorial chains.  The routes differ
     only in the certified congruence and the parent indices of its
     arrows they pass to :func:`_route_classes`, which composes classes
     through that congruence's quotient.
     """
+    cat = chain.cat
     if len(chain.on_objects) != len(cat.objects):
         raise ValidationError("the chain must start from the whole category")
 
@@ -315,26 +333,18 @@ def build_ho_cr(cat: FinCat, weqs, chain: DeformationChain,
         if ambient_cert.congruence.base != cat:
             raise ValidationError("ambient certificate is not over the ambient category")
         route, cong, arrows = "ambient-classes", ambient_cert.congruence, range(len(cat.morphisms))
-    elif cert0 is not None:
-        raise ValidationError(
-            "requires functorial chain or ambient certificate: the chain does not "
-            "preserve composition, so the target certificate alone cannot be used")
     else:
-        raise ValidationError(
-            "requires functorial chain or ambient certificate: no usable certificate "
-            "was given")
+        return None
 
     hocat, gamma, memberships = _route_classes(cat, chain, cong, arrows)
     return HoCr(category=hocat, gamma=gamma, chain=chain, route=route,
                 classes=memberships)
 
 
-def check_inverts_w(hocr: HoCr, weqs) -> int | None:
-    """The lowest member whose image under gamma_r has no two-sided
-    inverse, or None when gamma_r inverts every weak equivalence."""
-    cat = hocr.chain.cat
-    members = resolve_weqs(cat, weqs)
-    for w in sorted(members):
+def check_inverts_w(hocr: HoCr) -> int | None:
+    """The lowest member of the chain's family whose image under gamma_r
+    has no two-sided inverse, or None when gamma_r inverts every one."""
+    for w in sorted(hocr.chain.weqs):
         if hocr.category.inverse(hocr.gamma.on_morphisms[w]) is None:
             return w
     return None
@@ -361,11 +371,11 @@ class ConjugationReport:
     psi: CatFunctor | None
 
 
-def check_conjugation(cat: FinCat, weqs, hocr: HoCr,
-                      cert: WhiteheadCertificate | None = None,
+def check_conjugation(hocr: HoCr, cert: WhiteheadCertificate | None = None,
                       budget: int = 8) -> ConjugationReport:
-    """Compare the plain homotopy quotient against the deformed one,
-    ``hocr``, through the chain it was built from.
+    """Compare the plain homotopy quotient of the chain's category
+    against the deformed one, ``hocr``, through the chain it was built
+    from.  ``cert`` is a certificate over that category.
 
     Certificate route: phi sends a class [f] to [rf] and psi conjugates
     a target class back through the theta zigzags.  gamma is a functor
@@ -374,9 +384,10 @@ def check_conjugation(cat: FinCat, weqs, hocr: HoCr,
     phi's two-sided inverse arrow by arrow.  So both are functors with
     no check of their own.  Lemma route: for every arrow f the
     single-step zigzag is searched equivalent to theta_Y . rf .
-    theta_X^-1 within the budget.
+    theta_X^-1 within the budget, under the chain's family.
     """
     chain = hocr.chain
+    cat = chain.cat
     if cert is not None:
         cong = cert.congruence
         qcat = quotient(cat, cong).quotient
@@ -423,16 +434,15 @@ def check_conjugation(cat: FinCat, weqs, hocr: HoCr,
         return ConjugationReport(status="verified", route="functor-pair",
                                  witness=None, unknown_pairs=(), phi=phi, psi=psi)
 
-    members = resolve_weqs(cat, weqs)
     unknown = []
     for f in range(len(cat.morphisms)):
         x, y = cat.dom(f), cat.cod(f)
-        z1 = make_zigzag(cat, members, x, [(f, FWD)])
-        # theta_X reversed, then rf, then theta_Y: a zigzag X -> Y
+        # theta_X reversed, then rf, then theta_Y: a zigzag X -> Y whose
+        # backward steps are theta components, so members
         steps = [(m, BWD if dr == FWD else FWD) for m, dr in reversed(chain.thetas[x].steps)]
         steps += [(chain.on_morphisms[f], FWD), *chain.thetas[y].steps]
-        z2 = make_zigzag(cat, members, x, steps)
-        if not bounded_equiv(cat, members, z1, z2, budget).equivalent:
+        z1, z2 = Zigzag(x, y, ((f, FWD),)), Zigzag(x, y, tuple(steps))
+        if not bounded_equiv(cat, chain.weqs, z1, z2, budget).equivalent:
             unknown.append(f)
     status = "verified" if not unknown else "unknown"
     return ConjugationReport(status=status, route="zigzag-lemma", witness=None,

@@ -600,25 +600,25 @@ def validate_category(raw: RawCategory) -> FinCat:
                 f"{name(row[f])!r} (identity law or duplicate entry)")
         row[f] = h
 
-    # The laws are checked on the table form.  The fill writes only
-    # composable cells, so a row is total exactly when its -1 count is
-    # that of the arrows it cannot follow.
+    # The laws are checked on the table form.  rows[k] is row k read at
+    # each f into dom k, every cell k can follow; a one-arrow gather
+    # yields a scalar, the identity's cell, which the fill always writes.
+    # So a row is total exactly when its gather holds no -1.
     cat = FinCat(objects, morphisms, identity, table)
     table, incoming = cat.table, cat.incoming
-    for g, m in enumerate(morphisms):
-        if table[g].count(-1) != n - len(incoming[m.dom]):
+    gather = [itemgetter(*arrows) for arrows in incoming]
+    rows = [gather[m.dom](table[k]) for k, m in enumerate(morphisms)]
+    for g, (row, m) in enumerate(zip(rows, morphisms)):
+        if len(incoming[m.dom]) > 1 and -1 in row:
             f = next(f for f in incoming[m.dom] if table[g][f] < 0)
             raise ValidationError(
                 f"missing composite: {m.name!r} after {morphisms[f].name!r}")
 
     # Associativity h∘(g∘f) = (h∘g)∘f, one (h, g) at a time over every f
-    # into dom g: after(g) reads row h at each g∘f, and rows[k] is row k
-    # read at each f into dom k, so rows[h∘g] is the right side.  A
-    # one-arrow gather yields a scalar on both sides alike.  The
-    # distinct values of rows[k] are the composites k∘f, so they count
-    # the post-composition ranks that order FinCat.generators.
-    gather = [itemgetter(*arrows) for arrows in incoming]
-    rows = [gather[m.dom](table[k]) for k, m in enumerate(morphisms)]
+    # into dom g: after(g) reads row h at each g∘f, and rows[h∘g] is the
+    # right side.  A one-arrow gather yields a scalar on both sides
+    # alike.  The distinct values of rows[k] are the composites k∘f, so
+    # they count the post-composition ranks that order FinCat.generators.
     cat._ranks = [len(set(row)) if len(incoming[m.dom]) > 1 else 1
                   for row, m in zip(rows, morphisms)]
     after = cache(lambda g: itemgetter(*(table[g][f] for f in incoming[morphisms[g].dom])))

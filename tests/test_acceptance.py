@@ -99,18 +99,14 @@ def test_c03_deformed_localization():
     d = validate_deformation(cat, members, c0, raw.deformation[0])
     assert d.functorial
     chain = compose_chain([d])
-
-    sub = chain.target
-    sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    cert0 = certify_whitehead(sub.cat, sub_members).certificate
-    hocr = build_ho_cr(cat, members, chain, cert0=cert0)
+    hocr = build_ho_cr(chain, cert0=chain.target_whitehead.certificate)
 
     hq = hocr.category
     for x in range(len(hq.objects)):
         for y in range(len(hq.objects)):
             assert len(hq.hom(x, y)) == 1
 
-    assert check_inverts_w(hocr, members) is None
+    assert check_inverts_w(hocr) is None
 
     iso_cat, _, _ = category("f_iso")
     assert brute_isomorphism(hq, iso_cat) is not None
@@ -241,14 +237,11 @@ def test_c09_comparison_functors_mutually_inverse():
 
     c0 = subcategory(cat, raw.subcategory["objects"])
     chain = compose_chain([validate_deformation(cat, members, c0, raw.deformation[0])])
-    sub = chain.target
-    sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    target = certify_whitehead(sub.cat, sub_members)
+    target = chain.target_whitehead
     assert target.certified
 
-    hocr = build_ho_cr(cat, members, chain, cert0=target.certificate,
-                       ambient_cert=ambient.certificate)
-    rep = check_conjugation(cat, members, hocr, cert=ambient.certificate)
+    hocr = build_ho_cr(chain, cert0=target.certificate, ambient_cert=ambient.certificate)
+    rep = check_conjugation(hocr, cert=ambient.certificate)
     assert rep.status == "verified" and rep.route == "functor-pair"
     hq, qcat = hocr.category, quotient(cat, ambient.congruence).quotient
     assert len(hq.morphisms) == len(qcat.morphisms)

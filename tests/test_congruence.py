@@ -10,8 +10,10 @@ import pytest
 from hocat import (
     kernel_congruence,
     least_congruence,
+    load_spec,
     quotient,
     sigma_of,
+    validate_category,
 )
 from hocat.congruence import Congruence, Precongruence, intransitive_triple
 from hocat.errors import ValidationError
@@ -52,6 +54,29 @@ def test_union_requires_same_base():
     other, _m2, _r2 = category("f_iso")
     with pytest.raises(ValidationError):
         Precongruence(cat).union(Precongruence(other))
+
+
+def test_equal_relations_hash_equal():
+    """Relations are equal by their pairs, whatever their blocks, and
+    congruences by their classes, whatever order those were given in;
+    equal values hash equal, so a set keeps one of each."""
+    cat = validate_category(load_spec({
+        "objects": ["a", "b"], "composition": [], "weak_equivalences": [],
+        "morphisms": [{"name": n, "dom": "a", "cod": "b"} for n in "fgh"]}))
+    f, g, h = map(cat.mor, "fgh")
+    clique = Precongruence.canonical(cat, [(f, g, h)])
+    pairs = Precongruence(cat, [("h", "g"), ("f", "h"), ("g", "f")])
+    assert clique.blocks != pairs.blocks
+    assert clique == pairs and hash(clique) == hash(pairs)
+    assert clique != Precongruence(cat, [("f", "g")])
+    assert len({clique, pairs, Precongruence(cat, [("f", "g")])}) == 2
+
+    ids = [(i,) for i in cat.identity]
+    one = Congruence(cat, [*ids, (f, g, h)])
+    other = Congruence(cat, [(h, f, g), *reversed(ids)])
+    assert one == other and hash(one) == hash(other)
+    assert one != Congruence(cat, [*ids, (f, g), (h,)])
+    assert len({one, other, Congruence(cat, [*ids, (f, g), (h,)])}) == 2
 
 
 def test_least_congruence_matches_oracle(mixed_corpus):

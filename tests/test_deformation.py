@@ -163,21 +163,23 @@ def test_compose_chain_single_and_double():
         compose_chain([])
     with pytest.raises(ValidationError, match="do not compose"):
         compose_chain([l2, l1])
+    # a link over {e, r, s} then one over the identities alone
+    l3 = validate_deformation(cat, [], c0, trivial, ambient=c0)
+    assert chain.weqs == resolve_weqs(cat, ["e", "r", "s"]) != l3.weqs
+    with pytest.raises(ValidationError, match="different families"):
+        compose_chain([l1, l3])
 
 
 def build_fixture_hocr(name):
     cat, members, raw = category(name)
     c0 = subcategory(cat, raw.subcategory["objects"])
     chain = compose_chain([validate_deformation(cat, members, c0, raw.deformation[0])])
-    sub = chain.target
-    sub_members = [i for i, m in enumerate(sub.morphisms) if m in members]
-    cert0 = certify_whitehead(sub.cat, sub_members).certificate
-    return cat, members, chain, cert0
+    return cat, members, chain, chain.target_whitehead.certificate
 
 
 def test_build_ho_cr_target_route():
     cat, members, chain, cert0 = build_fixture_hocr("f_def")
-    hocr = build_ho_cr(cat, members, chain, cert0=cert0)
+    hocr = build_ho_cr(chain, cert0=cert0)
     assert hocr.route == "target-classes"
     hq = hocr.category
     assert len(hq.morphisms) == 4
@@ -194,38 +196,32 @@ def test_build_ho_cr_ambient_route():
     cat, members, chain, _cert0 = build_fixture_hocr("f_retr_def")
     ambient_cert = certify_whitehead(cat, members).certificate
     assert ambient_cert is not None
-    hocr = build_ho_cr(cat, members, chain, ambient_cert=ambient_cert)
+    hocr = build_ho_cr(chain, ambient_cert=ambient_cert)
     assert hocr.route == "ambient-classes"
     assert len(hocr.category.morphisms) == 4
     # target route is also available here and gives the same shape
-    hocr2 = build_ho_cr(cat, members, chain,
-                        cert0=build_fixture_hocr("f_retr_def")[3])
+    hocr2 = build_ho_cr(chain, cert0=build_fixture_hocr("f_retr_def")[3])
     assert hocr2.route == "target-classes"
     assert len(hocr2.category.morphisms) == 4
 
 
 def test_build_ho_cr_requires_a_certificate():
-    cat, members, chain, cert0 = build_fixture_hocr("f_def")
-    with pytest.raises(ValidationError) as exc:
-        build_ho_cr(cat, members, chain)
-    assert "requires functorial chain or ambient certificate" in str(exc.value)
+    _cat, _members, chain, _cert0 = build_fixture_hocr("f_def")
+    assert build_ho_cr(chain) is None
 
+    # the chain does not preserve composition, so the target
+    # certificate alone cannot be used
     rcat, d = non_functorial_deformation()
     nf_chain = compose_chain([d])
-    sub = nf_chain.target
-    sub_members = [i for i, m in enumerate(sub.morphisms) if m in ALL_RETR_W
-                   or rcat.mor_name(m) in ALL_RETR_W]
-    nf_cert0 = certify_whitehead(sub.cat, sub_members).certificate
+    nf_cert0 = nf_chain.target_whitehead.certificate
     assert nf_cert0 is not None
-    with pytest.raises(ValidationError) as exc:
-        build_ho_cr(rcat, ALL_RETR_W, nf_chain, cert0=nf_cert0)
-    assert "does not preserve composition" in str(exc.value)
+    assert build_ho_cr(nf_chain, cert0=nf_cert0) is None
 
     # the ambient route still covers the non-functorial chain
     amb = certify_whitehead(rcat, ALL_RETR_W).certificate
-    hocr = build_ho_cr(rcat, ALL_RETR_W, nf_chain, ambient_cert=amb)
+    hocr = build_ho_cr(nf_chain, ambient_cert=amb)
     assert hocr.route == "ambient-classes"
-    assert check_inverts_w(hocr, ALL_RETR_W) is None
+    assert check_inverts_w(hocr) is None
 
 
 def test_build_ho_cr_needs_full_start():
@@ -240,7 +236,7 @@ def test_build_ho_cr_needs_full_start():
     small = compose_chain([validate_deformation(cat, ALL_RETR_W, c0, trivial,
                                                 ambient=c0)])
     with pytest.raises(ValidationError, match="whole category"):
-        build_ho_cr(cat, ALL_RETR_W, small, cert0=None,
+        build_ho_cr(small, cert0=None,
                     ambient_cert=certify_whitehead(cat, ALL_RETR_W).certificate)
 
 
@@ -285,15 +281,15 @@ def test_ho_cr_routes_agree_when_sub_and_parent_indices_differ():
     ambient = certify_whitehead(cat, members).certificate
     assert cert0 is not None and ambient is not None
 
-    by_target = build_ho_cr(cat, members, chain, cert0=cert0)
-    by_ambient = build_ho_cr(cat, members, chain, ambient_cert=ambient)
+    by_target = build_ho_cr(chain, cert0=cert0)
+    by_ambient = build_ho_cr(chain, ambient_cert=ambient)
     assert (by_target.route, by_ambient.route) == ("target-classes", "ambient-classes")
     assert by_target.category == by_ambient.category
     assert by_target.gamma.on_objects == by_ambient.gamma.on_objects
     assert by_target.gamma.on_morphisms == by_ambient.gamma.on_morphisms
     assert by_target.classes == by_ambient.classes == ((idb, e),) * 4
     for hocr in (by_target, by_ambient):
-        assert check_conjugation(cat, members, hocr, cert=ambient).status == "verified"
+        assert check_conjugation(hocr, cert=ambient).status == "verified"
 
 
 def identity_deformation(cat, members):
@@ -325,15 +321,14 @@ def test_ho_cr_table_is_every_member_composite(mixed_corpus):
     routes, crowded = [], 0
     for cat, members, chain in chains:
         sub = chain.target
-        cert0 = certify_whitehead(sub.cat, [i for i, m in enumerate(sub.morphisms)
-                                            if m in members]).certificate
+        cert0 = chain.target_whitehead.certificate
         ambient = certify_whitehead(cat, members).certificate
         built = []
         if chain.functorial and cert0 is not None:
-            built.append((build_ho_cr(cat, members, chain, cert0=cert0),
+            built.append((build_ho_cr(chain, cert0=cert0),
                           dict(zip(sub.morphisms, cert0.congruence.class_of))))
         if ambient is not None:
-            built.append((build_ho_cr(cat, members, chain, ambient_cert=ambient),
+            built.append((build_ho_cr(chain, ambient_cert=ambient),
                           ambient.congruence.class_of))
         for hocr, class_of in built:
             hq = hocr.category
@@ -348,15 +343,15 @@ def test_ho_cr_table_is_every_member_composite(mixed_corpus):
 
 def test_check_inverts_w_on_deformed_quotient():
     cat, members, chain, cert0 = build_fixture_hocr("f_def")
-    hocr = build_ho_cr(cat, members, chain, cert0=cert0)
-    assert check_inverts_w(hocr, members) is None
+    hocr = build_ho_cr(chain, cert0=cert0)
+    assert check_inverts_w(hocr) is None
 
 
 def test_conjugation_functor_pair_route():
     cat, members, chain, _cert0 = build_fixture_hocr("f_retr_def")
     ambient_cert = certify_whitehead(cat, members).certificate
-    hocr = build_ho_cr(cat, members, chain, ambient_cert=ambient_cert)
-    rep = check_conjugation(cat, members, hocr, cert=ambient_cert)
+    hocr = build_ho_cr(chain, ambient_cert=ambient_cert)
+    rep = check_conjugation(hocr, cert=ambient_cert)
     assert rep.status == "verified"
     assert rep.route == "functor-pair"
     assert rep.unknown_pairs == ()
@@ -367,14 +362,14 @@ def test_conjugation_functor_pair_route():
 
 def test_conjugation_lemma_route():
     cat, members, chain, cert0 = build_fixture_hocr("f_def")
-    hocr = build_ho_cr(cat, members, chain, cert0=cert0)
-    rep = check_conjugation(cat, members, hocr, cert=None, budget=8)
+    hocr = build_ho_cr(chain, cert0=cert0)
+    rep = check_conjugation(hocr, cert=None, budget=8)
     assert rep.status == "verified"
     assert rep.route == "zigzag-lemma"
     assert rep.unknown_pairs == ()
     assert rep.phi is None and rep.psi is None
 
-    starved = check_conjugation(cat, members, hocr, cert=None, budget=0)
+    starved = check_conjugation(hocr, cert=None, budget=0)
     assert starved.status == "unknown"
     assert cat.mor("theta") in starved.unknown_pairs
 
@@ -395,9 +390,8 @@ def test_conjugation_lemma_route_right_deformation():
     chain = compose_chain([d])
     b = cat.obj("b")
     assert chain.thetas[b].steps == ((cat.mor("r"), BWD),)
-    hocr = build_ho_cr(cat, ALL_RETR_W, chain,
-                       cert0=certify_whitehead(c0.cat, ["id:a"]).certificate)
-    rep = check_conjugation(cat, ALL_RETR_W, hocr, cert=None, budget=8)
+    hocr = build_ho_cr(chain, cert0=certify_whitehead(c0.cat, ["id:a"]).certificate)
+    rep = check_conjugation(hocr, cert=None, budget=8)
     assert rep.status == "verified"
     assert rep.route == "zigzag-lemma"
 
@@ -405,20 +399,21 @@ def test_conjugation_lemma_route_right_deformation():
 def test_conjugation_certificate_route_failures():
     """The certificate route fails on a Ho(C, r) built from a certificate
     of another family than the one it compares against: discrete (W the
-    identities) against the homotopy congruence, and back."""
+    identities) against the homotopy congruence, and back, at each of
+    its four checks."""
     cat, members, raw = category("f_retr_def")
     ambient = certify_whitehead(cat, members).certificate
     discrete = certify_whitehead(cat, []).certificate
     same = identity_deformation(cat, members)
-    fine = build_ho_cr(cat, members, same, cert0=discrete)
-    rep = check_conjugation(cat, members, fine, cert=ambient)
+    fine = build_ho_cr(same, cert0=discrete)
+    rep = check_conjugation(fine, cert=ambient)
     assert (rep.status, rep.witness[0]) == ("failed", "gamma not constant on a homotopy class")
 
     # theta_b = s has no inverse in C itself
     retract = compose_chain([validate_deformation(cat, members, subcategory(cat, ["a"]),
                                                   raw.deformation[0])])
-    hocr = build_ho_cr(cat, members, retract, ambient_cert=ambient)
-    rep = check_conjugation(cat, members, hocr, cert=discrete)
+    hocr = build_ho_cr(retract, ambient_cert=ambient)
+    rep = check_conjugation(hocr, cert=discrete)
     assert (rep.status, rep.witness) == ("failed", ("theta class is not invertible", cat.obj("b")))
 
     # The monoid {1, e}, e∘e = e: Ho(C) with W = {e} is trivial, and
@@ -429,11 +424,21 @@ def test_conjugation_certificate_route_failures():
     cat = validate_category(raw)
     members = resolve_weqs(cat, raw.weak_equivalences)
     same = identity_deformation(cat, members)
-    coarse = build_ho_cr(cat, members, same,
-                         ambient_cert=certify_whitehead(cat, members).certificate)
-    rep = check_conjugation(cat, members, coarse,
-                            cert=certify_whitehead(cat, []).certificate)
+    coarse = build_ho_cr(same, ambient_cert=certify_whitehead(cat, members).certificate)
+    rep = check_conjugation(coarse, cert=certify_whitehead(cat, []).certificate)
     assert (rep.status, rep.witness) == ("failed", ("psi . phi misses the identity", cat.mor("e")))
+
+    # Collapsing e to the identity along theta = e: Ho(C, r) of the
+    # identities' certificate keeps [e], and phi sends the one class
+    # of Ho(C) to [id:x], so phi . psi never reaches [e].
+    collapse = compose_chain([validate_deformation(cat, members, subcategory(cat, ["x"]), {
+        "direction": "left", "on_objects": {"x": "x"},
+        "on_morphisms": {"id:x": "id:x", "e": "id:x"}, "theta": {"x": "e"}})])
+    kept = build_ho_cr(collapse, ambient_cert=certify_whitehead(cat, []).certificate)
+    rep = check_conjugation(kept, cert=certify_whitehead(cat, members).certificate)
+    assert (rep.status, rep.witness) == (
+        "failed", ("phi . psi misses the identity", kept.category.mor("x>x:[e]")))
+    assert rep.phi is not None and rep.psi is None
 
 
 def _message(call, *args, **kwargs) -> str:
@@ -463,24 +468,25 @@ def test_build_ho_cr_checks_certificate_bases():
     cat, members, chain, _cert0 = build_fixture_hocr("f_retr_def")
     foreign = certify_whitehead(*category("f_iso")[:2]).certificate
     assert chain.functorial and foreign is not None
-    assert _message(build_ho_cr, cat, members, chain, cert0=foreign) == (
+    assert _message(build_ho_cr, chain, cert0=foreign) == (
         "target certificate is not over the target subcategory")
-    assert _message(build_ho_cr, cat, members, chain, ambient_cert=foreign) == (
+    assert _message(build_ho_cr, chain, ambient_cert=foreign) == (
         "ambient certificate is not over the ambient category")
 
 
 def test_check_inverts_w_names_a_failing_member():
-    """The identity deformation of one arrow f: a -> b with W the
-    identities; asked about f, which that Ho(C, r) does not invert, the
-    check names it.  The chain's own family is always inverted."""
+    """The identity deformation of one arrow f: a -> b, with Ho(C, r)
+    built from the certificate of W the identities.  The chain's family
+    is inverted when it is the identities; when it is {f}, which that
+    Ho(C, r) does not invert, the check names f."""
     cat = validate_category(load_spec({
         "objects": ["a", "b"], "morphisms": [{"name": "f", "dom": "a", "cod": "b"}],
         "composition": [], "weak_equivalences": []}))
-    link = validate_deformation(cat, [], subcategory(cat, ["a", "b"]), {
-        "direction": "left", "on_objects": {"a": "a", "b": "b"},
-        "on_morphisms": {"id:a": "id:a", "id:b": "id:b", "f": "f"},
-        "theta": {"a": "id:a", "b": "id:b"}})
-    hocr = build_ho_cr(cat, [], compose_chain([link]),
-                       ambient_cert=certify_whitehead(cat, []).certificate)
-    assert check_inverts_w(hocr, []) is None
-    assert check_inverts_w(hocr, ["f"]) == cat.mor("f")
+    block = {"direction": "left", "on_objects": {"a": "a", "b": "b"},
+             "on_morphisms": {"id:a": "id:a", "id:b": "id:b", "f": "f"},
+             "theta": {"a": "id:a", "b": "id:b"}}
+    discrete = certify_whitehead(cat, []).certificate
+    for family, witness in (([], None), (["f"], cat.mor("f"))):
+        link = validate_deformation(cat, family, subcategory(cat, ["a", "b"]), block)
+        hocr = build_ho_cr(compose_chain([link]), ambient_cert=discrete)
+        assert check_inverts_w(hocr) == witness
